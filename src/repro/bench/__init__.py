@@ -1,4 +1,9 @@
-"""Benchmark harness reproducing the paper's tables and figures."""
+"""The experiment harness: every table and figure, paper and extension.
+
+:data:`EXPERIMENTS` is the registry and :func:`run` executes one entry
+(``repro bench`` is a lookup into it); :mod:`harness` holds the runner
+the entries share, :mod:`baseline` the ``BENCH_*.json`` layer.
+"""
 
 from .baseline import (
     compare_figure,
@@ -7,15 +12,20 @@ from .baseline import (
     new_baseline,
     save_baseline,
 )
+from .experiments import EXPERIMENTS, format_table2, run
 from .harness import (
     SCALES,
+    Arm,
     BenchPoint,
     BenchScale,
+    Column,
+    Experiment,
     base_workload,
     bench_scale,
-    format_contention,
     format_series,
-    format_table2,
+    render,
+    run_arm,
+    run_experiment,
     run_point,
     run_three_way,
     save_results,
@@ -27,14 +37,21 @@ __all__ = [
     "load_baseline",
     "new_baseline",
     "save_baseline",
+    "EXPERIMENTS",
     "SCALES",
+    "Arm",
     "BenchPoint",
     "BenchScale",
+    "Column",
+    "Experiment",
     "base_workload",
     "bench_scale",
-    "format_contention",
     "format_series",
     "format_table2",
+    "render",
+    "run",
+    "run_arm",
+    "run_experiment",
     "run_point",
     "run_three_way",
     "save_results",

@@ -8,12 +8,13 @@ A baseline records, per *figure* (an experiment at a scale, keyed
   deterministic at a fixed seed, so a baseline also pins the *simulated*
   outcome byte-for-byte: any diff here is a behaviour change, not noise;
 * ``counters``       — kernel counters (events dispatched, timers
-  scheduled/cancelled, heap peak) per algorithm run.
+  scheduled/cancelled, heap peak) per algorithm run: part of the
+  schedule, so pinned exactly like the metrics.
 
 ``repro bench <experiment> --json FILE`` writes one; ``--compare FILE``
 checks the current run against a committed baseline and fails the
-process on a wall-clock regression beyond ``--max-regress`` percent —
-that is the CI bench-smoke gate.  Wall-clock entries under ``pre_pr``
+process on any metrics/counters drift or a wall-clock regression beyond
+``--max-regress`` percent.  Wall-clock entries under ``pre_pr``
 are measurements of the tree *before* an optimization PR, kept in the
 same file so the speedup claim stays auditable.
 """
@@ -27,13 +28,22 @@ SCHEMA = "repro-bench/1"
 
 
 def figure_payload(points, wall_clock_s: float) -> Dict[str, object]:
-    """Serializable record of one figure run (``run_three_way`` output)."""
+    """Serializable record of one figure run.
+
+    ``points`` nests :class:`BenchPoint`s under the figure's keys — arm
+    name (``run_three_way`` output), or sweep point then arm; ``metrics``
+    and ``counters`` mirror that nesting.
+    """
+    def tree(node, leaf):
+        if isinstance(node, dict):
+            return {str(key): tree(child, leaf)
+                    for key, child in node.items()}
+        return leaf(node)
+
     return {
         "wall_clock_s": round(wall_clock_s, 3),
-        "metrics": {name: point.metrics.summary()
-                    for name, point in points.items()},
-        "counters": {name: point.counters
-                     for name, point in points.items()},
+        "metrics": tree(points, lambda point: point.metrics.summary()),
+        "counters": tree(points, lambda point: point.counters),
     }
 
 
@@ -65,9 +75,10 @@ def compare_figure(figure_key: str, current: Dict[str, object],
 
     * wall-clock: fails when the current run is more than
       ``max_regress_pct`` percent slower than the baseline figure;
-    * simulated metrics: fails on *any* difference (same seed, same
-      code must mean the same simulated numbers — drift is a bug, and
-      kernel optimizations are required to be result-preserving).
+    * simulated metrics and kernel counters: fail on *any* difference
+      (same seed, same code must mean the same simulated numbers and the
+      same schedule — drift is a bug, and kernel optimizations are
+      required to be result-preserving).
     """
     problems: List[str] = []
     figures = baseline.get("figures", {})
@@ -83,12 +94,13 @@ def compare_figure(figure_key: str, current: Dict[str, object],
             f"{figure_key}: wall-clock regression — {wall:.2f}s vs "
             f"baseline {base_wall:.2f}s (limit {limit:.2f}s at "
             f"+{max_regress_pct:.0f}%)")
-    if check_metrics and current["metrics"] != base["metrics"]:
-        diff_algs = sorted(
-            name for name in set(current["metrics"]) | set(base["metrics"])
-            if current["metrics"].get(name) != base["metrics"].get(name))
-        problems.append(
-            f"{figure_key}: simulated metrics drifted from baseline "
-            f"for {diff_algs} — results must be deterministic at a "
-            f"fixed seed")
+    for section in ("metrics", "counters") if check_metrics else ():
+        now, then = current[section], base[section]
+        if now != then:
+            drifted = sorted(name for name in set(now) | set(then)
+                             if now.get(name) != then.get(name))
+            problems.append(
+                f"{figure_key}: simulated {section} drifted from baseline "
+                f"for {drifted} — results must be deterministic at a "
+                f"fixed seed")
     return problems

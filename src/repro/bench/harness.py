@@ -1,6 +1,14 @@
-"""Benchmark harness: one runner per paper table/figure.
+"""The experiment runner: one sweep loop, four protocols, one renderer.
 
-Scales (``REPRO_BENCH_SCALE`` environment variable):
+The paper's §5 study is one protocol — MPL threads run "until the
+reorganization operation completed", the no-reorg twin is measured over
+the same window — applied to different arms.  An :class:`Experiment`
+(registry: :mod:`repro.bench.experiments`) declares arms, sweep points
+per scale and table columns; :func:`run_experiment` executes it through
+one of the four protocols that genuinely differ: :func:`closed_loop`,
+:func:`trace_reorganize_measure`, :func:`serve_sweep`, :func:`dist_sweep`.
+
+Scales of the paper's experiments (``REPRO_BENCH_SCALE``):
 
 * ``paper``    — Table 1 defaults: 10 partitions x 4080 objects, the full
   sweep ranges.  Slowest; closest to the published absolute numbers.
@@ -15,14 +23,21 @@ Every run is deterministic given the workload seed.
 
 from __future__ import annotations
 
+import dataclasses
 import os
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Any, Callable, Dict, Mapping, Optional, Sequence, Tuple
 
-from ..config import ExperimentConfig, ReorgConfig, SystemConfig, WorkloadConfig
+from ..cluster import AffinityGraph, ClusteringAdvisor, ClusterTracer
+from ..concurrency import LockTimeoutError
+from ..config import (ExperimentConfig, FleetConfig, GovernorConfig,
+                      MvccConfig, ReorgConfig, SystemConfig, WorkloadConfig)
 from ..core import CompactionPlan
 from ..database import Database
-from ..workload import ExperimentMetrics, WorkloadDriver
+from ..dist import DistCluster, cluster_deep_verify
+from ..mvcc import MvccTier
+from ..serve import ReorgFleet, ReorgGovernor, ServingLayer
+from ..workload import WorkloadDriver, random_walk_transaction
 
 
 @dataclass
@@ -85,12 +100,26 @@ def bench_scale() -> BenchScale:
             from None
 
 
+def base_workload(scale: Optional[BenchScale] = None,
+                  **overrides) -> WorkloadConfig:
+    scale = scale or bench_scale()
+    params = dict(num_partitions=scale.num_partitions,
+                  objects_per_partition=scale.objects_per_partition)
+    params.update(overrides)
+    return WorkloadConfig(**params)
+
+
+# -- the declarative pieces ---------------------------------------------------
+
+
 @dataclass
 class BenchPoint:
-    """One measured experiment."""
+    """One measured run of one arm."""
 
     algorithm: str
-    metrics: ExperimentMetrics
+    #: Anything with a ``summary()`` — :class:`ExperimentMetrics` for
+    #: every protocol but the dist sweep's :class:`DistMetrics`.
+    metrics: Any
     overrides: Dict[str, object] = field(default_factory=dict)
     #: Kernel counters captured at the end of the run (events dispatched,
     #: timers scheduled/cancelled, heap peak) — see ``Simulator.counters``.
@@ -105,57 +134,360 @@ class BenchPoint:
         return self.metrics.avg_response_ms
 
 
-def base_workload(scale: Optional[BenchScale] = None,
-                  **overrides) -> WorkloadConfig:
-    scale = scale or bench_scale()
-    params = dict(num_partitions=scale.num_partitions,
-                  objects_per_partition=scale.objects_per_partition)
-    params.update(overrides)
-    return WorkloadConfig(**params)
+@dataclass(frozen=True)
+class Arm:
+    """One arm of an experiment: what runs against what."""
+
+    name: str
+    #: Reorganizer name (``Database.reorganizer``); ``None`` = none.
+    algorithm: Optional[str] = None
+    #: :class:`SystemConfig` overrides.
+    system: Mapping[str, object] = field(default_factory=dict)
+    #: The per-transaction generator and the aborts a thread retries.
+    body: Callable = random_walk_transaction
+    retry_on: Tuple[type, ...] = (LockTimeoutError,)
+    #: Attach the MVCC tier, so ``body`` runs on snapshots.
+    snapshot: bool = False
+    #: Measure this no-reorg arm over the named reorganizing arm's window
+    #: (capped) — the paper's "while reorganization is in progress", so a
+    #: during-reorg number always has a baseline of the same length.
+    twin_of: Optional[str] = None
+    #: What one protocol reads: ``plan`` (trace/reorganize/measure),
+    #: ``governed`` (serve).
+    options: Mapping[str, object] = field(default_factory=dict)
+
+    def driver(self, engine, layout, workload: WorkloadConfig
+               ) -> WorkloadDriver:
+        """The closed-loop driver submitting this arm's transactions."""
+        driver = WorkloadDriver(engine, layout, ExperimentConfig(
+            workload=workload, system=engine.config))
+        driver.walk_fn = self.body
+        driver.retry_on = self.retry_on
+        return driver
+
+
+#: One sweep point's results, by arm name in reporting order.
+ArmPoints = Dict[str, BenchPoint]
+#: An experiment's results: sweep point (``None`` when not swept) → arms.
+Rows = Dict[object, ArmPoints]
+
+
+@dataclass(frozen=True)
+class Column:
+    """A table column: ``value(point, arms at its sweep point, rows)``
+    under the ``fmt`` format spec (string values pass through)."""
+
+    header: str
+    fmt: str
+    value: Callable[[BenchPoint, ArmPoints, Rows], object]
+
+    def text(self, *where) -> str:
+        value = self.value(*where)
+        return value if isinstance(value, str) else format(value, self.fmt)
+
+
+@dataclass(frozen=True)
+class Experiment:
+    name: str
+    title: str
+    #: ``protocol(experiment, arm, scale, x, twin_window_ms) -> BenchPoint``
+    protocol: Callable[..., BenchPoint]
+    arms: Tuple[Arm, ...]
+    #: Scale name → the protocol's scale parameters.
+    scales: Mapping[str, object]
+    columns: Tuple[Column, ...]
+    #: Scale attribute listing the sweep's points; ``None`` = one point.
+    sweep: Optional[str] = None
+    #: What a sweep point is (closed loop: the workload field it sets).
+    x_label: str = ""
+    #: How a sweep point keys the payload and labels its table rows.
+    x_key: Callable[[object], str] = str
+    #: Closed loop: overrides of ``base_workload(scale)``.
+    workload: Mapping[str, object] = field(default_factory=dict)
+    #: The acceptance claim and the check that it holds.
+    claim: str = ""
+    verdict: Optional[Callable[[Rows], bool]] = None
+    #: Committed baseline files holding this experiment's figures.
+    baselines: Tuple[str, ...] = ()
+
+    def arm(self, name: str) -> Arm:
+        return next(arm for arm in self.arms if arm.name == name)
+
+    def points(self, scale_name: str) -> Sequence:
+        if self.sweep is None:
+            return (None,)
+        return getattr(self.scales[scale_name], self.sweep)
+
+
+def run_arms(arms: Sequence[Arm],
+             run_one: Callable[[Arm, Optional[float]], BenchPoint]
+             ) -> ArmPoints:
+    """``run_one(arm, twin_window_ms)`` for every arm, the reorganizing
+    arms first so each no-reorg twin can be given its arm's window."""
+    points: ArmPoints = {}
+    for arm in sorted(arms, key=lambda arm: arm.twin_of is not None):
+        window = (points[arm.twin_of].metrics.window_ms
+                  if arm.twin_of is not None else None)
+        points[arm.name] = run_one(arm, window)
+    return {arm.name: points[arm.name] for arm in arms}
+
+
+def run_experiment(experiment: Experiment, scale_name: str,
+                   progress: Optional[Callable[[str], None]] = None
+                   ) -> Rows:
+    """The sweep loop: every arm at every point of one scale."""
+    scale = experiment.scales[scale_name]
+    rows: Rows = {}
+    for x in experiment.points(scale_name):
+        def run_one(arm: Arm, twin_window_ms: Optional[float]) -> BenchPoint:
+            point = experiment.protocol(experiment, arm, scale, x,
+                                        twin_window_ms)
+            if progress is not None:
+                at = ("" if experiment.sweep is None
+                      else f"{experiment.x_key(x)} ")
+                progress(f"{at}{arm.name} done")
+            return point
+        rows[x] = run_arms(experiment.arms, run_one)
+    return rows
+
+
+def keyed_points(experiment: Experiment, rows: Rows):
+    """``rows`` as the payload nests them: by sweep-point key when swept,
+    then by arm when there is more than one."""
+    def arms(points: ArmPoints):
+        return points if len(points) > 1 else next(iter(points.values()))
+    if experiment.sweep is None:
+        return arms(rows[None])
+    return {experiment.x_key(x): arms(points) for x, points in rows.items()}
+
+
+def render(experiment: Experiment, rows: Rows) -> str:
+    """The data table — one line per (sweep point, arm) — and verdict."""
+    swept = experiment.sweep is not None
+    many = len(experiment.arms) > 1
+    table = [[experiment.x_label] * swept + [""] * many
+             + [column.header for column in experiment.columns]]
+    for x, arms in rows.items():
+        for name, point in arms.items():
+            table.append([experiment.x_key(x)] * swept + [name.upper()] * many
+                         + [column.text(point, arms, rows)
+                            for column in experiment.columns])
+    widths = [max(map(len, cells)) for cells in zip(*table)]
+    lines = [experiment.title, "-" * len(experiment.title)]
+    lines += [" ".join(cell.rjust(width) for cell, width in zip(row, widths))
+              for row in table]
+    if experiment.verdict is not None:
+        holds = "holds" if experiment.verdict(rows) else "DOES NOT HOLD"
+        lines.append(f"\n{holds}: {experiment.claim}")
+    return "\n".join(lines)
+
+
+# -- protocol 1: the paper's closed loop -------------------------------------
+
+
+def _verified(db: Database, point: BenchPoint, tier=None) -> BenchPoint:
+    """``point`` with the run's kernel counters, once the store (and the
+    MVCC tier, if any) it ran on checks out."""
+    problems = (tier.verify() if tier is not None else []) \
+        + db.verify_integrity().problems()
+    if problems:
+        raise AssertionError(f"integrity violated after "
+                             f"{point.algorithm}: {problems[:3]}")
+    point.counters = db.engine.sim.counters()
+    return point
+
+
+def run_arm(arm: Arm, workload: WorkloadConfig,
+            system: Optional[SystemConfig] = None,
+            reorg_config: Optional[ReorgConfig] = None,
+            horizon_ms: Optional[float] = None,
+            plan_factory=CompactionPlan) -> BenchPoint:
+    """One closed-loop run of ``arm`` on a freshly built database: MPL
+    threads racing one reorganization of partition 1, or — without an
+    algorithm — running alone for ``horizon_ms``."""
+    system = (system or SystemConfig()).copy(**arm.system)
+    db, layout = Database.with_workload(workload, system=system)
+    tier = MvccTier.attach(db.engine, MvccConfig()) if arm.snapshot else None
+    driver = arm.driver(db.engine, layout, workload)
+    if arm.algorithm is None:
+        metrics = driver.run(horizon_ms=horizon_ms)
+        metrics.algorithm = arm.name
+    else:
+        reorganizer = db.reorganizer(1, arm.algorithm, plan=plan_factory(),
+                                     reorg_config=reorg_config)
+        metrics = driver.run(reorganizer=reorganizer, horizon_ms=horizon_ms)
+    return _verified(db, BenchPoint(arm.name, metrics), tier)
+
+
+def _twin_horizon(twin_window_ms: Optional[float],
+                  scale: BenchScale) -> Optional[float]:
+    if twin_window_ms is None:
+        return None
+    return min(twin_window_ms, scale.nr_horizon_cap_ms)
+
+
+def closed_loop(experiment: Experiment, arm: Arm, scale: BenchScale, x,
+                twin_window_ms: Optional[float]) -> BenchPoint:
+    workload = base_workload(scale, **experiment.workload)
+    if experiment.sweep is not None:
+        workload = workload.copy(**{experiment.x_label: x})
+    return run_arm(arm, workload,
+                   horizon_ms=_twin_horizon(twin_window_ms, scale))
+
+
+#: The paper's three-way comparison (Table 2, Figures 6-11).
+PAPER_ARMS = (Arm("nr", twin_of="ira"), Arm("ira", "ira"),
+              Arm("pqr", "pqr"))
 
 
 def run_point(algorithm: str, workload: WorkloadConfig,
               system: Optional[SystemConfig] = None,
               reorg_config: Optional[ReorgConfig] = None,
               horizon_ms: Optional[float] = None,
-              plan_factory=CompactionPlan,
-              driver_cls=WorkloadDriver) -> BenchPoint:
-    """Run one experiment on a freshly built database."""
-    db, layout = Database.with_workload(workload, system=system)
-    driver = driver_cls(
-        db.engine, layout,
-        ExperimentConfig(workload=workload, system=system or SystemConfig()))
-    if algorithm == "nr":
-        metrics = driver.run(horizon_ms=horizon_ms)
-    else:
-        reorganizer = db.reorganizer(1, algorithm, plan=plan_factory(),
-                                     reorg_config=reorg_config)
-        metrics = driver.run(reorganizer=reorganizer, horizon_ms=horizon_ms)
-    report = db.verify_integrity()
-    if not report.ok:
-        raise AssertionError(
-            f"integrity violated after {algorithm}: {report.problems()[:3]}")
-    return BenchPoint(algorithm=algorithm, metrics=metrics,
-                      counters=db.engine.sim.counters())
+              plan_factory=CompactionPlan) -> BenchPoint:
+    """One closed-loop run of ``algorithm`` (``"nr"`` = none) — the
+    ablation benchmarks' entry to :func:`run_arm`."""
+    arm = Arm(algorithm, None if algorithm == "nr" else algorithm)
+    return run_arm(arm, workload, system, reorg_config, horizon_ms,
+                   plan_factory)
 
 
 def run_three_way(workload: WorkloadConfig,
-                  scale: Optional[BenchScale] = None
-                  ) -> Dict[str, BenchPoint]:
-    """NR / IRA / PQR at one parameter point (the paper's comparison).
-
-    IRA runs first; NR is measured over the same duration (capped), as
-    the paper measures while reorganization is in progress.
-    """
+                  scale: Optional[BenchScale] = None) -> ArmPoints:
+    """NR / IRA / PQR at one parameter point (the paper's comparison)."""
     scale = scale or bench_scale()
-    ira = run_point("ira", workload)
-    nr_horizon = min(ira.metrics.window_ms, scale.nr_horizon_cap_ms)
-    nr = run_point("nr", workload, horizon_ms=nr_horizon)
-    pqr = run_point("pqr", workload)
-    return {"nr": nr, "ira": ira, "pqr": pqr}
+    return run_arms(PAPER_ARMS, lambda arm, twin_window_ms: run_arm(
+        arm, workload, horizon_ms=_twin_horizon(twin_window_ms, scale)))
 
 
-# -- output formatting ------------------------------------------------------------
+# -- protocol 2: trace / reorganize / measure ---------------------------------
+
+
+def trace_reorganize_measure(experiment: Experiment, arm: Arm, scale, x,
+                             twin_window_ms) -> BenchPoint:
+    """(1) **trace** — run the workload for ``scale.window_ms`` with the
+    tracer attached; (2) **reorganize** partition 1 under concurrent load
+    with the arm's placement plan (skipped without an algorithm);
+    (3) **measure** — run the workload again, with fresh walk seeds, and
+    report that window's buffer-pool numbers beside the classic ones."""
+    workload = scale.workload
+    db, layout = Database.with_workload(workload, system=SystemConfig(
+        buffer_pool_pages=scale.buffer_pool_pages, **arm.system))
+    engine = db.engine
+
+    def driver(phase_offset: int) -> WorkloadDriver:
+        # Fresh thread-walk seeds per phase: the measured walks are not
+        # the traced walks, so clustering has to generalize, not recall.
+        return arm.driver(engine, layout,
+                          workload.copy(seed=workload.seed + phase_offset))
+
+    # The tracer rides along in every arm (it is free and provably
+    # inert); only a traced placement consumes the statistics.
+    tracer = ClusterTracer()
+    engine.tracer = tracer
+    driver(101).run(horizon_ms=scale.window_ms)
+    engine.tracer = None
+
+    overrides: Dict[str, object] = {}
+    if arm.algorithm is not None:
+        plan = arm.options["plan"](tracer.graph, workload.seed)
+        stats = driver(202).run(reorganizer=db.reorganizer(
+            1, arm.algorithm, plan=plan)).reorg_stats
+        overrides["objects_migrated"] = stats.objects_migrated
+        overrides["reorg_duration_ms"] = round(stats.duration_ms, 1)
+
+    metrics = driver(303).run(horizon_ms=scale.window_ms)
+    metrics.algorithm = arm.name
+    return _verified(db, BenchPoint(arm.name, metrics, overrides))
+
+
+# -- protocol 3: the open-loop serve sweep ------------------------------------
+
+
+def serve_sweep(experiment: Experiment, arm: Arm, scale, servers: int,
+                twin_window_ms) -> BenchPoint:
+    """One arm at one server-pool width: ``scale.serve`` arrivals served
+    alone, or beside a two-worker reorganizer fleet that is ungoverned
+    or paced by the SLO governor."""
+    workload = scale.workload.copy(mpl=servers)
+    db, layout = Database.with_workload(
+        workload, system=SystemConfig(**arm.system))
+    engine = db.engine
+    layer = ServingLayer(engine, layout, scale.serve.copy(
+        servers=servers, seed=workload.seed), workload)
+    fleet = governor = None
+    overrides: Dict[str, object] = {"servers": servers}
+    if arm.algorithm is not None:
+        # A cold advisor still yields deterministic claims (rank order
+        # degenerates to fragmentation + partition id).
+        claims = ClusteringAdvisor(AffinityGraph()).claims(
+            engine, scale.fleet_partitions,
+            candidates=[pid for pid in engine.store.partition_ids()
+                        if pid != 0])
+        if arm.options.get("governed"):
+            governor = ReorgGovernor(engine.sim, GovernorConfig())
+        fleet = ReorgFleet(engine, claims,
+                           FleetConfig(workers=2, algorithm=arm.algorithm),
+                           governor=governor, layout=layout)
+    metrics = layer.run(fleet=fleet, governor=governor)
+    metrics.algorithm = arm.name
+    if fleet is not None:
+        overrides["partitions_reorganized"] = len(fleet.completed)
+    if governor is not None:
+        overrides["governor_paced"] = governor.paced
+        overrides["governor_paused_ms"] = round(governor.paused_ms, 1)
+        overrides["governor_breaches"] = governor.breaches
+    return _verified(db, BenchPoint(arm.name, metrics, overrides))
+
+
+# -- protocol 4: the dist cluster sweep ---------------------------------------
+
+
+@dataclass
+class DistMetrics:
+    """One cluster-wide reorganization: every node reorganizes its
+    partition, remote parents are patched through 2PC."""
+
+    completion_ms: float
+    reorg_ms_mean: float
+    tpc_rounds: int
+    remote_patches: int
+    paused_ms: float
+
+    def summary(self) -> Dict[str, float]:
+        return dataclasses.asdict(self)
+
+
+def dist_sweep(experiment: Experiment, arm: Arm, scale,
+               fraction: Optional[float], twin_window_ms) -> BenchPoint:
+    """One cluster at one remote-reference fraction; ``None`` is the
+    single-node baseline — same object count, no interconnect in the
+    commit path — the curve is normalized against."""
+    label = experiment.x_key(fraction)
+    cluster = DistCluster(
+        dataclasses.replace(scale.config, node_count=1) if fraction is None
+        else dataclasses.replace(scale.config, remote_ref_fraction=fraction)
+    ).build()
+    cluster.reorganize_all()
+    if not cluster.run_until_reorgs_done():
+        raise RuntimeError(f"dist bench run '{label}' did not complete")
+    problems = cluster_deep_verify(cluster)
+    if problems:
+        raise RuntimeError(f"dist bench run '{label}' not clean: "
+                           f"{problems[:3]}")
+    stats = [node.reorg_stats for node in cluster.nodes]
+    reorgs = [node.reorg for node in cluster.nodes]
+    return BenchPoint(arm.name, DistMetrics(
+        completion_ms=cluster.sim.now,
+        reorg_ms_mean=sum(s.duration_ms for s in stats) / len(stats),
+        tpc_rounds=sum(r.tpc_rounds for r in reorgs),
+        remote_patches=sum(r.remote_patches for r in reorgs),
+        paused_ms=sum(r.paused_ms for r in reorgs)),
+        counters={"net_sent": cluster.net.stats.sent,
+                  "net_delivered": cluster.net.stats.delivered})
+
+
+# -- output -----------------------------------------------------------------------
 
 
 def format_series(title: str, x_label: str, xs: Sequence,
@@ -169,45 +501,6 @@ def format_series(title: str, x_label: str, xs: Sequence,
         row = f"{x!s:>12} " + " ".join(
             y_format.format(values[i]) for values in series.values())
         lines.append(row)
-    return "\n".join(lines)
-
-
-def format_table2(points: Dict[str, BenchPoint]) -> str:
-    lines = [
-        "Table 2: Analysis of Response Times (paper: NR 35.0/819/1503/127,"
-        " IRA 33.7/861/1935/135, PQR 28.0/1030/100040/4113)",
-        f"{'':6} {'tput(tps)':>10} {'avg RT(ms)':>11} {'max RT(ms)':>11} "
-        f"{'std RT(ms)':>11}",
-    ]
-    for name in ("nr", "ira", "pqr"):
-        m = points[name].metrics
-        lines.append(
-            f"{name.upper():6} {m.throughput_tps:10.1f} "
-            f"{m.avg_response_ms:11.0f} {m.max_response_ms:11.0f} "
-            f"{m.std_response_ms:11.0f}")
-    return "\n".join(lines)
-
-
-def format_contention(points: Dict[str, BenchPoint]) -> str:
-    """Abort/retry/fault counters per algorithm (robustness telemetry).
-
-    ``dl-retries``/``backoff`` are the reorganizer's deadlock retries and
-    the simulated time its exponential backoff spent sleeping; ``forced``
-    and ``io-faults`` stay zero unless a fault injector was attached.
-    """
-    lines = [
-        "Contention and fault counters",
-        f"{'':6} {'aborts':>8} {'retries':>8} {'dl-retries':>10} "
-        f"{'backoff(ms)':>11} {'timeouts':>9} {'forced':>7} "
-        f"{'io-faults':>9}",
-    ]
-    for name, point in points.items():
-        m = point.metrics
-        lines.append(
-            f"{name.upper():6} {m.aborts:8d} {m.total_retries:8d} "
-            f"{m.reorg_deadlock_retries:10d} {m.reorg_backoff_ms:11.1f} "
-            f"{m.lock_timeouts:9d} {m.forced_lock_timeouts:7d} "
-            f"{m.io_faults:9d}")
     return "\n".join(lines)
 
 

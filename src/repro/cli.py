@@ -57,22 +57,16 @@ Commands
 from __future__ import annotations
 
 import argparse
-import gc
 import sys
-import time
 from typing import List, Optional
 
 from .bench import (
+    EXPERIMENTS,
     SCALES,
-    base_workload,
     compare_figure,
-    figure_payload,
-    format_contention,
-    format_series,
-    format_table2,
     load_baseline,
     new_baseline,
-    run_three_way,
+    run,
     save_baseline,
 )
 from .config import ExperimentConfig, ReorgConfig, SystemConfig, WorkloadConfig
@@ -137,99 +131,15 @@ def cmd_demo(args) -> int:
           f"{metrics.retry_budget_exhausted} gave up)")
     print(f"  p99 / p999 response  {metrics.p99_response_ms:.0f} / "
           f"{metrics.p999_response_ms:.0f} ms")
-    if metrics.locks is not None:
-        print(f"  lock manager         {metrics.locks['manager']}: "
-              f"{metrics.locks['acquires']} acquires, "
-              f"{metrics.locks['conflicts']} conflicts, "
-              f"{metrics.locks['escalations']} escalations "
-              f"({metrics.locks['deescalations']} undone), "
-              f"table peak {metrics.locks['table_peak']}")
+    print(f"  lock manager         {metrics.locks['manager']}: "
+          f"{metrics.locks['acquires']} acquires, "
+          f"{metrics.locks['conflicts']} conflicts, "
+          f"{metrics.locks['escalations']} escalations "
+          f"({metrics.locks['deescalations']} undone), "
+          f"table peak {metrics.locks['table_peak']}")
     report = db.verify_integrity()
     print(f"\n  integrity: {'OK' if report.ok else 'BROKEN'}")
     return 0 if report.ok else 1
-
-
-def _bench_figure(args, workload):
-    """Run the requested experiment; returns (rendered text, figure
-    payload for --json/--compare)."""
-    if args.experiment == "table2":
-        points = run_three_way(workload, scale=SCALES[args.scale])
-        text = format_table2(points) + "\n\n" + format_contention(points)
-        return text, figure_payload(points, 0.0)
-    if args.experiment == "clustering":
-        from .cluster.bench import format_clustering, run_clustering_experiment
-        points = run_clustering_experiment(
-            args.scale,
-            progress=lambda line: print(f"  {line}", file=sys.stderr))
-        return format_clustering(points), figure_payload(points, 0.0)
-    if args.experiment == "dist":
-        from .dist.bench import (dist_payload, format_dist,
-                                 run_dist_experiment)
-        rows = run_dist_experiment(
-            args.scale,
-            progress=lambda line: print(f"  {line}", file=sys.stderr))
-        return format_dist(rows), dist_payload(rows)
-    if args.experiment == "locks":
-        from .hlock.bench import (format_locks, locks_payload,
-                                  run_locks_experiment)
-        rows = run_locks_experiment(
-            args.scale,
-            progress=lambda line: print(f"  {line}", file=sys.stderr))
-        return format_locks(rows), locks_payload(rows)
-    if args.experiment == "mvcc":
-        from .mvcc.bench import format_mvcc, run_mvcc_experiment
-        points = run_mvcc_experiment(
-            args.scale,
-            progress=lambda line: print(f"  {line}", file=sys.stderr))
-        return format_mvcc(points), figure_payload(points, 0.0)
-    if args.experiment == "scale":
-        from .serve.bench import SCALE_ARMS, format_scale, run_scale_experiment
-        rows = run_scale_experiment(
-            args.scale,
-            progress=lambda line: print(f"  {line}", file=sys.stderr))
-        payload = {
-            "wall_clock_s": 0.0,
-            "metrics": {str(servers): {arm: rows[servers][arm].metrics.summary()
-                                       for arm in SCALE_ARMS}
-                        for servers in sorted(rows)},
-            "counters": {str(servers): {arm: rows[servers][arm].counters
-                                        for arm in SCALE_ARMS}
-                         for servers in sorted(rows)},
-        }
-        return format_scale(rows), payload
-    sweeps = {
-        "mpl": ("mpl", SCALES[args.scale].mpl_points),
-        "partition-size": ("objects_per_partition",
-                           SCALES[args.scale].partition_size_points),
-        "update-prob": ("update_prob",
-                        SCALES[args.scale].update_prob_points),
-    }
-    field, points = sweeps[args.experiment]
-    rows = {}
-    for value in points:
-        rows[value] = run_three_way(workload.copy(**{field: value}),
-                                    scale=SCALES[args.scale])
-        print(f"  {field}={value} done", file=sys.stderr)
-    text = format_series(
-        f"{args.experiment} sweep - Throughput (tps)", field, list(points),
-        {name.upper(): [rows[v][name].throughput for v in points]
-         for name in ("nr", "ira", "pqr")})
-    text += "\n\n" + format_series(
-        f"{args.experiment} sweep - Avg Response Time (ms)", field,
-        list(points),
-        {name.upper(): [rows[v][name].art for v in points]
-         for name in ("nr", "ira", "pqr")},
-        y_format="{:9.0f}")
-    payload = {
-        "wall_clock_s": 0.0,
-        "metrics": {str(value): {name: rows[value][name].metrics.summary()
-                                 for name in ("nr", "ira", "pqr")}
-                    for value in points},
-        "counters": {str(value): {name: rows[value][name].counters
-                                  for name in ("nr", "ira", "pqr")}
-                     for value in points},
-    }
-    return text, payload
 
 
 def _profile_summary(profiler, top_n: int) -> List[dict]:
@@ -250,26 +160,29 @@ def _profile_summary(profiler, top_n: int) -> List[dict]:
 
 
 def cmd_bench(args) -> int:
-    workload = base_workload(SCALES[args.scale], mpl=30)
     figure_key = f"{args.experiment}/{args.scale}"
+    recorded = None
+    if args.json:
+        # Only a missing file starts a new baseline: an unreadable or
+        # wrong-schema one may hold ``pre_pr``/``profiles`` blocks that
+        # overwriting would destroy.
+        try:
+            recorded = load_baseline(args.json)
+        except FileNotFoundError:
+            recorded = new_baseline()
+        except (OSError, ValueError) as exc:
+            print(f"refusing to overwrite {args.json}: {exc}",
+                  file=sys.stderr)
+            return 1
 
     profiler = None
     if args.profile:
         import cProfile
         profiler = cProfile.Profile()
         profiler.enable()
-    # The run allocates heavily but cyclic garbage is negligible; the
-    # collector's periodic scans are pure timing noise for the
-    # wall-clock baseline.  Simulated metrics are unaffected either way.
-    gc_was_enabled = gc.isenabled()
-    gc.disable()
-    start = time.perf_counter()
-    try:
-        text, payload = _bench_figure(args, workload)
-    finally:
-        if gc_was_enabled:
-            gc.enable()
-    payload["wall_clock_s"] = round(time.perf_counter() - start, 3)
+    text, payload = run(
+        args.experiment, args.scale,
+        progress=lambda line: print(f"  {line}", file=sys.stderr))
     if profiler is not None:
         profiler.disable()
 
@@ -286,13 +199,9 @@ def cmd_bench(args) -> int:
         # a committed baseline carries its own profile summary.
         payload["profile"] = _profile_summary(profiler, args.profile)
 
-    if args.json:
-        try:
-            data = load_baseline(args.json)
-        except (OSError, ValueError):
-            data = new_baseline()
-        data["figures"][figure_key] = payload
-        save_baseline(args.json, data)
+    if recorded is not None:
+        recorded["figures"][figure_key] = payload
+        save_baseline(args.json, recorded)
         print(f"wrote {figure_key} to {args.json}", file=sys.stderr)
 
     if args.compare:
@@ -306,7 +215,7 @@ def cmd_bench(args) -> int:
         base_wall = baseline["figures"][figure_key]["wall_clock_s"]
         print(f"bench-smoke OK: {payload['wall_clock_s']:.2f}s vs baseline "
               f"{base_wall:.2f}s (+{args.max_regress:.0f}% allowed), "
-              f"simulated metrics identical", file=sys.stderr)
+              f"simulated metrics and counters identical", file=sys.stderr)
     return 0
 
 
@@ -596,10 +505,7 @@ def build_parser() -> argparse.ArgumentParser:
     demo.set_defaults(fn=cmd_demo)
 
     bench = sub.add_parser("bench", help="run one paper experiment")
-    bench.add_argument("experiment",
-                       choices=["table2", "mpl", "partition-size",
-                                "update-prob", "clustering", "scale",
-                                "dist", "mvcc", "locks"])
+    bench.add_argument("experiment", choices=list(EXPERIMENTS))
     bench.add_argument("--profile", type=int, nargs="?", const=25,
                        default=0, metavar="N",
                        help="run under cProfile and print the top N "

@@ -4,8 +4,8 @@ The missing driving operation of the source paper's §2: observe the
 workload on-line (:mod:`tracing`), turn heat + co-access affinity into
 page-sharing placements (:mod:`policies`), feed them to the stock
 reorganizers through a relocation plan (:mod:`plan`), decide when and
-where it pays off (:mod:`advisor`), and measure that it does
-(:mod:`bench`, ``repro bench clustering``).
+where it pays off (:mod:`advisor`); ``repro bench clustering``
+(:mod:`repro.bench.experiments`) measures that it does.
 """
 
 from .advisor import Advice, ClusteringAdvisor

@@ -400,15 +400,8 @@ class LockManager:
         here; the hierarchical manager excludes ancestor granules."""
         return len(self._held_by.get(tid, ()))
 
-    def counters_summary(self, force: bool = False):
-        """Lock-manager counters for metrics / bench payloads.
-
-        The flat manager returns ``None`` unless forced, so every
-        pre-existing summary (and committed BENCH_*.json figure) stays
-        byte-identical; the hierarchical manager always reports.
-        """
-        if not force:
-            return None
+    def counters_summary(self) -> Dict[str, object]:
+        """Lock-manager counters for metrics / bench payloads."""
         return self._counters("flat")
 
     def _counters(self, manager: str) -> Dict[str, object]:

@@ -203,10 +203,13 @@ class TwoLockReorganizer(IncrementalReorganizer):
         except LockTimeoutError:
             # Deadlock: give everything back and retry this object.  The
             # new copy (committed in its own transaction) is reused — the
-            # parents already patched legitimately point at it.
+            # parents already patched legitimately point at it.  A retry
+            # victimised before it re-registers the pair (re-locking the
+            # old address) must still hand the copy on: forgetting it
+            # would create a second copy and strand the first.
             self.stats.deadlock_retries += 1
             yield from anchor.abort(reason="deadlock")
-            retry_new = self.in_flight.pop(oid, None)
+            retry_new = self.in_flight.pop(oid, resumed_new_oid)
             if self.stats.deadlock_retries > self.cfg.max_deadlock_retries:
                 raise ReorganizationError(
                     f"{oid}: exceeded {self.cfg.max_deadlock_retries} "

@@ -10,7 +10,6 @@ boundary.  See DIST.md for the sharding model, the protocol walkthrough
 and the failure matrix.
 """
 
-from .bench import format_dist, run_dist_experiment
 from .chaos import (ChaosReport, ChaosResult, arm_fault_plan,
                     default_scenarios, run_dist_chaos)
 from .cluster import DistCluster
@@ -43,13 +42,11 @@ __all__ = [
     "cluster_graph_signature",
     "data_partition",
     "default_scenarios",
-    "format_dist",
     "hub_partition",
     "node_state_digest",
     "reconcile_remote_ert",
     "resume_reorg",
     "run_dist_chaos",
-    "run_dist_experiment",
     "start_reorg",
     "unresolved_in_doubt",
 ]

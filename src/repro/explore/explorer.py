@@ -24,15 +24,11 @@ import json
 from dataclasses import asdict, dataclass, field
 from typing import Callable, Dict, List, Optional
 
-from ..config import (
-    ExperimentConfig,
-    ReorgConfig,
-    SystemConfig,
-    WorkloadConfig,
-)
+from ..bench import EXPERIMENTS, Arm
+from ..config import MvccConfig, ReorgConfig, SystemConfig, WorkloadConfig
 from ..core import CompactionPlan
 from ..database import Database
-from ..workload.driver import WorkloadDriver
+from ..mvcc import MvccTier
 from ..workload.metrics import ExperimentMetrics
 from .history import HistoryRecorder
 from .minimize import minimize_decisions
@@ -42,6 +38,7 @@ from .oracles import (
     LockHierarchyMonitor,
     OracleContext,
     OracleVerdict,
+    run_mvcc_oracles,
     run_oracles,
 )
 from .scheduler import (
@@ -64,17 +61,16 @@ DEFAULT_HORIZON_MS = 600_000.0
 HIER_ESCALATE_AFTER = 3
 
 
-def _system_config(locks: str, strict: bool) -> Optional[SystemConfig]:
-    """The engine config one explored schedule runs under.
-
-    ``None`` for the default flat/strict point, so those runs build the
-    engine exactly as before this axis existed (byte-identical)."""
-    if locks == "flat" and strict:
-        return None
-    return SystemConfig(
-        lock_manager=locks,
-        lock_escalate_after=HIER_ESCALATE_AFTER if locks == "hier" else 0,
-        strict_transactions=strict)
+def _arm(algorithm: str, locks: str, strict: bool) -> Arm:
+    """The arm one explored schedule runs: the bench's merge arm for
+    ``mvcc``, else 2PL walks against ``algorithm`` under the chosen lock
+    manager (all defaults at the flat/strict point)."""
+    if algorithm == "mvcc":
+        return EXPERIMENTS["mvcc"].arm("mvcc")
+    return Arm(algorithm, algorithm, system={
+        "lock_manager": locks,
+        "lock_escalate_after": HIER_ESCALATE_AFTER if locks == "hier" else 0,
+        "strict_transactions": strict})
 
 
 def default_workload(seed: int = 131) -> WorkloadConfig:
@@ -129,35 +125,35 @@ def run_schedule(policy: TracingPolicy,
         # A mutation lives in one manager's seams; a hier-locks bug
         # cannot even install against the flat manager.
         locks = mutation.locks
-    if algorithm == "mvcc":
-        return _run_mvcc_schedule(policy, workload, reorg_partition,
-                                  mutation, horizon_ms)
+    arm = _arm(algorithm, locks, strict)
     db, layout = Database.with_workload(workload,
-                                        system=_system_config(locks, strict))
+                                        system=SystemConfig(**arm.system))
     engine, sim = db.engine, db.sim
-    history = HistoryRecorder(sim)
-    engine.history = history
+    if arm.snapshot:
+        tier = MvccTier.attach(engine, MvccConfig(record_history=True))
+    else:
+        history = HistoryRecorder(sim)
+        engine.history = history
 
-    reorg = db.reorganizer(reorg_partition, algorithm,
+    reorg = db.reorganizer(reorg_partition, arm.algorithm,
                            plan=CompactionPlan(), reorg_config=reorg_config)
     if mutation is not None:
         mutation.install(engine, reorg)
-    # §4.2's two-lock claim is enforced for ira-2lock; other algorithms
-    # only have their peak footprint recorded.
-    limit = 2 if algorithm == "ira-2lock" else None
-    monitor = LockFootprintMonitor(engine, reorg, limit=limit).install()
-    hierarchy = (LockHierarchyMonitor(engine).install()
-                 if locks == "hier" else None)
-
-    # The transparency oracle's reference point: the loaded database and
-    # the log position it starts replaying user transactions from.
-    initial_images = {oid: engine.store.read_object(oid).copy()
-                      for oid in engine.store.all_live_oids()}
-    start_lsn = engine.log.last_lsn
+    if not arm.snapshot:
+        # §4.2's two-lock claim is enforced for ira-2lock; other
+        # algorithms only have their peak footprint recorded.
+        limit = 2 if algorithm == "ira-2lock" else None
+        monitor = LockFootprintMonitor(engine, reorg, limit=limit).install()
+        hierarchy = (LockHierarchyMonitor(engine).install()
+                     if locks == "hier" else None)
+        # The transparency oracle's reference point: the loaded database
+        # and the log position it starts replaying user transactions from.
+        initial_images = {oid: engine.store.read_object(oid).copy()
+                          for oid in engine.store.all_live_oids()}
+        start_lsn = engine.log.last_lsn
 
     metrics = ExperimentMetrics(algorithm=algorithm, mpl=workload.mpl)
-    driver = WorkloadDriver(engine, layout, ExperimentConfig(
-        workload=workload))
+    driver = arm.driver(engine, layout, workload)
 
     def reorg_watch():
         try:
@@ -194,12 +190,21 @@ def run_schedule(policy: TracingPolicy,
     if mutation is not None:
         mutation.post_run(engine, reorg)
 
-    ctx = OracleContext(engine=engine, reorg=reorg,
-                        history=history if strict else None,
-                        monitor=monitor, initial_images=initial_images,
-                        start_lsn=start_lsn, unhandled=unhandled,
-                        hierarchy=hierarchy)
-    verdicts = run_oracles(ctx)
+    if arm.snapshot:
+        # Judged by the snapshot-isolation suite instead of the 2PL one:
+        # there are no locks to monitor and no migration mapping to
+        # translate through — relocation is invisible at the logical
+        # layer by design.
+        verdicts = run_mvcc_oracles(engine, unhandled)
+        committed = tier.stats.commits
+    else:
+        verdicts = run_oracles(OracleContext(
+            engine=engine, reorg=reorg,
+            history=history if strict else None,
+            monitor=monitor, initial_images=initial_images,
+            start_lsn=start_lsn, unhandled=unhandled,
+            hierarchy=hierarchy))
+        committed = len(history.committed)
     if hung:
         verdicts.append(OracleVerdict(
             "liveness", False, sim.now,
@@ -212,103 +217,7 @@ def run_schedule(policy: TracingPolicy,
         choice_points=len(policy.choice_points),
         verdicts=verdicts,
         sim_end_ms=sim.now,
-        committed=len(history.committed),
-        mutation=mutation.name if mutation is not None else None,
-        mutation_triggered=(mutation.triggered
-                            if mutation is not None else False),
-    )
-
-
-def _run_mvcc_schedule(policy: TracingPolicy, workload: WorkloadConfig,
-                       reorg_partition: int, mutation: Optional[Mutation],
-                       horizon_ms: float) -> ScheduleResult:
-    """One explored schedule of the MVCC arm: MPL snapshot-transaction
-    walk threads racing one merge reorganization, judged by the
-    snapshot-isolation oracle instead of the 2PL suite (there are no
-    locks to monitor and no migration mapping to translate through —
-    relocation is invisible at the logical layer by design)."""
-    import random
-
-    from ..config import MvccConfig
-    from ..errors import WriteConflictError
-    from ..mvcc import MergeReorganizer, MvccTier, mvcc_random_walk
-    from ..sim import Delay
-
-    db, layout = Database.with_workload(workload)
-    engine, sim = db.engine, db.sim
-    tier = MvccTier.attach(engine, MvccConfig(record_history=True))
-    reorg = MergeReorganizer(engine, reorg_partition, plan=CompactionPlan())
-    if mutation is not None:
-        mutation.install(engine, reorg)
-
-    state = {"closed": False}
-
-    def reorg_watch():
-        try:
-            yield from reorg.run()
-        finally:
-            state["closed"] = True
-
-    def thread_process(thread_id: int):
-        home = 1 + thread_id % (workload.num_partitions)
-        thread_rng = random.Random(f"{workload.seed}/mvcc-{thread_id}")
-        while not state["closed"]:
-            txn_seed = thread_rng.getrandbits(48)
-            while True:
-                try:
-                    yield from mvcc_random_walk(
-                        engine, layout, workload,
-                        random.Random(txn_seed), home)
-                    break
-                except WriteConflictError:
-                    # Same logical transaction, fresh snapshot — the 2PL
-                    # driver's deadlock-retry discipline, minus the locks.
-                    yield Delay(thread_rng.uniform(1.0, 25.0))
-
-    sim.spawn(reorg_watch(), name="reorganizer")
-    for thread_id in range(workload.mpl):
-        sim.spawn(thread_process(thread_id), name=f"thread-{thread_id}")
-
-    sim.set_policy(policy)
-    try:
-        sim.run(until=horizon_ms, raise_unhandled=False)
-    finally:
-        sim.set_policy(None)
-
-    hung = bool(sim._queue or sim._ready)
-    unhandled = [(proc.name, f"{type(exc).__name__}: {exc}")
-                 for proc, exc in sim._unhandled]
-    if hung or unhandled:
-        sim.kill_all()
-        _rollback_active(engine)
-
-    if mutation is not None:
-        mutation.post_run(engine, reorg)
-
-    from .oracles import check_mvcc_integrity, check_snapshot_isolation
-    now = sim.now
-    verdicts: List[OracleVerdict] = []
-    problems = check_snapshot_isolation(tier)
-    verdicts.append(OracleVerdict("snapshot_isolation", not problems, now,
-                                  problems))
-    problems = check_mvcc_integrity(engine)
-    verdicts.append(OracleVerdict("mvcc_integrity", not problems, now,
-                                  problems[:5]))
-    crashes = [f"{name}: {exc}" for name, exc in unhandled]
-    verdicts.append(OracleVerdict("no_crash", not crashes, now, crashes[:5]))
-    if hung:
-        verdicts.append(OracleVerdict(
-            "liveness", False, now,
-            [f"run still busy at the {horizon_ms:.0f}ms horizon"]))
-
-    return ScheduleResult(
-        trace=dict(policy.decisions),
-        trace_hash=policy.trace_hash(),
-        consultations=policy.consultations,
-        choice_points=len(policy.choice_points),
-        verdicts=verdicts,
-        sim_end_ms=now,
-        committed=tier.stats.commits,
+        committed=committed,
         mutation=mutation.name if mutation is not None else None,
         mutation_triggered=(mutation.triggered
                             if mutation is not None else False),

@@ -560,3 +560,18 @@ def run_oracles(ctx: OracleContext) -> List[OracleVerdict]:
     crashes = [f"{name}: {exc}" for name, exc in ctx.unhandled]
     verdicts.append(OracleVerdict("no_crash", not crashes, now, crashes[:5]))
     return verdicts
+
+
+def run_mvcc_oracles(engine, unhandled: List[tuple]) -> List[OracleVerdict]:
+    """The suite for a snapshot-transaction run (``record_history=True``):
+    snapshot isolation and tier/store health instead of the 2PL oracles."""
+    now = engine.sim.now
+    problems = check_snapshot_isolation(engine.mvcc)
+    verdicts = [OracleVerdict("snapshot_isolation", not problems, now,
+                              problems)]
+    problems = check_mvcc_integrity(engine)
+    verdicts.append(OracleVerdict("mvcc_integrity", not problems, now,
+                                  problems[:5]))
+    crashes = [f"{name}: {exc}" for name, exc in unhandled]
+    verdicts.append(OracleVerdict("no_crash", not crashes, now, crashes[:5]))
+    return verdicts

@@ -553,7 +553,7 @@ class HierarchicalLockManager(LockManager):
     def object_lock_count(self, tid: int) -> int:
         return len(self._objects_held.get(tid, ()))
 
-    def counters_summary(self, force: bool = False):
+    def counters_summary(self) -> Dict[str, object]:
         out = self._counters("hier")
         out["escalation_failures"] = self.stats.escalation_failures
         return out

@@ -32,6 +32,7 @@ from ..errors import NodeUnreachableError, WriteConflictError
 from ..config import ServeConfig, WorkloadConfig
 from ..mvcc import mvcc_random_walk
 from ..sim import Delay
+from ..storage import NoSuchObjectError
 from ..workload.metrics import TransactionRecord
 from ..workload.transactions import random_walk_transaction
 from .admission import AdmissionQueue, Request
@@ -52,6 +53,7 @@ class ServingLayer:
         self.workload = workload or WorkloadConfig()
         self._start_ms = 0.0
         self._live_servers = 0
+        self._retry_on: tuple = ()      # set per run: depends on the fleet
 
     def run(self, fleet: Optional[ReorgFleet] = None,
             governor: Optional[ReorgGovernor] = None) -> ServeMetrics:
@@ -59,6 +61,16 @@ class ServingLayer:
         cfg = self.serve
         algorithm = fleet.config.algorithm if fleet is not None else "nr"
         metrics = ServeMetrics(algorithm=algorithm, mpl=cfg.servers)
+        # A lock timeout, an unreachable remote owner (a distributed read
+        # racing a peer's crash window) and a first-committer-wins
+        # conflict are transient.  Beside a two-lock fleet so is a missing
+        # object: a walk can be granted an old address's lock only after
+        # the migration freed the slot (§4.2), aborts with
+        # ``reason="stale-read"``, and its retry re-reads the patched
+        # parent.  Under any other reorganizer that is a bug: stay loud.
+        self._retry_on = (LockTimeoutError, NodeUnreachableError,
+                          WriteConflictError) + (
+            (NoSuchObjectError,) if algorithm == "ira-2lock" else ())
         if governor is not None:
             governor.metrics = metrics
         self._start_ms = sim.now
@@ -88,6 +100,7 @@ class ServingLayer:
         metrics.lock_timeouts = self.engine.locks.stats.timeouts
         metrics.forced_lock_timeouts = self.engine.locks.stats.forced_timeouts
         metrics.deadlock_victims = self.engine.locks.stats.deadlock_victims
+        metrics.locks = self.engine.locks.counters_summary()
         metrics.deadlock_aborts = self.engine.txns.abort_reasons.get(
             "deadlock", 0)
         metrics.io_faults = self.engine.log.io_faults
@@ -179,13 +192,8 @@ class ServingLayer:
                     self.engine, self.layout, self.workload,
                     random.Random(request.txn_seed), request.partition_id)
                 break
-            except (LockTimeoutError, NodeUnreachableError,
-                    WriteConflictError):
-                # Same retry path for all three abort shapes: a lock
-                # timeout, an unreachable remote owner (a distributed
-                # read racing a peer's crash window) and a
-                # first-committer-wins conflict are transient; back off
-                # and re-run the transaction.
+            except self._retry_on:
+                # Transient: back off and re-run the transaction.
                 metrics.aborts += 1
                 request.retries += 1
                 if policy.exhausted(request.retries):

@@ -9,7 +9,12 @@ from .graphgen import (
     node_ref_capacity,
 )
 from .metrics import ExperimentMetrics, TransactionRecord
-from .transactions import WalkOutcome, random_walk_transaction
+from .transactions import (
+    WalkOutcome,
+    cluster_scan_transaction,
+    random_walk_transaction,
+    scan_mix_transaction,
+)
 
 __all__ = [
     "ExperimentMetrics",
@@ -19,7 +24,9 @@ __all__ = [
     "WalkOutcome",
     "WorkloadDriver",
     "build_database",
+    "cluster_scan_transaction",
     "glue_slot",
     "node_ref_capacity",
     "random_walk_transaction",
+    "scan_mix_transaction",
 ]

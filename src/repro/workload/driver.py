@@ -32,11 +32,12 @@ from .transactions import random_walk_transaction
 class WorkloadDriver:
     """Runs one experiment: MPL threads + (optionally) a reorganizer.
 
-    Subclasses may override ``walk_fn`` (the per-transaction generator)
-    and ``retry_on`` (the abort exceptions a thread retries) to run the
-    same closed-loop protocol over a different transaction API — the
-    MVCC arm swaps in snapshot-transaction walks retried on
-    first-committer-wins conflicts, with identical seeding.
+    ``walk_fn`` (the per-transaction generator) and ``retry_on`` (the
+    abort exceptions a thread retries) may be set on an instance, or
+    overridden by a subclass, to run the same closed-loop protocol over
+    a different transaction body — a bench arm swaps in snapshot-
+    transaction walks retried on first-committer-wins conflicts, or the
+    scan mix retried on §4.2 stale reads, with identical seeding.
     """
 
     walk_fn = staticmethod(random_walk_transaction)
@@ -107,8 +108,6 @@ class WorkloadDriver:
         metrics.lock_timeouts = self.engine.locks.stats.timeouts
         metrics.forced_lock_timeouts = self.engine.locks.stats.forced_timeouts
         metrics.deadlock_victims = self.engine.locks.stats.deadlock_victims
-        # None for the flat manager (keeps its summaries byte-identical);
-        # the hierarchical manager always reports its counters.
         metrics.locks = self.engine.locks.counters_summary()
         metrics.deadlock_aborts = self.engine.txns.abort_reasons.get(
             "deadlock", 0)

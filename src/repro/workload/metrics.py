@@ -69,10 +69,9 @@ class ExperimentMetrics:
     #: setting only; ``None`` when the database is memory-resident) —
     #: the placement-quality signal the clustering experiment gates on.
     buffer: Optional[Dict[str, int]] = None
-    #: Lock-manager counter summary (acquires, conflicts, escalations,
-    #: de-escalations, peak lock-table size).  The flat manager reports
-    #: ``None`` so pre-existing summaries stay byte-identical; the
-    #: hierarchical manager always reports (``repro.hlock``).
+    #: Lock-manager counter summary (manager, acquires, conflicts,
+    #: escalations, de-escalations, peak lock-table size), set by every
+    #: driver; ``None`` only on metrics no driver produced.
     locks: Optional[Dict[str, object]] = None
 
     # Derived-statistics caches, keyed on the records generation (its

@@ -8,6 +8,11 @@ UPDATEPROB (exclusive lock); an update either pokes the object's payload
 or — with probability ``ref_update_prob`` — re-points the object's glue
 edge at a node visited earlier in the walk, which is the pointer
 insert/delete traffic the TRT machinery exists for.
+
+Beside it, the *cluster scan* — a report-style transaction reading one
+whole cluster through its tree edges — and the scan/walk mix the lock
+experiment runs (``repro bench locks``): the classic workload lock
+escalation exists for.
 """
 
 from __future__ import annotations
@@ -93,3 +98,58 @@ def random_walk_transaction(engine, layout: GraphLayout,
         # submitting harness retries is its policy.
         yield from txn.abort(reason="stale-read")
         raise
+
+
+#: Probability that a scan-mix transaction is a whole-cluster scan (the
+#: rest are the standard random walks).
+SCAN_PROB = 0.25
+
+
+def cluster_scan_transaction(engine, layout: GraphLayout,
+                             config: WorkloadConfig, rng: random.Random,
+                             home_partition: int
+                             ) -> Generator[Any, Any, WalkOutcome]:
+    """Read every object of one randomly chosen cluster (tree edges
+    only — glue edges leave the cluster), shared locks throughout."""
+    txn = engine.txns.begin()
+    ops = 0
+    try:
+        # Enter through a root stub like the walks do: the stub's ref is
+        # patched transactionally by the reorganizer, so it is always
+        # current (``layout.cluster_roots`` is only remapped at reorg
+        # end and would hand out stale mid-migration addresses).
+        stubs = layout.root_stubs[home_partition]
+        stub = stubs[rng.randrange(len(stubs))]
+        stack = [(yield from txn.read_refs(stub))[0]]
+        while stack:
+            image = yield from txn.read(stack.pop())
+            ops += 1
+            for slot, child in image.refs():
+                if slot < config.branching:
+                    stack.append(child)
+        yield from txn.commit()
+        return WalkOutcome(True, ops, 0, 0)
+    except LockTimeoutError:
+        yield from txn.abort(reason="deadlock")
+        raise
+    except NoSuchObjectError:
+        # A scan keeps copied-out child references on its stack for a
+        # long window, so under relaxed 2PL (read locks released at
+        # operation end) a migration can delete an old copy mid-scan:
+        # the same §4.2 stale-reference abort the walk reports.
+        yield from txn.abort(reason="stale-read")
+        raise
+
+
+def scan_mix_transaction(engine, layout: GraphLayout,
+                         config: WorkloadConfig, rng: random.Random,
+                         home_partition: int
+                         ) -> Generator[Any, Any, WalkOutcome]:
+    """Scan with :data:`SCAN_PROB`, else the standard random walk.  The
+    flavor comes off the same per-transaction rng, so a timeout retry
+    re-runs the same flavor."""
+    if rng.random() < SCAN_PROB:
+        return (yield from cluster_scan_transaction(
+            engine, layout, config, rng, home_partition))
+    return (yield from random_walk_transaction(
+        engine, layout, config, rng, home_partition))

@@ -70,12 +70,16 @@ class TestCompareFigure:
         assert len(problems) == 1
         assert "no figure 'mpl/standard'" in problems[0]
 
-    def test_counters_do_not_gate(self):
-        # Kernel counters are informational: a counter diff alone passes.
+    def test_counters_drift_fails(self):
+        # Kernel events and timers are part of the schedule: a counter
+        # diff alone is drift, gated exactly like the metrics.
         fig = _figure()
         baseline = _baseline(**{"table2/quick": copy.deepcopy(fig)})
         fig["counters"]["nr"]["events_dispatched"] += 5
-        assert compare_figure("table2/quick", fig, baseline, 50.0) == []
+        problems = compare_figure("table2/quick", fig, baseline, 50.0)
+        assert len(problems) == 1
+        assert "counters drifted" in problems[0]
+        assert "'nr'" in problems[0]
 
 
 class TestBaselineIO:
@@ -94,6 +98,23 @@ class TestBaselineIO:
 
     def test_new_baseline_has_current_schema(self):
         assert new_baseline()["schema"] == SCHEMA
+
+    @pytest.mark.parametrize("content", [
+        '{"schema": "repro-bench/999", "figures": {}, "pre_pr": {"x": 1}}',
+        '{"schema": "repro-bench/1", "figures": {"table2/st',
+    ], ids=["wrong-schema", "truncated"])
+    def test_bench_json_never_overwrites_an_unreadable_baseline(
+            self, tmp_path, capsys, content):
+        """``repro bench --json`` starts a new baseline only when the
+        file is missing; anything else keeps its bytes and exits 1."""
+        from repro.cli import main
+        path = tmp_path / "BENCH_old.json"
+        path.write_text(content)
+        code = main(["bench", "dist", "--scale", "quick",
+                     "--json", str(path)])
+        assert code == 1
+        assert "refusing to overwrite" in capsys.readouterr().err
+        assert path.read_text() == content
 
 
 class TestSeedPinnedDeterminism:

@@ -1,20 +1,24 @@
 """Tests for the clustering experiment, its metrics plumbing and CLI."""
 
-import json
+import dataclasses
 
+from repro.bench import EXPERIMENTS, run_experiment
 from repro.cli import main
-from repro.cluster.bench import (
-    CLUSTERING_ARMS,
-    ClusteringScale,
-    format_clustering,
-    run_clustering_arm,
-    run_clustering_experiment,
-)
+
+CLUSTERING = EXPERIMENTS["clustering"]
 
 #: A sub-quick scale so one arm runs in well under a second.
-TINY = ClusteringScale(objects_per_partition=170, mpl=4,
-                       buffer_pool_pages=4, trace_ms=4_000.0,
-                       measure_ms=4_000.0)
+QUICK = CLUSTERING.scales["quick"]
+TINY = dataclasses.replace(
+    QUICK, workload=QUICK.workload.copy(objects_per_partition=170, mpl=4),
+    buffer_pool_pages=4, window_ms=4_000.0)
+
+
+def run_clustering_arm(arm, scale):
+    """One arm of the clustering experiment at an injected scale."""
+    experiment = dataclasses.replace(
+        CLUSTERING, arms=(CLUSTERING.arm(arm),), scales={"tiny": scale})
+    return run_experiment(experiment, "tiny")[None][arm]
 
 
 def test_arm_reports_windowed_buffer_stats():
@@ -32,7 +36,7 @@ def test_arm_reports_windowed_buffer_stats():
 
 def test_reorg_arms_record_migration_counts():
     point = run_clustering_arm("cluster", TINY)
-    assert point.overrides["objects_migrated"] == TINY.objects_per_partition
+    assert point.overrides["objects_migrated"] == 170
     assert point.overrides["reorg_duration_ms"] > 0
 
 
@@ -46,7 +50,7 @@ def test_arm_is_deterministic():
 def test_memory_resident_summaries_have_no_buffer_key():
     """The pre-existing BENCH baselines (table2 etc. run memory-resident)
     must not grow a buffer section."""
-    from repro.bench.harness import run_point
+    from repro.bench import run_point
     from repro.config import WorkloadConfig
     point = run_point("nr", WorkloadConfig(num_partitions=2,
                                            objects_per_partition=170,
@@ -54,28 +58,6 @@ def test_memory_resident_summaries_have_no_buffer_key():
                       horizon_ms=2_000.0)
     assert point.metrics.buffer is None
     assert "buffer" not in point.metrics.summary()
-
-
-def test_quick_experiment_ordering_matches_committed_baseline():
-    """The acceptance criterion, pinned: at the committed seed/scale the
-    clustered arm beats both baselines on hit ratio *and* pages fetched
-    per traversal.  BENCH_5.json records the same run — drift there is
-    caught by the CI compare gate."""
-    points = run_clustering_experiment("quick")
-    assert set(points) == set(CLUSTERING_ARMS)
-    cluster = points["cluster"].metrics
-    for other in ("nr", "random"):
-        assert cluster.buffer_hit_ratio > points[other].metrics.buffer_hit_ratio
-        assert (cluster.pages_fetched_per_txn
-                < points[other].metrics.pages_fetched_per_txn)
-    text = format_clustering(points)
-    assert "clustering wins" in text
-    # And the committed baseline holds exactly these summaries.
-    with open("BENCH_5.json") as handle:
-        baseline = json.load(handle)
-    recorded = baseline["figures"]["clustering/quick"]["metrics"]
-    assert recorded == {arm: points[arm].metrics.summary()
-                        for arm in CLUSTERING_ARMS}
 
 
 # -- CLI ---------------------------------------------------------------------

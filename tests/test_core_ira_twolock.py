@@ -174,3 +174,51 @@ def test_reconciled_copy_image_merges_both_sides():
     # The stale copy differs in both regards: reusing it as-is would
     # lose the old-side poke.
     assert engine.store.read_object(new) != merged
+
+
+def test_back_to_back_deadlocks_reuse_the_committed_copy():
+    """Two consecutive reorganizer lock timeouts on one object: the first
+    on a parent lock after the copy committed, the second on the retry's
+    re-lock of the old address — before the retry re-registers the
+    in-flight pair.  The third attempt must reuse the committed copy; a
+    second copy would strand the first with stale child references."""
+    db, _ = Database.with_workload(
+        WorkloadConfig(num_partitions=2, objects_per_partition=85,
+                       mpl=1, seed=21))
+    locks = db.engine.locks
+    live_before = db.partition_stats(1).live_objects
+    reorg = TwoLockReorganizer(db.engine, 1, plan=CompactionPlan())
+    reader = -1         # a lock holder outside the transaction table
+    pinned = {}         # what the reader holds: "parent", then "victim"
+    forced = []
+
+    def probe(event, **info):
+        if event == "in_flight" and not pinned:
+            # The copy is committed and both addresses are locked: pin
+            # one of the parents the reorganizer is about to patch.
+            parent = next(p for p in reorg._parents[info["oid"]]
+                          if p not in (info["oid"], info["new_oid"]))
+            assert locks.try_acquire(reader, parent, LockMode.S)
+            pinned.update(parent=parent, victim=info["oid"])
+        elif event == "lock" and info["target"] == pinned.get("victim"):
+            # An attempt (re)starts by locking the old address: block the
+            # first retry there, let the second through.
+            locks.release_all(reader)
+            if len(forced) == 1:
+                assert locks.try_acquire(reader, info["target"], LockMode.S)
+
+    def force_timeout(tid, key, mode):
+        expected = pinned["parent"] if not forced else pinned["victim"]
+        if len(forced) < 2 and key == expected:
+            forced.append(key)
+            return True
+        return False
+
+    reorg.probe = probe
+    locks.fault_hook = force_timeout
+    stats = db.run(reorg.run(), name="reorg")
+
+    assert forced == [pinned["parent"], pinned["victim"]]
+    assert stats.deadlock_retries == 2
+    assert db.partition_stats(1).live_objects == live_before
+    assert db.verify_integrity().ok

@@ -1,8 +1,7 @@
-"""The distributed chaos sweep and the degradation bench."""
+"""The distributed chaos sweep."""
 
 from repro.config import DistConfig
 from repro.dist import default_scenarios, run_dist_chaos
-from repro.dist.bench import dist_payload, format_dist, run_dist_experiment
 
 
 def _config() -> DistConfig:
@@ -54,21 +53,3 @@ def test_chaos_report_flags_a_failing_scenario():
     assert not report.ok
     result = report.results[0]
     assert not result.completed and not result.ok
-
-
-def test_degradation_bench_shape_and_monotonic_low_end():
-    rows = run_dist_experiment("quick", progress=lambda line: None)
-    assert "single-node" in rows
-    base = rows["single-node"]
-    assert base.tpc_rounds == 0 and base.remote_patches == 0
-    assert rows["remote=0"].tpc_rounds == 0
-    # 2PC cost appears with remote parents and grows off the low end.
-    assert rows["remote=0.1"].reorg_ms_mean > base.reorg_ms_mean
-    assert rows["remote=0.25"].reorg_ms_mean >= rows["remote=0.1"].reorg_ms_mean
-    assert rows["remote=1"].remote_patches > rows["remote=0.25"].remote_patches
-
-    payload = dist_payload(rows)
-    assert set(payload) == {"wall_clock_s", "metrics", "counters"}
-    assert set(payload["metrics"]) == set(rows)
-    text = format_dist(rows)
-    assert "single-node" in text and "1.00x" in text

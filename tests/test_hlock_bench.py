@@ -1,19 +1,28 @@
-"""The locks bench (``repro bench locks``), its CLI wiring, and the
-replayable-artifact path for the hierarchical planted bugs."""
+"""The locks experiment's arms (``repro bench locks``; the full figure
+is pinned in ``test_bench_figures.py``), the hierarchical CLI wiring,
+and the replayable-artifact path for the hierarchical planted bugs."""
 
 import json
 
 import pytest
 
-from repro.bench.harness import SCALES, base_workload
+from repro.bench import EXPERIMENTS, SCALES, base_workload, run_arm
 from repro.cli import main
 from repro.explore import MUTATIONS, explore, replay_artifact
-from repro.hlock.bench import LOCK_ARMS, run_locks_point
+
+LOCKS = EXPERIMENTS["locks"]
+
+
+def run_locks_point(arm, workload):
+    """One arm at one MPL: the point and its lock counters."""
+    point = run_arm(LOCKS.arm(arm), workload)
+    return point, point.metrics.locks
 
 
 def test_locks_point_reports_counters_for_every_arm():
     workload = base_workload(SCALES["quick"], mpl=4)
-    results = {arm: run_locks_point(arm, workload) for arm in LOCK_ARMS}
+    results = {arm.name: run_locks_point(arm.name, workload)
+               for arm in LOCKS.arms}
     for arm, (point, counters) in results.items():
         assert point.metrics.completed > 0, arm
         assert counters["acquires"] > 0, arm
@@ -26,9 +35,8 @@ def test_locks_point_reports_counters_for_every_arm():
     # manager's lock table strictly larger than the hierarchical one's.
     assert results["hier"][1]["table_peak"] < \
         results["flat"][1]["table_peak"]
-    # The hier arms carry their counters in the pinned metrics summary;
-    # the flat arm's summary stays byte-identical to pre-hier trees.
-    assert results["flat"][0].metrics.summary().get("locks") is None
+    # Every arm carries its counters in the pinned metrics summary.
+    assert results["flat"][0].metrics.summary()["locks"]["manager"] == "flat"
     assert results["hier"][0].metrics.summary()["locks"]["manager"] == "hier"
 
 
@@ -38,21 +46,6 @@ def test_relaxed_arm_differs_from_strict():
     _, relaxed = run_locks_point("hier-relaxed", workload)
     # Short-duration read locks (§4.1/§6) shrink the table further.
     assert relaxed["table_peak"] < strict["table_peak"]
-
-
-def test_cli_bench_locks_json_payload(tmp_path, capsys):
-    out = tmp_path / "bench.json"
-    code = main(["bench", "locks", "--scale", "quick", "--json", str(out)])
-    assert code == 0
-    assert "Lock managers under on-line reorganization" in \
-        capsys.readouterr().out
-    payload = json.load(open(out))["figures"]["locks/quick"]
-    mpls = sorted(payload["locks"], key=int)
-    assert set(payload["locks"][mpls[0]]) == set(LOCK_ARMS)
-    top = payload["locks"][mpls[-1]]
-    # The committed-baseline acceptance: at the highest MPL the
-    # hierarchical arm's peak lock-table size beats the flat arm's.
-    assert top["hier"]["table_peak"] < top["flat"]["table_peak"]
 
 
 def test_cli_demo_hier_locks(capsys):

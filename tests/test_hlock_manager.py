@@ -345,13 +345,10 @@ def test_counters_summary_shapes():
     assert summary["acquires"] >= 1
     assert "escalation_failures" in summary
 
-    flat = LockManager(sim)
-    # Flat stays silent unless forced — that keeps every pre-existing
-    # metrics summary (and the committed BENCH_*.json) byte-identical.
-    assert flat.counters_summary() is None
-    forced = flat.counters_summary(force=True)
-    assert forced["manager"] == "flat"
-    assert "escalations" in forced
+    # Both managers always report, under the same keys.
+    flat = LockManager(sim).counters_summary()
+    assert flat["manager"] == "flat"
+    assert set(flat) == set(summary) - {"escalation_failures"}
 
 
 def test_descendant_of_geometry():

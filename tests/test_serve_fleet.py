@@ -219,3 +219,70 @@ def test_no_concurrent_ownership_during_takeover(build_fleet_db):
     takeover_times = [at for at, _ in owners[1:]]
     assert takeover_times, "no takeover happened"
     assert all(at >= 100.0 + 300.0 - 50.0 for at in takeover_times)
+
+
+# -- serving beside a two-lock fleet -----------------------------------------
+
+def _serve_beside_fleet(algorithm, seed, objects, rate_tps, duration_ms,
+                        servers):
+    from repro.config import ServeConfig, SystemConfig, WorkloadConfig
+    from repro.database import Database
+    from repro.serve import ServingLayer
+    workload = WorkloadConfig(num_partitions=3, objects_per_partition=objects,
+                              mpl=servers, seed=seed)
+    db, layout = Database.with_workload(
+        workload, system=SystemConfig(deadlock_detection="waits-for"))
+    layer = ServingLayer(db.engine, layout, ServeConfig(
+        arrival="poisson", arrival_rate_tps=rate_tps, zipf_s=1.1,
+        servers=servers, duration_ms=duration_ms, seed=seed), workload)
+    fleet = ReorgFleet(db.engine, [1, 2, 3],
+                       FleetConfig(workers=2, algorithm=algorithm),
+                       layout=layout)
+    return db, fleet, layer.run(fleet=fleet)
+
+
+@pytest.mark.parametrize("seed", [5, 6])
+def test_serving_beside_a_two_lock_fleet_keeps_the_graph_intact(seed):
+    """Zipf-skewed Poisson load against two two-lock workers: at these
+    seeds a migration is deadlock-victimised twice in a row, which used
+    to strand an orphan copy with dangling child references."""
+    db, fleet, metrics = _serve_beside_fleet(
+        "ira-2lock", seed, objects=680, rate_tps=30.0,
+        duration_ms=60_000.0, servers=30)
+    assert sorted(fleet.completed) == [1, 2, 3]
+    assert metrics.completed > 0
+    assert [db.partition_stats(pid).live_objects
+            for pid in (1, 2, 3)] == [680, 680, 680]
+    assert db.verify_integrity().ok
+
+
+@pytest.mark.parametrize("algorithm", ["ira-2lock", "ira"])
+def test_stale_read_is_retried_only_beside_a_two_lock_fleet(monkeypatch,
+                                                            algorithm):
+    """The §4.2 stale-address abort is a normal outcome only while a
+    two-lock migration can free a slot under a queued reader; under
+    basic IRA a missing object is a bug and must stay loud."""
+    from repro.serve import frontend
+    from repro.storage import NoSuchObjectError
+    real_walk = frontend.random_walk_transaction
+    stale = []
+
+    def walk_with_one_stale_read(engine, *args):
+        if not stale:
+            stale.append(engine.sim.now)
+            raise NoSuchObjectError("1:0:0")
+        return (yield from real_walk(engine, *args))
+
+    monkeypatch.setattr(frontend, "random_walk_transaction",
+                        walk_with_one_stale_read)
+    run = lambda: _serve_beside_fleet(  # noqa: E731
+        algorithm, 42, objects=170, rate_tps=15.0, duration_ms=3_000.0,
+        servers=4)
+    if algorithm == "ira":
+        with pytest.raises(NoSuchObjectError):
+            run()
+        return
+    db, fleet, metrics = run()
+    assert stale and metrics.aborts >= 1
+    assert metrics.completed > 0
+    assert db.verify_integrity().ok
