@@ -70,6 +70,23 @@ def main() -> None:
           f"from the checkpoint + log, {stats.objects_migrated} remaining "
           f"objects migrated now")
 
+    # --- and it is the database again: an ordinary user transaction -----------
+    # Enter through a persistent root (the stubs live in partition 0, so
+    # the reorganization patched them rather than moved them), follow it
+    # into the reorganized partition and update the object found there.
+    stub = layout.root_stubs[1][0]
+
+    def touch(txn):
+        node = (yield from txn.read_refs(stub))[0]
+        image = yield from txn.read(node, for_update=True)
+        yield from txn.write_payload(node, 0, b"post-restart")
+        return node, len(image.payload)
+
+    node, size = db.execute(touch)
+    print(f"\nuser transaction after restart: followed {stub} to {node} "
+          f"and rewrote the head of its {size}-byte payload")
+    assert db.store.read_object(node).payload.startswith(b"post-restart")
+
     final = db.partition_stats(1)
     report = db.verify_integrity()
     print(f"\nfinal state: {final.live_objects} objects, integrity "

@@ -72,53 +72,98 @@ class StorageEngine:
     """One database instance: store + WAL + locks + reference tables."""
 
     def __init__(self, config: Optional[SystemConfig] = None,
-                 sim: Optional[Simulator] = None):
-        self.config = config or SystemConfig()
+                 sim: Optional[Simulator] = None, *,
+                 _image: Optional[CrashImage] = None):
+        """Assemble an engine — the one path for fresh and recovered.
+
+        ``_image`` is :meth:`recover`'s way in (use that, not the
+        keyword).  A restart forks from a fresh start in exactly three
+        places, each marked below: the log, the store, and what the last
+        durable checkpoint carries (ERTs, ``next_tid``,
+        ``unlogged_base``).  Everything else is wired once, here.
+        """
+        self.config = cfg = config or SystemConfig()
         self.sim = sim or Simulator()
-        self.cpu = Resource(self.sim, capacity=self.config.cpu_count,
-                            name="cpu")
+        self.cpu = Resource(self.sim, capacity=cfg.cpu_count, name="cpu")
         # Shared Delay commands for the fixed per-access CPU charges: the
         # kernel only ever reads ``dt`` off a yielded Delay, so the hot
         # transactional paths can reuse one instance per configured cost
         # instead of allocating one per object access.
-        self._access_delay = Delay(self.config.cpu_object_access_ms)
-        self._update_delay = Delay(self.config.cpu_update_extra_ms)
+        self._access_delay = Delay(cfg.cpu_object_access_ms)
+        self._update_delay = Delay(cfg.cpu_update_extra_ms)
         # Hot-path guards: one attribute read instead of a config chase
         # per access (a zero cost skips the CPU resource entirely).
-        self._charge_access = self.config.cpu_object_access_ms > 0
-        self._charge_update = self.config.cpu_update_extra_ms > 0
+        self._charge_access = cfg.cpu_object_access_ms > 0
+        self._charge_update = cfg.cpu_update_extra_ms > 0
         self.log_disk = Resource(self.sim, capacity=1, name="log-disk")
         self.data_disk = Resource(self.sim, capacity=1, name="data-disk")
+        io_retry = cfg.io_retry_policy()
         self.buffer = (BufferPool(self.sim, self.data_disk,
-                                  capacity_pages=self.config.buffer_pool_pages,
-                                  read_ms=self.config.disk_read_ms,
-                                  write_ms=self.config.disk_write_ms,
-                                  io_retry_limit=self.config.io_retry_limit,
-                                  io_retry_backoff_ms=self.config.io_retry_backoff_ms)
-                       if self.config.disk_resident else None)
-        self.store = ObjectStore(page_size=self.config.page_size)
-        self.log = LogManager(self.sim, self.log_disk,
-                              flush_time_ms=self.config.log_flush_ms,
-                              io_retry_limit=self.config.io_retry_limit,
-                              io_retry_backoff_ms=self.config.io_retry_backoff_ms)
-        self.locks = build_lock_manager(self.sim, self.config)
+                                  capacity_pages=cfg.buffer_pool_pages,
+                                  read_ms=cfg.disk_read_ms,
+                                  write_ms=cfg.disk_write_ms,
+                                  retry=io_retry)
+                       if cfg.disk_resident else None)
+        self.locks = build_lock_manager(self.sim, cfg)
         self.latches = LatchManager(self.sim)
-        self._erts: Dict[int, ExternalReferenceTable] = {}
+
+        # Fork — the log: empty, or rebuilt from the flushed bytes.
+        if _image is None:
+            self.log = LogManager(self.sim, self.log_disk, cfg.log_flush_ms,
+                                  retry=io_retry)
+            self.snapshots = SnapshotStore()
+        else:
+            self.log = LogManager.from_durable(
+                self.sim, self.log_disk, cfg.log_flush_ms,
+                _image.durable_log, retry=io_retry)
+            self.snapshots = _image.snapshots
+
+        # Fork — the last durable checkpoint (none on an empty log)
+        # carries the ERTs, the tid counter and ``unlogged_base``.
+        checkpoint: dict = {}
+        max_tid = 0
+        for record in self.log.records():
+            max_tid = max(max_tid, record.tid)
+            if isinstance(record, CheckpointRecord) and \
+                    self.snapshots.has(record.snapshot_id):
+                checkpoint = self.snapshots.load(record.snapshot_id)
+        self._erts: Dict[int, ExternalReferenceTable] = {
+            pid: ExternalReferenceTable.restore(
+                pid, state, bucket_capacity=cfg.ert_bucket_capacity)
+            for pid, state in checkpoint.get("erts", {}).items()}
         self.analyzer = LogAnalyzer(
-            self.ert_for, strict_2pl=self.config.strict_transactions)
+            self.ert_for, strict_2pl=cfg.strict_transactions)
+        # Subscribe before running recovery: the undo pass appends CLRs,
+        # and aborts that reintroduce deleted references must update the
+        # ERTs.  Redo replays the (already-appended) durable records via
+        # the replay hook, so nothing is processed twice.
         self.log.subscribe(self.analyzer.process)
-        self.txns = TransactionManager(self)
-        self.snapshots = SnapshotStore()
-        #: Populated by :meth:`recover` on engines built from a crash image.
+
+        # Fork — the store: empty, or analysis / redo / undo over the
+        # durable log (the ERTs roll forward through the analyzer, §4.4's
+        # checkpointed-ERT option).
+        #: ``None`` on a fresh engine; what restart recovery did otherwise.
         self.recovery_stats = None
-        #: Set by :meth:`repro.faults.FaultInjector.attach`; ``crash()``
-        #: detaches it so a recovered engine starts fault-free.
-        self.injector = None
+        if _image is None:
+            self.store = ObjectStore(page_size=cfg.page_size)
+        else:
+            recovery = RecoveryManager(
+                self.log, self.snapshots, cfg.page_size,
+                replay_hook=self.analyzer.process)
+            self.store = recovery.run()
+            self.recovery_stats = recovery.stats
+
+        self.txns = TransactionManager(self)
+        self.txns.set_next_tid(
+            max(max_tid + 1, checkpoint.get("next_tid", 1)))
         #: True once the store holds content that never went through the
         #: WAL (the §5.2 bulk load).  Recorded in every checkpoint so
         #: single-page repair knows when log replay alone cannot rebuild
         #: a page from scratch.
-        self.unlogged_base = False
+        self.unlogged_base = bool(checkpoint.get("unlogged_base", False))
+        #: Set by :meth:`repro.faults.FaultInjector.attach`; ``crash()``
+        #: detaches it so a recovered engine starts fault-free.
+        self.injector = None
         #: Called with ``(payload, snapshot_id, lsn)`` after every
         #: checkpoint; the fault injector uses it to corrupt just-written
         #: snapshot pages (torn checkpoint writes).
@@ -147,10 +192,7 @@ class StorageEngine:
         #: cannot see remote parents, so without this hook a correct
         #: remote-parent ERT entry would read as spurious.
         self.remote_ert_expected = None
-        self._wire_read_verification()
-
-    def _wire_read_verification(self) -> None:
-        if self.buffer is not None and self.config.verify_page_reads:
+        if self.buffer is not None and cfg.verify_page_reads:
             self.buffer.verify_hook = self._verify_page_read
 
     def _verify_page_read(self, key) -> None:
@@ -261,80 +303,10 @@ class StorageEngine:
                 sim: Optional[Simulator] = None) -> "StorageEngine":
         """Restart recovery: rebuild an engine from a crash image.
 
-        Analysis / redo / undo run over the durable log; the ERTs are
-        restored from the last checkpoint and rolled forward by replaying
-        the log through the analyzer (§4.4's checkpointed-ERT option).
+        Goes through ``__init__`` like a fresh engine; see its three
+        forks for what a restart does differently.
         """
-        engine = cls.__new__(cls)
-        engine.config = image.config
-        engine.sim = sim or Simulator()
-        engine.cpu = Resource(engine.sim, capacity=image.config.cpu_count,
-                              name="cpu")
-        engine.log_disk = Resource(engine.sim, capacity=1, name="log-disk")
-        engine.data_disk = Resource(engine.sim, capacity=1,
-                                    name="data-disk")
-        engine.buffer = (BufferPool(
-            engine.sim, engine.data_disk,
-            capacity_pages=image.config.buffer_pool_pages,
-            read_ms=image.config.disk_read_ms,
-            write_ms=image.config.disk_write_ms,
-            io_retry_limit=image.config.io_retry_limit,
-            io_retry_backoff_ms=image.config.io_retry_backoff_ms)
-            if image.config.disk_resident else None)
-        engine.log = LogManager.from_durable(
-            engine.sim, engine.log_disk,
-            flush_time_ms=image.config.log_flush_ms,
-            durable=image.durable_log)
-        engine.log.io_retry_limit = image.config.io_retry_limit
-        engine.log.io_retry_backoff_ms = image.config.io_retry_backoff_ms
-        engine.injector = None
-        engine.locks = build_lock_manager(engine.sim, image.config)
-        engine.latches = LatchManager(engine.sim)
-        engine.snapshots = image.snapshots
-
-        # Restore ERTs from the last durable checkpoint, if any.
-        engine._erts = {}
-        checkpoint_payload = None
-        for record in engine.log.records():
-            if isinstance(record, CheckpointRecord) and \
-                    image.snapshots.has(record.snapshot_id):
-                checkpoint_payload = image.snapshots.load(record.snapshot_id)
-        if checkpoint_payload is not None:
-            for pid, state in checkpoint_payload["erts"].items():
-                engine._erts[pid] = ExternalReferenceTable.restore(
-                    pid, state,
-                    bucket_capacity=image.config.ert_bucket_capacity)
-
-        engine.analyzer = LogAnalyzer(
-            engine.ert_for, strict_2pl=image.config.strict_transactions)
-        # Subscribe before running recovery: the undo pass appends CLRs,
-        # and aborts that reintroduce deleted references must update the
-        # ERTs.  Redo replays the (already-appended) durable records via
-        # the replay hook, so nothing is processed twice.
-        engine.log.subscribe(engine.analyzer.process)
-
-        recovery = RecoveryManager(
-            engine.log, image.snapshots, image.config.page_size,
-            replay_hook=engine.analyzer.process)
-        engine.store = recovery.run()
-        engine.recovery_stats = recovery.stats
-
-        engine.txns = TransactionManager(engine)
-        max_tid = 0
-        for record in engine.log.records():
-            max_tid = max(max_tid, record.tid)
-        base_tid = (checkpoint_payload or {}).get("next_tid", 1)
-        engine.txns.set_next_tid(max(max_tid + 1, base_tid))
-        engine.unlogged_base = bool(
-            (checkpoint_payload or {}).get("unlogged_base", False))
-        engine.checkpoint_hook = None
-        engine.history = None
-        engine.mvcc = None
-        engine.tracer = None
-        engine.remote_resolver = None
-        engine.remote_ert_expected = None
-        engine._wire_read_verification()
-        return engine
+        return cls(image.config, sim, _image=image)
 
     # -- integrity -----------------------------------------------------------------------
 

@@ -18,8 +18,8 @@ LOCK_MANAGERS = ("flat", "hier")
 def build_lock_manager(sim, config) -> LockManager:
     """Construct the lock manager a :class:`SystemConfig` asks for.
 
-    Used by both engine construction sites (fresh boot and recovery) so
-    the choice survives crash/restart.
+    The engine's one assembly path calls this for fresh boot and
+    recovery alike, so the choice survives crash/restart.
     """
     if config.lock_manager == "hier":
         return HierarchicalLockManager(

@@ -82,7 +82,7 @@ class MergeReorganizer:
 
     def run(self) -> Generator[Any, Any, ReorgStats]:
         engine = self.engine
-        tier = getattr(engine, "mvcc", None)
+        tier = engine.mvcc
         if tier is None:
             raise ReorganizationError(
                 "merge reorganization needs an attached MVCC tier")

@@ -123,7 +123,7 @@ class SnapshotTransaction:
 
 def begin_snapshot_txn(engine) -> SnapshotTransaction:
     """Start a snapshot transaction on the engine's attached tier."""
-    tier = getattr(engine, "mvcc", None)
+    tier = engine.mvcc
     if tier is None:
         raise TransactionStateError("engine has no attached MVCC tier")
     return SnapshotTransaction(tier)

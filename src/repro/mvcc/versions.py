@@ -113,8 +113,8 @@ class MvccTier:
     Attach with :meth:`attach` (fresh engine) or :meth:`recover`
     (post-crash: replays TAIL_DELTA / committed MERGE_INSTALL records
     from the durable log).  The engine keeps a ``mvcc`` attribute
-    pointing at the attached tier; ``StorageEngine.recover`` resets it
-    to ``None`` like every other hook, so recovery paths must call
+    pointing at the attached tier; a recovered engine starts with it
+    ``None`` like every other attach slot, so recovery paths must call
     :meth:`recover` explicitly.
     """
 

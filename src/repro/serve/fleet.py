@@ -222,7 +222,7 @@ class ReorgFleet:
     def _remap(self, mapping) -> None:
         if self.layout is not None:
             self.layout.remap(mapping)
-        tracer = getattr(self.engine, "tracer", None)
+        tracer = self.engine.tracer
         if tracer is not None:
             tracer.graph.remap(mapping)
 

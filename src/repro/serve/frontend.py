@@ -96,21 +96,7 @@ class ServingLayer:
             metrics.reorg_stats = by_pid[0][1]
             metrics.reorg_duration_ms = max(
                 stats.duration_ms for _, stats in by_pid)
-        metrics.lock_waits = self.engine.locks.stats.waits
-        metrics.lock_timeouts = self.engine.locks.stats.timeouts
-        metrics.forced_lock_timeouts = self.engine.locks.stats.forced_timeouts
-        metrics.deadlock_victims = self.engine.locks.stats.deadlock_victims
-        metrics.locks = self.engine.locks.counters_summary()
-        metrics.deadlock_aborts = self.engine.txns.abort_reasons.get(
-            "deadlock", 0)
-        metrics.io_faults = self.engine.log.io_faults
-        metrics.io_retries = self.engine.log.io_retries
-        if buffer is not None:
-            metrics.io_faults += buffer.stats.io_faults
-            metrics.io_retries += buffer.stats.io_retries
-            metrics.buffer = buffer.stats.since(buffer_base)
-        metrics.cpu_utilization = self.engine.cpu.utilization(
-            horizon=metrics.window_ms or None)
+        metrics.collect_engine_counters(self.engine, buffer_base)
         return metrics
 
     # -- processes ---------------------------------------------------------------
@@ -184,7 +170,7 @@ class ServingLayer:
         # transactions: reads route to versioned images and never wait on
         # a reorganizer — the serving-side half of ROADMAP item 2.
         walk = (mvcc_random_walk
-                if getattr(self.engine, "mvcc", None) is not None
+                if self.engine.mvcc is not None
                 else random_walk_transaction)
         while True:
             try:

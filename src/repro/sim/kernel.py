@@ -481,7 +481,8 @@ class Simulator:
         return self._policy
 
     def set_policy(self, policy: Optional[SchedulerPolicy]) -> None:
-        """Install (or, with ``None``, remove) a scheduler policy."""
+        """Install (or, with ``None``, remove) a scheduler policy; a
+        ``run`` already in progress keeps the one it started with."""
         self._policy = policy
 
     def event(self, name: str = "") -> Event:
@@ -542,31 +543,15 @@ class Simulator:
         self._schedule(0.0, proc._step, proc.name)
         return proc
 
-    def _pop_next(self) -> Optional[list]:
-        """Pop the callback to run next, honouring the installed policy.
+    def _policy_step(self, policy: SchedulerPolicy) -> Optional[list]:
+        """Gather the ready set and pop the entry ``policy`` picks.
 
-        Returns ``None`` if the queue drained (possible when a policy
+        Returns ``None`` if the queue drained (possible when the policy
         defers the only ready entry and nothing else is queued — it then
         reappears at a later timestamp, so the caller just loops).
         Cancelled entries never reach the policy: they are dropped while
         gathering the ready set, so traces contain only real choices.
         """
-        if self._policy is None:
-            queue = self._queue
-            fifo = self._ready
-            now = self._now
-            while queue or fifo:
-                # Ready-FIFO entries sit at the current time; a heap
-                # entry sharing that time was scheduled earlier (smaller
-                # seq) and goes first.  With an empty FIFO the heap min
-                # is simply next.
-                if fifo and not (queue and queue[0][0] == now):
-                    entry = fifo.popleft()
-                else:
-                    entry = heapq.heappop(queue)
-                if entry[2] is not None:
-                    return entry
-            return None
         while self._queue or self._ready:
             if self._ready:
                 # Earliest timestamp is the current time: the ready set
@@ -587,7 +572,7 @@ class Simulator:
                     ready.append(entry)
             while ready:
                 view = [ScheduleEntry(e[0], e[1], e[3]) for e in ready]
-                decision = self._policy.schedule(when, view)
+                decision = policy.schedule(when, view)
                 kind = decision[0]
                 if kind == "defer":
                     _, index, delta = decision
@@ -615,30 +600,21 @@ class Simulator:
         Returns the final simulated time.  If a process died with an
         exception nobody joined on, it is re-raised here (the default) so
         bugs do not pass silently.
-        """
-        if until is None and self._policy is None:
-            self._run_fast(raise_unhandled)
-        else:
-            self._run_general(until, raise_unhandled)
-        if not self._queue and not self._ready and self._live_processes \
-                and until is None:
-            names = sorted(p.name for p in self._live_processes)
-            raise SimulationDeadlock(
-                f"no scheduled events but processes still blocked: {names}")
-        return self._now
 
-    def _run_fast(self, raise_unhandled: bool) -> None:
-        """The hot loop: no horizon, no policy — pop/dispatch directly.
-
-        Attribute lookups are hoisted into locals; cancelled entries are
-        skipped without touching the clock; each dispatched entry has its
-        callback slot cleared so a late ``TimerHandle.cancel`` is a no-op.
+        One loop serves every mode: the policy's ready-set gather and
+        the horizon check are optional steps around the one merge rule.
+        Attribute lookups are hoisted into locals (the policy included —
+        ``set_policy`` takes effect at the next ``run``); cancelled
+        entries are skipped without touching the clock; each dispatched
+        entry has its callback slot cleared so a late
+        ``TimerHandle.cancel`` is a no-op.
         """
         queue = self._queue
         fifo = self._ready
         pop = heapq.heappop
         popleft = fifo.popleft
         unhandled = self._unhandled
+        policy = self._policy
         now = self._now
         dispatched = 0
         try:
@@ -648,7 +624,21 @@ class Simulator:
                 # (which always sits at the current time) goes first, and
                 # only an empty FIFO lets the clock advance to the heap
                 # minimum.
-                if fifo:
+                if policy is not None:
+                    # Optional step: the policy picks from that same
+                    # ready set.  A run that stops at the horizon must
+                    # not consult it first — decisions are the replayable
+                    # trace — hence the check before the gather.
+                    if not (fifo or queue):
+                        break
+                    if until is not None and \
+                            (now if fifo else queue[0][0]) > until:
+                        self._now = until
+                        break
+                    entry = self._policy_step(policy)
+                    if entry is None:
+                        continue
+                elif fifo:
                     if queue and queue[0][0] == now:
                         entry = pop(queue)
                     else:
@@ -656,6 +646,13 @@ class Simulator:
                 elif queue:
                     entry = pop(queue)
                 else:
+                    break
+                if until is not None and entry[0] > until:
+                    # Optional step: the horizon.  The next callback (or
+                    # one the policy deferred) lies past it; put it back
+                    # and stop the clock at the horizon.
+                    heapq.heappush(queue, entry)
+                    self._now = until
                     break
                 fn = entry[2]
                 if fn is None:
@@ -669,34 +666,12 @@ class Simulator:
                     raise exc
         finally:
             self._events_dispatched += dispatched
-
-    def _run_general(self, until: Optional[float],
-                     raise_unhandled: bool) -> None:
-        """Horizon-bounded and/or policy-driven loop (the slow path)."""
-        while self._queue or self._ready:
-            # Earliest pending timestamp: ready-FIFO entries sit at the
-            # current time, so a non-empty FIFO pins it to ``now``.
-            when = self._now if self._ready else self._queue[0][0]
-            if until is not None and when > until:
-                self._now = until
-                break
-            entry = self._pop_next()
-            if entry is None:
-                continue
-            when, _, fn, _label = entry
-            if until is not None and when > until:
-                # A policy deferred past the horizon; put the callback
-                # back and stop at the horizon, as the pre-pop check does.
-                heapq.heappush(self._queue, entry)
-                self._now = until
-                break
-            entry[2] = None
-            self._now = when
-            self._events_dispatched += 1
-            fn()
-            if raise_unhandled and self._unhandled:
-                proc, exc = self._unhandled[0]
-                raise exc
+        if not queue and not fifo and self._live_processes \
+                and until is None:
+            names = sorted(p.name for p in self._live_processes)
+            raise SimulationDeadlock(
+                f"no scheduled events but processes still blocked: {names}")
+        return self._now
 
     def run_process(self, gen: ProcessGenerator, name: str = "main") -> Any:
         """Spawn ``gen``, run the simulation to completion, return its result.

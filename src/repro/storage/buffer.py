@@ -18,6 +18,7 @@ from __future__ import annotations
 from collections import OrderedDict
 from typing import Any, Callable, Dict, Generator, Optional, Set, Tuple
 
+from ..config import RetryPolicy, SystemConfig
 from ..sim import Delay, Event, Resource, Simulator, Wait
 from .errors import TransientIOError
 
@@ -80,7 +81,7 @@ class BufferPool:
 
     def __init__(self, sim: Simulator, data_disk: Resource,
                  capacity_pages: int, read_ms: float, write_ms: float,
-                 io_retry_limit: int = 4, io_retry_backoff_ms: float = 5.0):
+                 retry: Optional[RetryPolicy] = None):
         if capacity_pages < 1:
             raise ValueError("buffer pool needs at least one frame")
         self.sim = sim
@@ -88,8 +89,9 @@ class BufferPool:
         self.capacity_pages = capacity_pages
         self.read_ms = read_ms
         self.write_ms = write_ms
-        self.io_retry_limit = io_retry_limit
-        self.io_retry_backoff_ms = io_retry_backoff_ms
+        #: The transient-I/O budget; a standalone pool (tests, micro-
+        #: benchmarks) gets the default configuration's.
+        self.retry = retry or SystemConfig().io_retry_policy()
         self.fault_hook: Optional[IOFaultHook] = None
         self.verify_hook: Optional[ReadVerifyHook] = None
         self._frames: "OrderedDict[PageKey, bool]" = OrderedDict()  # -> dirty
@@ -105,7 +107,8 @@ class BufferPool:
     def _transfer(self, op: str, key: PageKey,
                   cost_ms: float) -> Generator[Any, Any, None]:
         """One disk transfer, retried on injected transient faults."""
-        for attempt in range(self.io_retry_limit + 1):
+        attempt = 0
+        while True:
             yield from self.data_disk.use(cost_ms)
             if self.fault_hook is None:
                 return
@@ -114,10 +117,11 @@ class BufferPool:
                 return
             except TransientIOError:
                 self.stats.io_faults += 1
-                if attempt >= self.io_retry_limit:
+                if self.retry.exhausted(attempt):
                     raise
                 self.stats.io_retries += 1
-                yield Delay(self.io_retry_backoff_ms * (2 ** attempt))
+                yield Delay(self.retry.delay_ms(attempt))
+                attempt += 1
 
     # -- the one operation that matters --------------------------------------
 

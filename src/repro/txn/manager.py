@@ -65,7 +65,7 @@ class TransactionManager:
                              else reorg_partition)))
         txn.last_lsn = self.engine.log.last_lsn
         self.started += 1
-        history = getattr(self.engine, "history", None)
+        history = self.engine.history
         if history is not None:
             history.record_begin(txn)
         return txn
@@ -85,7 +85,7 @@ class TransactionManager:
             self.aborted += 1
             reason = txn.abort_reason or "user"
             self.abort_reasons[reason] = self.abort_reasons.get(reason, 0) + 1
-        history = getattr(self.engine, "history", None)
+        history = self.engine.history
         if history is not None:
             history.record_end(txn)
 

@@ -64,11 +64,11 @@ class Transaction:
         self.last_lsn = 0
         # The explore harness installs its recorder before any
         # transaction begins, so snapshotting it here is safe and saves
-        # a getattr per access on the hot paths.  Same for the clustering
+        # an attribute chase per access on the hot paths.  Same for the clustering
         # tracer — which additionally never traces system transactions
         # (a reorganizer touching every object is not workload heat).
-        self._history = getattr(engine, "history", None)
-        self._tracer = None if system else getattr(engine, "tracer", None)
+        self._history = engine.history
+        self._tracer = None if system else engine.tracer
         #: References in the transaction's local memory (§2 model).
         self.local_refs: Set[Oid] = set()
         #: Objects this transaction created (allowed to reference freely).

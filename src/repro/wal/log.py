@@ -30,7 +30,7 @@ import struct
 import zlib
 from typing import Any, Callable, Generator, Iterator, List, Optional, Tuple
 
-from ..config import RetryPolicy
+from ..config import RetryPolicy, SystemConfig
 from ..sim import Delay, Resource, Simulator
 from ..storage.errors import LogCorruptionError, TransientIOError
 from .records import LogRecord, decode_record
@@ -91,14 +91,13 @@ class LogManager:
 
     def __init__(self, sim: Simulator, log_disk: Resource,
                  flush_time_ms: float,
-                 io_retry_limit: int = 4, io_retry_backoff_ms: float = 5.0):
+                 retry: Optional[RetryPolicy] = None):
         self.sim = sim
         self.log_disk = log_disk
         self.flush_time_ms = flush_time_ms
-        self.io_retry_limit = io_retry_limit
-        self.io_retry_backoff_ms = io_retry_backoff_ms
-        self.retry_policy = RetryPolicy.exponential(
-            base_ms=io_retry_backoff_ms, max_retries=io_retry_limit)
+        #: The transient-I/O budget; standalone managers (tests, micro-
+        #: benchmarks) get the default configuration's.
+        self.retry = retry or SystemConfig().io_retry_policy()
         self.fault_hook: Optional[FlushFaultHook] = None
         self._encoded: List[bytes] = []   # the byte stream, by LSN - 1
         self._flushed_lsn = 0
@@ -168,7 +167,11 @@ class LogManager:
             # Everything appended while we were *queued* rides along; the
             # write's content is fixed from this point on.
             write_point = len(self._encoded)
-            for attempt in range(self.io_retry_limit + 1):
+            # The only ways out of this loop are a write that went
+            # through and a raise: an exhausted budget can never fall
+            # through to "mark flushed".
+            attempt = 0
+            while True:
                 yield Delay(self.flush_time_ms)
                 if self.fault_hook is None:
                     break
@@ -177,10 +180,11 @@ class LogManager:
                     break
                 except TransientIOError:
                     self.io_faults += 1
-                    if self.retry_policy.exhausted(attempt):
+                    if self.retry.exhausted(attempt):
                         raise
                     self.io_retries += 1
-                    yield Delay(self.retry_policy.delay_ms(attempt))
+                    yield Delay(self.retry.delay_ms(attempt))
+                    attempt += 1
             self._flushed_lsn = max(self._flushed_lsn, write_point)
             self.flush_count += 1
         finally:
@@ -218,8 +222,8 @@ class LogManager:
 
     @classmethod
     def from_durable(cls, sim: Simulator, log_disk: Resource,
-                     flush_time_ms: float,
-                     durable: bytes) -> "LogManager":
+                     flush_time_ms: float, durable: bytes,
+                     retry: Optional[RetryPolicy] = None) -> "LogManager":
         """Rebuild a log manager from a crash-surviving byte stream.
 
         The stream is scanned frame by frame; the first torn or
@@ -229,7 +233,7 @@ class LogManager:
         A frame whose CRC matches but whose body does not decode is
         treated the same way.
         """
-        log = cls(sim, log_disk, flush_time_ms)
+        log = cls(sim, log_disk, flush_time_ms, retry)
         payloads, consumed, problem = scan_frames(durable)
         kept: List[bytes] = []
         for index, payload in enumerate(payloads):

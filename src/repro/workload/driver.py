@@ -104,23 +104,7 @@ class WorkloadDriver:
             metrics.reorg_stats = reorg_procs[0].result
             metrics.reorg_duration_ms = max(
                 proc.result.duration_ms for proc in reorg_procs)
-        metrics.lock_waits = self.engine.locks.stats.waits
-        metrics.lock_timeouts = self.engine.locks.stats.timeouts
-        metrics.forced_lock_timeouts = self.engine.locks.stats.forced_timeouts
-        metrics.deadlock_victims = self.engine.locks.stats.deadlock_victims
-        metrics.locks = self.engine.locks.counters_summary()
-        metrics.deadlock_aborts = self.engine.txns.abort_reasons.get(
-            "deadlock", 0)
-        metrics.io_faults = self.engine.log.io_faults
-        metrics.io_retries = self.engine.log.io_retries
-        if buffer is not None:
-            metrics.io_faults += buffer.stats.io_faults
-            metrics.io_retries += buffer.stats.io_retries
-            # Windowed deltas: a multi-phase experiment (trace, reorganize,
-            # measure) gets each run's own page-fetch accounting.
-            metrics.buffer = buffer.stats.since(buffer_base)
-        metrics.cpu_utilization = self.engine.cpu.utilization(
-            horizon=metrics.window_ms or None)
+        metrics.collect_engine_counters(self.engine, buffer_base)
         return metrics
 
     def _close(self, metrics: ExperimentMetrics) -> None:
@@ -180,7 +164,7 @@ class WorkloadDriver:
         # the same database keep working; an attached tracer's statistics
         # follow the objects to their new addresses the same way.
         self.layout.remap(stats.mapping)
-        tracer = getattr(self.engine, "tracer", None)
+        tracer = self.engine.tracer
         if tracer is not None:
             tracer.graph.remap(stats.mapping)
         return stats

@@ -92,6 +92,32 @@ class ExperimentMetrics:
                                                   repr=False, compare=False)
     _tps: float = field(default=0.0, init=False, repr=False, compare=False)
 
+    def collect_engine_counters(self, engine,
+                                buffer_base: Optional[Dict[str, int]]
+                                ) -> None:
+        """Copy the engine's lock / deadlock / I/O / buffer / CPU counters
+        in at the end of a run (closed-loop driver and serving layer
+        alike).  ``buffer_base`` is the pool's ``stats.snapshot()`` from
+        the start of the run (``None`` when memory-resident)."""
+        lock_stats = engine.locks.stats
+        self.lock_waits = lock_stats.waits
+        self.lock_timeouts = lock_stats.timeouts
+        self.forced_lock_timeouts = lock_stats.forced_timeouts
+        self.deadlock_victims = lock_stats.deadlock_victims
+        self.locks = engine.locks.counters_summary()
+        self.deadlock_aborts = engine.txns.abort_reasons.get("deadlock", 0)
+        self.io_faults = engine.log.io_faults
+        self.io_retries = engine.log.io_retries
+        buffer = engine.buffer
+        if buffer is not None:
+            self.io_faults += buffer.stats.io_faults
+            self.io_retries += buffer.stats.io_retries
+            # Windowed deltas: a multi-phase experiment (trace, reorganize,
+            # measure) gets each run's own page-fetch accounting.
+            self.buffer = buffer.stats.since(buffer_base)
+        self.cpu_utilization = engine.cpu.utilization(
+            horizon=self.window_ms or None)
+
     # -- derived metrics -------------------------------------------------------
 
     def _cached_times(self) -> List[float]:

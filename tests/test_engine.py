@@ -101,3 +101,26 @@ def test_ert_created_on_demand(engine):
     ert = engine.ert_for(5)
     assert ert.partition_id == 5
     assert engine.ert_for(5) is ert
+
+
+@pytest.mark.parametrize("locks", ["flat", "hier"])
+@pytest.mark.parametrize("disk_resident", [False, True])
+def test_fresh_and_recovered_engines_have_the_same_shape(disk_resident,
+                                                         locks):
+    """One assembly path: a field added for fresh engines only (or for
+    recovered ones only) must not pass CI."""
+    config = SystemConfig(disk_resident=disk_resident, lock_manager=locks)
+    fresh = StorageEngine(config)
+    fresh.create_partition(1)
+    fresh.create_partition(2)
+    populate(fresh)
+    fresh.take_checkpoint()
+    recovered = StorageEngine.recover(fresh.crash())
+
+    blank = vars(StorageEngine(config))
+    assert vars(recovered).keys() == blank.keys()
+    # ``recovery_stats`` is the one slot a restart fills by design.
+    assert blank.pop("recovery_stats") is None
+    assert recovered.recovery_stats is not None
+    for name, value in blank.items():
+        assert type(vars(recovered)[name]) is type(value), name

@@ -1,20 +1,21 @@
-"""Counter parity between the kernel's fast and general loops.
+"""Counter parity across the modes of the kernel's one dispatch loop.
 
-``Simulator.run`` picks ``_run_fast`` (no horizon, no policy) or
-``_run_general`` (horizon and/or policy installed).  Both must dispatch
-the same schedule AND do the same bookkeeping: ``events_dispatched``,
-``timers_cancelled`` and ``heap_peak`` feed the committed BENCH_*.json
-baselines, so a loop that dispatched identically but *counted*
-differently would corrupt the perf-regression gate silently.
+``Simulator.run`` has a single loop with two optional steps: the
+horizon check (``until``) and the installed policy's ready-set gather.
+With or without either it must dispatch the same schedule AND do the
+same bookkeeping: ``events_dispatched``, ``timers_cancelled`` and
+``heap_peak`` feed the committed BENCH_*.json baselines, so a mode that
+dispatched identically but *counted* differently would corrupt the
+perf-regression gate silently.  The contract: no policy ≡ FIFO policy ≡
+far horizon.
 
 Two parity vehicles:
 
-* the full engine workload, run plain (fast loop) and under a
-  ``TracingPolicy`` — FIFO decisions, so the schedule is untouched but
-  every step goes through the general loop's policy machinery;
+* the full engine workload, run plain and under a ``TracingPolicy`` —
+  FIFO decisions, so the schedule is untouched but every step goes
+  through the policy machinery;
 * a kernel-level traffic pattern, run plain and with a far horizon
-  (``until`` beyond the last event), the other way into the general
-  loop.
+  (``until`` beyond the last event), the other optional step.
 """
 
 from repro import Database, SystemConfig, WorkloadConfig
