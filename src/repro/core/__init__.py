@@ -10,9 +10,11 @@
 """
 
 from .checkpointing import (
+    ReorgDelta,
     ReorgState,
     ReorgStateStore,
     WalReorgStateStore,
+    decode_reorg_delta,
     decode_reorg_state,
     encode_reorg_state,
     rebuild_trt,
@@ -55,12 +57,14 @@ __all__ = [
     "PartitionQuiesceReorganizer",
     "PartitionSelector",
     "RelocationPlan",
+    "ReorgDelta",
     "ReorgState",
     "ReorgStateStore",
     "ReorgStats",
     "TraversalResult",
     "TwoLockReorganizer",
     "WalReorgStateStore",
+    "decode_reorg_delta",
     "decode_reorg_state",
     "encode_reorg_state",
     "find_objects_and_approx_parents",

@@ -8,16 +8,36 @@ be lost if IRA simply restarted.  §4.4's remedy: periodically checkpoint
 a crash *reconstruct the TRT from the log* written since the checkpoint,
 then continue migrating from where the reorganizer left off.
 
-``rebuild_trt`` is that reconstruction: a one-shot re-analysis of the log
-suffix with the same rules the live log analyzer applies.
+A checkpoint costs what changed.  The first one a reorganizer
+incarnation takes is a self-contained **base** (:class:`ReorgState`):
+the plan — migration ``order`` and ``allocated_at_traversal``, fixed at
+discovery — plus the whole parent lists, mapping and migrated set.
+Every later one is a **delta** (:class:`ReorgDelta`): the ``(old, new)``
+pairs committed since, replacement parent sets of only the children
+whose lists were touched, and the small fields that are simply
+overwritten (``log_lsn``, ``in_progress``, ``relocation_floor``, the TRT
+contents).  Loading folds base + deltas back into the full state.
+
+In the WAL each delta names the record it follows through the header's
+``prev_lsn`` (a base has 0).  The chain is prefix-closed: a crash keeps
+a prefix of the log and torn-tail truncation cuts at the first bad
+frame, so whichever progress record survives as the latest has every
+record it points back to.  A resumed or takeover reorganizer starts a
+new base: its state was rolled forward from the log (migrations
+committed after the predecessor's last record), which no delta of the
+dead chain describes.
+
+``rebuild_trt`` is the TRT reconstruction: a one-shot re-analysis of the
+log suffix with the same rules the live log analyzer applies.
 """
 
 from __future__ import annotations
 
 import struct
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple, Union
 
+from ..errors import ReorganizationError
 from ..refs import TemporaryReferenceTable
 from ..refs.trt import TrtEntry
 from ..storage import ObjectImage
@@ -36,11 +56,44 @@ from ..wal.records import (
 _U8 = struct.Struct("<B")
 _U32 = struct.Struct("<I")
 _U64 = struct.Struct("<Q")
+_OID_PAIR = struct.Struct("<QQ")
+_TRT_ENTRY = struct.Struct("<QQQBI")      # child, parent, tid, is_delete, seq
+
+
+@dataclass
+class ReorgDelta:
+    """What one reorganizer incarnation changed since its last checkpoint."""
+
+    #: Replacement parent sets of only the children whose lists were touched.
+    parents: Dict[Oid, Set[Oid]]
+    #: The (old, new) pairs of the migrations committed since.
+    mapping: Dict[Oid, Oid]
+    log_lsn: int
+    #: Two-lock extension only: the (old, new) pair mid-migration, if any.
+    in_progress: Optional[Tuple[Oid, Oid]] = None
+    #: Compaction floor of the partition (fresh-page allocation boundary).
+    relocation_floor: int = 0
+    #: TRT contents at checkpoint time (§4.4's "optionally, the TRT could
+    #: also be checkpointed"); rolled forward from ``log_lsn`` at resume.
+    trt_entries: List = field(default_factory=list)
+
+    def apply(self, state: "ReorgState") -> None:
+        """Fold this delta into the checkpoint it follows, in place."""
+        state.parents.update(self.parents)
+        state.mapping.update(self.mapping)
+        state.migrated.update(self.mapping)
+        state.log_lsn = self.log_lsn
+        state.in_progress = self.in_progress
+        state.relocation_floor = self.relocation_floor
+        state.trt_entries = self.trt_entries
 
 
 @dataclass
 class ReorgState:
-    """A checkpoint of the reorganizer's working state."""
+    """A full checkpoint of the reorganizer's working state: the plan
+    (``order`` and ``allocated_at_traversal`` never change after
+    discovery) plus everything a :class:`ReorgDelta` carries, from
+    nothing."""
 
     algorithm: str
     partition_id: int
@@ -50,12 +103,8 @@ class ReorgState:
     migrated: Set[Oid]
     allocated_at_traversal: Set[Oid]
     log_lsn: int
-    #: Two-lock extension only: the (old, new) pair mid-migration, if any.
     in_progress: Optional[Tuple[Oid, Oid]] = None
-    #: Compaction floor of the partition (fresh-page allocation boundary).
     relocation_floor: int = 0
-    #: TRT contents at checkpoint time (§4.4's "optionally, the TRT could
-    #: also be checkpointed"); rolled forward from ``log_lsn`` at resume.
     trt_entries: List = field(default_factory=list)
 
 
@@ -66,8 +115,15 @@ class ReorgStateStore:
         self._state: Optional[ReorgState] = None
         self.saves = 0
 
-    def save(self, state: ReorgState) -> None:
-        self._state = state
+    def save(self, state: Union[ReorgState, ReorgDelta]) -> None:
+        """A :class:`ReorgState` starts a new base; a :class:`ReorgDelta`
+        is folded into the stored one in place."""
+        if isinstance(state, ReorgState):
+            self._state = state
+        elif self._state is None:
+            raise ReorganizationError("checkpoint delta without a base")
+        else:
+            state.apply(self._state)
         self.saves += 1
 
     def load(self) -> Optional[ReorgState]:
@@ -80,6 +136,7 @@ class ReorgStateStore:
 # -- WAL-carried checkpoints --------------------------------------------------
 
 def _pack_oid_list(oids) -> List[bytes]:
+    """Count-prefixed OIDs in the order given (pass sets sorted)."""
     parts = [_U32.pack(len(oids))]
     parts.extend(_U64.pack(oid.pack()) for oid in oids)
     return parts
@@ -88,89 +145,72 @@ def _pack_oid_list(oids) -> List[bytes]:
 def _unpack_oid_list(data: bytes, offset: int) -> Tuple[List[Oid], int]:
     (count,) = _U32.unpack_from(data, offset)
     offset += _U32.size
-    oids = []
-    for _ in range(count):
-        (packed,) = _U64.unpack_from(data, offset)
-        offset += _U64.size
-        oids.append(Oid.unpack(packed))
-    return oids, offset
+    end = offset + count * _U64.size
+    return [Oid.unpack(packed) for (packed,) in
+            _U64.iter_unpack(data[offset:end])], end
 
 
-def encode_reorg_state(state: ReorgState) -> bytes:
-    """Serialize a :class:`ReorgState` for a WAL progress record."""
-    algorithm = state.algorithm.encode("utf-8")
-    parts: List[bytes] = [_U8.pack(len(algorithm)), algorithm,
-                          _U32.pack(state.partition_id)]
-    parts.extend(_pack_oid_list(state.order))
+def encode_reorg_state(state: Union[ReorgState, ReorgDelta]) -> bytes:
+    """Serialize a checkpoint for a WAL progress record.
+
+    One wire format: a delta is the changed fields; a base is the plan
+    header followed by the same fields holding the whole state.
+    """
+    parts: List[bytes] = []
+    if isinstance(state, ReorgState):
+        algorithm = state.algorithm.encode("utf-8")
+        parts += [_U8.pack(len(algorithm)), algorithm,
+                  _U32.pack(state.partition_id)]
+        parts += _pack_oid_list(state.order)
+        parts += _pack_oid_list(sorted(state.allocated_at_traversal))
+        parts += _pack_oid_list(sorted(state.migrated))
     parts.append(_U32.pack(len(state.parents)))
-    for child in sorted(state.parents, key=Oid.pack):
+    for child in sorted(state.parents):
         parts.append(_U64.pack(child.pack()))
-        parts.extend(_pack_oid_list(
-            sorted(state.parents[child], key=Oid.pack)))
+        parts += _pack_oid_list(sorted(state.parents[child]))
     parts.append(_U32.pack(len(state.mapping)))
-    for old in sorted(state.mapping, key=Oid.pack):
-        parts.append(_U64.pack(old.pack()))
-        parts.append(_U64.pack(state.mapping[old].pack()))
-    parts.extend(_pack_oid_list(sorted(state.migrated, key=Oid.pack)))
-    parts.extend(_pack_oid_list(
-        sorted(state.allocated_at_traversal, key=Oid.pack)))
+    for old in sorted(state.mapping):
+        parts.append(_OID_PAIR.pack(old.pack(), state.mapping[old].pack()))
     parts.append(_U64.pack(state.log_lsn))
     if state.in_progress is None:
         parts.append(_U8.pack(0))
     else:
         old, new = state.in_progress
         parts.append(_U8.pack(1))
-        parts.append(_U64.pack(old.pack()))
-        parts.append(_U64.pack(new.pack()))
+        parts.append(_OID_PAIR.pack(old.pack(), new.pack()))
     parts.append(_U32.pack(state.relocation_floor))
     parts.append(_U32.pack(len(state.trt_entries)))
     for entry in state.trt_entries:
-        parts.append(_U64.pack(entry.child.pack()))
-        parts.append(_U64.pack(entry.parent.pack()))
-        parts.append(_U64.pack(entry.tid))
-        parts.append(_U8.pack(1 if entry.action == "D" else 0))
-        parts.append(_U32.pack(entry.seq))
+        parts.append(_TRT_ENTRY.pack(
+            entry.child.pack(), entry.parent.pack(), entry.tid,
+            1 if entry.action == "D" else 0, entry.seq))
     return b"".join(parts)
 
 
-def decode_reorg_state(data: bytes) -> ReorgState:
-    """Inverse of :func:`encode_reorg_state`."""
-    (algo_len,) = _U8.unpack_from(data, 0)
-    offset = _U8.size
-    algorithm = data[offset:offset + algo_len].decode("utf-8")
-    offset += algo_len
-    (partition_id,) = _U32.unpack_from(data, offset)
-    offset += _U32.size
-    order, offset = _unpack_oid_list(data, offset)
+def _decode_changes(data: bytes, offset: int) -> dict:
+    """The fields a delta and a base share, as constructor keywords."""
     (parent_count,) = _U32.unpack_from(data, offset)
     offset += _U32.size
     parents: Dict[Oid, Set[Oid]] = {}
     for _ in range(parent_count):
         (packed,) = _U64.unpack_from(data, offset)
-        offset += _U64.size
-        plist, offset = _unpack_oid_list(data, offset)
+        plist, offset = _unpack_oid_list(data, offset + _U64.size)
         parents[Oid.unpack(packed)] = set(plist)
     (map_count,) = _U32.unpack_from(data, offset)
     offset += _U32.size
     mapping: Dict[Oid, Oid] = {}
     for _ in range(map_count):
-        (old,) = _U64.unpack_from(data, offset)
-        offset += _U64.size
-        (new,) = _U64.unpack_from(data, offset)
-        offset += _U64.size
+        old, new = _OID_PAIR.unpack_from(data, offset)
+        offset += _OID_PAIR.size
         mapping[Oid.unpack(old)] = Oid.unpack(new)
-    migrated_list, offset = _unpack_oid_list(data, offset)
-    allocated_list, offset = _unpack_oid_list(data, offset)
     (log_lsn,) = _U64.unpack_from(data, offset)
     offset += _U64.size
     (has_in_progress,) = _U8.unpack_from(data, offset)
     offset += _U8.size
     in_progress = None
     if has_in_progress:
-        (old,) = _U64.unpack_from(data, offset)
-        offset += _U64.size
-        (new,) = _U64.unpack_from(data, offset)
-        offset += _U64.size
+        old, new = _OID_PAIR.unpack_from(data, offset)
+        offset += _OID_PAIR.size
         in_progress = (Oid.unpack(old), Oid.unpack(new))
     (relocation_floor,) = _U32.unpack_from(data, offset)
     offset += _U32.size
@@ -178,25 +218,35 @@ def decode_reorg_state(data: bytes) -> ReorgState:
     offset += _U32.size
     trt_entries: List[TrtEntry] = []
     for _ in range(trt_count):
-        (child,) = _U64.unpack_from(data, offset)
-        offset += _U64.size
-        (parent,) = _U64.unpack_from(data, offset)
-        offset += _U64.size
-        (tid,) = _U64.unpack_from(data, offset)
-        offset += _U64.size
-        (is_delete,) = _U8.unpack_from(data, offset)
-        offset += _U8.size
-        (seq,) = _U32.unpack_from(data, offset)
-        offset += _U32.size
+        child, parent, tid, is_delete, seq = _TRT_ENTRY.unpack_from(
+            data, offset)
+        offset += _TRT_ENTRY.size
         trt_entries.append(TrtEntry(Oid.unpack(child), Oid.unpack(parent),
                                     tid, "D" if is_delete else "I", seq))
+    return dict(parents=parents, mapping=mapping, log_lsn=log_lsn,
+                in_progress=in_progress, relocation_floor=relocation_floor,
+                trt_entries=trt_entries)
+
+
+def decode_reorg_delta(data: bytes) -> ReorgDelta:
+    """Inverse of :func:`encode_reorg_state` for a :class:`ReorgDelta`."""
+    return ReorgDelta(**_decode_changes(data, 0))
+
+
+def decode_reorg_state(data: bytes) -> ReorgState:
+    """Inverse of :func:`encode_reorg_state` for a :class:`ReorgState`."""
+    (algo_len,) = _U8.unpack_from(data, 0)
+    offset = _U8.size
+    algorithm = data[offset:offset + algo_len].decode("utf-8")
+    offset += algo_len
+    (partition_id,) = _U32.unpack_from(data, offset)
+    order, offset = _unpack_oid_list(data, offset + _U32.size)
+    allocated, offset = _unpack_oid_list(data, offset)
+    migrated, offset = _unpack_oid_list(data, offset)
     return ReorgState(algorithm=algorithm, partition_id=partition_id,
-                      order=order, parents=parents, mapping=mapping,
-                      migrated=set(migrated_list),
-                      allocated_at_traversal=set(allocated_list),
-                      log_lsn=log_lsn, in_progress=in_progress,
-                      relocation_floor=relocation_floor,
-                      trt_entries=trt_entries)
+                      order=order, migrated=set(migrated),
+                      allocated_at_traversal=set(allocated),
+                      **_decode_changes(data, offset))
 
 
 class WalReorgStateStore(ReorgStateStore):
@@ -207,45 +257,68 @@ class WalReorgStateStore(ReorgStateStore):
     whose commit follows the checkpoint flushes it along.  A checkpoint
     that misses the flushed prefix costs only re-derived work at resume
     (the roll-forward over committed migrations covers the gap), never
-    correctness.  ``clear`` appends an empty-state tombstone so a
-    completed reorganization is not resumed.  ``load`` reads the latest
-    record back from the engine's log, so the store works identically on
-    the original engine and on one rebuilt by restart recovery.
+    correctness.  A base record has ``prev_lsn == 0``; a delta's
+    ``prev_lsn`` names the record it follows.  ``clear`` appends an
+    empty-state tombstone so a completed reorganization is not resumed.
+    ``load`` reads the latest record's chain back from the engine's log,
+    so the store works identically on the original engine and on one
+    rebuilt by restart recovery.
     """
 
     def __init__(self, engine, partition_id: int) -> None:
         super().__init__()
         self.engine = engine
         self.partition_id = partition_id
+        #: LSN of this incarnation's latest record (0: no base yet).
+        self._chain_lsn = 0
 
-    def save(self, state: ReorgState) -> None:
+    def save(self, state: Union[ReorgState, ReorgDelta]) -> None:
+        base = isinstance(state, ReorgState)
+        if not base and not self._chain_lsn:
+            raise ReorganizationError("checkpoint delta without a base")
         self.saves += 1
-        self.engine.log.append(ReorgProgressRecord(
-            0, 0, partition_id=state.partition_id,
-            algorithm=state.algorithm, state=encode_reorg_state(state)))
+        self._chain_lsn = self.engine.log.append(ReorgProgressRecord(
+            0, 0 if base else self._chain_lsn,
+            partition_id=self.partition_id,
+            algorithm=state.algorithm if base else "",
+            state=encode_reorg_state(state)))
 
     def clear(self) -> None:
+        self._chain_lsn = 0
         self.engine.log.append(ReorgProgressRecord(
             0, 0, partition_id=self.partition_id, algorithm="", state=b""))
 
-    def _latest_record(self) -> Optional[ReorgProgressRecord]:
-        latest: Optional[ReorgProgressRecord] = None
-        for record in self.engine.log.records():
+    def latest_record(self) -> Optional[ReorgProgressRecord]:
+        """The partition's newest progress record (newest-first scan)."""
+        log = self.engine.log
+        for lsn in range(log.last_lsn, 0, -1):
+            record = log.read(lsn)
             if isinstance(record, ReorgProgressRecord) and \
                     record.partition_id == self.partition_id:
-                latest = record
-        return latest
+                return record
+        return None
 
-    def load(self) -> Optional[ReorgState]:
-        latest = self._latest_record()
+    def load(self, latest: Optional[ReorgProgressRecord] = None
+             ) -> Optional[ReorgState]:
+        """Fold the chain ending at ``latest`` (default: the newest
+        record) back into a full state.  Never crosses a base or a
+        tombstone: both have ``prev_lsn == 0``."""
+        latest = latest or self.latest_record()
         if latest is None or latest.is_tombstone:
             return None
-        return decode_reorg_state(latest.state)
+        deltas = []
+        while latest.prev_lsn:
+            deltas.append(decode_reorg_delta(latest.state))
+            latest = self.engine.log.read(latest.prev_lsn)
+        state = decode_reorg_state(latest.state)
+        for delta in reversed(deltas):
+            delta.apply(state)
+        return state
 
     def completed(self) -> bool:
         """True when the latest durable progress record is the completion
         tombstone — the reorganization finished before the crash."""
-        latest = self._latest_record()
+        latest = self.latest_record()
         return latest is not None and latest.is_tombstone
 
 
@@ -358,7 +431,8 @@ def committed_migrations_from_log(engine, partition_id: int,
 
 
 def resume_reorganization(engine, state_store: ReorgStateStore,
-                          plan=None, reorg_config=None, factory=None):
+                          plan=None, reorg_config=None, factory=None,
+                          state: Optional[ReorgState] = None):
     """Build a reorganizer that continues from the last checkpoint.
 
     Rolls the checkpointed state forward over the log suffix (migrations
@@ -371,11 +445,13 @@ def resume_reorganization(engine, state_store: ReorgStateStore,
     it lets callers resume reorganizer subclasses this module does not
     know about (the distributed reorganizer in :mod:`repro.dist` carries
     node/cluster context no class-name lookup could reconstruct).
+    ``state`` is the store's checkpoint when the caller has already
+    loaded it (the fleet reads the log once per claim).
     """
     from .ira import IncrementalReorganizer
     from .ira_twolock import TwoLockReorganizer
 
-    state = state_store.load()
+    state = state or state_store.load()
     if state is None:
         return None
 

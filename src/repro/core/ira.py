@@ -105,6 +105,11 @@ class IncrementalReorganizer:
         self._new_targets: Set[Oid] = set()
         self._migrated: Set[Oid] = set()
         self._allocated_at_traversal: Set[Oid] = set()
+        # What the next checkpoint delta carries (§4.4): children whose
+        # parent lists were touched and migrations committed since the
+        # previous checkpoint.
+        self._dirty_parents: Set[Oid] = set()
+        self._unsaved_mapping: Dict[Oid, Oid] = {}
         self._resumed = False
         # Seeded per-reorganizer: a string seed keeps runs reproducible
         # (tuple seeds would go through randomized hash()).
@@ -307,6 +312,7 @@ class IncrementalReorganizer:
                 # Record the committed-stable address — the batch mapping
                 # rolls back if this batch aborts.
                 self._parents.setdefault(oid, set()).add(stable)
+                self._dirty_parents.add(oid)
             elif parent not in keep_locked:
                 self.engine.locks.release(txn.tid, parent)
 
@@ -396,7 +402,8 @@ class IncrementalReorganizer:
                 if parent_set is not None and oid in parent_set:
                     parent_set.discard(oid)
                     parent_set.add(new_oid)
-            self._mapping[oid] = new_oid
+                    self._dirty_parents.add(child)
+            self._mapping[oid] = self._unsaved_mapping[oid] = new_oid
             self._new_targets.add(new_oid)
             self._migrated.add(oid)
             self.stats.objects_migrated += 1
@@ -440,23 +447,41 @@ class IncrementalReorganizer:
 
     # -- §4.4: reorganizer state checkpointing --------------------------------------------
 
-    def _checkpoint_state(self) -> None:
+    def _checkpoint_state(self, in_progress=None) -> None:
+        """This incarnation's first checkpoint is a self-contained base;
+        every later one is a delta costing what changed since.
+        ``in_progress`` is the two-lock extension's mid-migration pair."""
+        from .checkpointing import ReorgDelta
+        if self.stats.checkpoints_taken == 0:
+            state = self.snapshot_state(in_progress)
+        else:
+            state = ReorgDelta(**self._state_fields(
+                self._dirty_parents, self._unsaved_mapping, in_progress))
+        self._dirty_parents, self._unsaved_mapping = set(), {}
+        self.state_store.save(state)
+        self.stats.checkpoints_taken += 1
+
+    def _state_fields(self, children, mapping, in_progress) -> dict:
+        return dict(
+            parents={child: set(self._parents[child]) for child in children},
+            mapping=dict(mapping),
+            log_lsn=self.engine.log.last_lsn,
+            in_progress=in_progress,
+            relocation_floor=self.engine.store.partition(
+                self.partition_id).relocation_floor,
+            trt_entries=self.trt.entries())
+
+    def snapshot_state(self, in_progress=None):
+        """The full working state — what loading the store must give back
+        after any chain of checkpoints."""
         from .checkpointing import ReorgState
-        state = ReorgState(
+        return ReorgState(
             algorithm=self.algorithm_name,
             partition_id=self.partition_id,
             order=list(self._order),
-            parents={k: set(v) for k, v in self._parents.items()},
-            mapping=dict(self._mapping),
             migrated=set(self._migrated),
             allocated_at_traversal=set(self._allocated_at_traversal),
-            log_lsn=self.engine.log.last_lsn,
-            relocation_floor=self.engine.store.partition(
-                self.partition_id).relocation_floor,
-            trt_entries=self.trt.entries(),
-        )
-        self.state_store.save(state)
-        self.stats.checkpoints_taken += 1
+            **self._state_fields(self._parents, self._mapping, in_progress))
 
     def resume_from(self, state) -> None:
         """Adopt checkpointed state (§4.4) — skips quiesce wait, plan

@@ -243,6 +243,7 @@ class TwoLockReorganizer(IncrementalReorganizer):
                     # Survive deadlock retries: the tuple is consumed, so
                     # remember the parent in the approximate list.
                     self._parents.setdefault(oid, set()).add(stable)
+                    self._dirty_parents.add(oid)
             if not queue:
                 break
             patch_txn = engine.txns.begin(system=True, reorg_partition=self.partition_id)
@@ -317,25 +318,6 @@ class TwoLockReorganizer(IncrementalReorganizer):
         self._apply_bookkeeping({}, [(oid, new_oid, image_children)])
 
     # -- §4.4 resume -------------------------------------------------------------------
-
-    def _checkpoint_state(self, in_progress=None) -> None:
-        from .checkpointing import ReorgState
-        state = ReorgState(
-            algorithm=self.algorithm_name,
-            partition_id=self.partition_id,
-            order=list(self._order),
-            parents={k: set(v) for k, v in self._parents.items()},
-            mapping=dict(self._mapping),
-            migrated=set(self._migrated),
-            allocated_at_traversal=set(self._allocated_at_traversal),
-            log_lsn=self.engine.log.last_lsn,
-            in_progress=in_progress,
-            relocation_floor=self.engine.store.partition(
-                self.partition_id).relocation_floor,
-            trt_entries=self.trt.entries(),
-        )
-        self.state_store.save(state)
-        self.stats.checkpoints_taken += 1
 
     def resume_from(self, state) -> None:
         super().resume_from(state)

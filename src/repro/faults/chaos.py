@@ -359,7 +359,11 @@ def probe_run_window(algorithm: str = "ira",
     reorg_config = reorg_config or DEFAULT_REORG
     db, reorg, reorg_proc, _ = _launch(algorithm, workload, reorg_config,
                                        fault_plan=None)
-    db.sim.run(until=reorg.stats.started_ms + 10 * 60 * 1000.0)
+    # The closed-loop load never drains, so advance in 1 s simulated
+    # slices and stop at the first one that sees the reorganizer done.
+    deadline = db.sim.now + 10 * 60 * 1000.0
+    while not reorg_proc.done.fired and db.sim.now < deadline:
+        db.sim.run(until=min(db.sim.now + 1000.0, deadline))
     if not reorg_proc.done.fired:
         raise RuntimeError("probe run did not finish within 10 simulated "
                            "minutes; shrink the workload")

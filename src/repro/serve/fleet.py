@@ -156,7 +156,10 @@ class ReorgFleet:
             heartbeat = sim.spawn(self._heartbeat(pid, name),
                                   name=f"{name}-heartbeat-p{pid}")
             store = WalReorgStateStore(engine, pid)
-            if store.completed():
+            # One log scan per claim: tombstone, state and resume all
+            # derive from the partition's latest progress record.
+            latest = store.latest_record()
+            if latest is not None and latest.is_tombstone:
                 # A predecessor finished this partition before dying.
                 self.completed.add(pid)
                 self._finish_claim(pid, name, heartbeat)
@@ -165,14 +168,13 @@ class ReorgFleet:
             # checkpoint still leaves orphaned system transactions (the
             # scan is a no-op on a cleanly-claimed partition).
             yield from self._reap_orphans(pid)
-            reorganizer = None
-            if store.load() is not None:
+            if latest is not None:
                 reorganizer = resume_reorganization(
                     engine, store, plan=self.plan_factory(),
-                    reorg_config=self.reorg_config)
-                if reorganizer is not None:
-                    self.resumes += 1
-            if reorganizer is None:
+                    reorg_config=self.reorg_config,
+                    state=store.load(latest))
+                self.resumes += 1
+            else:
                 from ..database import REORGANIZERS
                 factory = REORGANIZERS[self.config.algorithm]
                 reorganizer = factory(engine, pid,

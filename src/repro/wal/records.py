@@ -304,8 +304,10 @@ class ReorgProgressRecord(LogRecord):
     """Reorganizer progress checkpoint carried in the WAL (§4.4).
 
     ``state`` is an encoded :class:`~repro.core.checkpointing.ReorgState`
-    (plan cursor, migrated-object map, TRT contents); an empty ``state``
-    is a tombstone marking the reorganization complete.  Logged with
+    (a base: ``prev_lsn == 0``) or
+    :class:`~repro.core.checkpointing.ReorgDelta` (``prev_lsn`` is the
+    LSN of the progress record it follows); an empty ``state`` is a
+    tombstone marking the reorganization complete.  Logged with
     ``tid == 0`` like CHECKPOINT records, so analysis never treats the
     writer as a loser transaction and redo never replays it — only the
     resume path reads these records back.
