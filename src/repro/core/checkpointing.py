@@ -5,18 +5,19 @@ ARIES recovery undoes the in-flight migration transaction — but the work
 already done (the fuzzy traversal, the migrations committed so far) would
 be lost if IRA simply restarted.  §4.4's remedy: periodically checkpoint
 ``Traversed_Objects``/``Parent_Lists`` plus migration progress, and after
-a crash *reconstruct the TRT from the log* written since the checkpoint,
-then continue migrating from where the reorganizer left off.
+a crash *reconstruct the TRT from the log*, then continue migrating from
+where the reorganizer left off.
 
 A checkpoint costs what changed.  The first one a reorganizer
 incarnation takes is a self-contained **base** (:class:`ReorgState`):
-the plan — migration ``order`` and ``allocated_at_traversal``, fixed at
-discovery — plus the whole parent lists, mapping and migrated set.
+the plan — migration ``order``, ``allocated_at_traversal`` and
+``trt_lsn``, the log position at which the TRT was activated, all fixed
+at discovery — plus the whole parent lists, mapping and migrated set.
 Every later one is a **delta** (:class:`ReorgDelta`): the ``(old, new)``
 pairs committed since, replacement parent sets of only the children
 whose lists were touched, and the small fields that are simply
-overwritten (``log_lsn``, ``in_progress``, ``relocation_floor``, the TRT
-contents).  Loading folds base + deltas back into the full state.
+overwritten (``log_lsn``, ``in_progress``, ``relocation_floor``).
+Loading folds base + deltas back into the full state.
 
 In the WAL each delta names the record it follows through the header's
 ``prev_lsn`` (a base has 0).  The chain is prefix-closed: a crash keeps
@@ -27,37 +28,33 @@ new base: its state was rolled forward from the log (migrations
 committed after the predecessor's last record), which no delta of the
 dead chain describes.
 
-``rebuild_trt`` is the TRT reconstruction: a one-shot re-analysis of the
-log suffix with the same rules the live log analyzer applies.
+The TRT itself is never checkpointed (§4.4 calls that optional).  There
+is one reader of reference updates, the log analyzer, and
+:func:`rebuild_trt` is that analyzer run again over the log written
+since ``trt_lsn`` — see its docstring for why the result, a superset of
+the table the dead incarnation held, is safe.  A takeover on a live
+engine (:mod:`repro.serve.fleet`) needs nothing extra: the killed
+worker's TRT was deactivated as its process unwound, and whatever user
+transactions logged between that and the takeover is in the replayed
+suffix like everything else.
 """
 
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Set, Tuple, Union
 
 from ..errors import ReorganizationError
-from ..refs import TemporaryReferenceTable
-from ..refs.trt import TrtEntry
-from ..storage import ObjectImage
+from ..refs import LogAnalyzer, TemporaryReferenceTable
 from ..storage.oid import Oid
-from ..wal.records import (
-    BeginRecord,
-    ClrRecord,
-    CommitRecord,
-    EndRecord,
-    ObjCreateRecord,
-    ObjDeleteRecord,
-    RefUpdateRecord,
-    ReorgProgressRecord,
-)
+from ..wal import ReorgProgressRecord, TransactionTable
+from ..wal.records import KIND_REF_UPDATE
 
 _U8 = struct.Struct("<B")
 _U32 = struct.Struct("<I")
 _U64 = struct.Struct("<Q")
 _OID_PAIR = struct.Struct("<QQ")
-_TRT_ENTRY = struct.Struct("<QQQBI")      # child, parent, tid, is_delete, seq
 
 
 @dataclass
@@ -73,9 +70,6 @@ class ReorgDelta:
     in_progress: Optional[Tuple[Oid, Oid]] = None
     #: Compaction floor of the partition (fresh-page allocation boundary).
     relocation_floor: int = 0
-    #: TRT contents at checkpoint time (§4.4's "optionally, the TRT could
-    #: also be checkpointed"); rolled forward from ``log_lsn`` at resume.
-    trt_entries: List = field(default_factory=list)
 
     def apply(self, state: "ReorgState") -> None:
         """Fold this delta into the checkpoint it follows, in place."""
@@ -85,14 +79,13 @@ class ReorgDelta:
         state.log_lsn = self.log_lsn
         state.in_progress = self.in_progress
         state.relocation_floor = self.relocation_floor
-        state.trt_entries = self.trt_entries
 
 
 @dataclass
 class ReorgState:
     """A full checkpoint of the reorganizer's working state: the plan
-    (``order`` and ``allocated_at_traversal`` never change after
-    discovery) plus everything a :class:`ReorgDelta` carries, from
+    (``order``, ``allocated_at_traversal`` and ``trt_lsn`` never change
+    after discovery) plus everything a :class:`ReorgDelta` carries, from
     nothing."""
 
     algorithm: str
@@ -105,7 +98,9 @@ class ReorgState:
     log_lsn: int
     in_progress: Optional[Tuple[Oid, Oid]] = None
     relocation_floor: int = 0
-    trt_entries: List = field(default_factory=list)
+    #: ``log.last_lsn`` when the TRT was activated: every reference
+    #: update the TRT ever noted has a larger LSN.
+    trt_lsn: int = 0
 
 
 class ReorgStateStore:
@@ -160,7 +155,7 @@ def encode_reorg_state(state: Union[ReorgState, ReorgDelta]) -> bytes:
     if isinstance(state, ReorgState):
         algorithm = state.algorithm.encode("utf-8")
         parts += [_U8.pack(len(algorithm)), algorithm,
-                  _U32.pack(state.partition_id)]
+                  _U32.pack(state.partition_id), _U64.pack(state.trt_lsn)]
         parts += _pack_oid_list(state.order)
         parts += _pack_oid_list(sorted(state.allocated_at_traversal))
         parts += _pack_oid_list(sorted(state.migrated))
@@ -179,11 +174,6 @@ def encode_reorg_state(state: Union[ReorgState, ReorgDelta]) -> bytes:
         parts.append(_U8.pack(1))
         parts.append(_OID_PAIR.pack(old.pack(), new.pack()))
     parts.append(_U32.pack(state.relocation_floor))
-    parts.append(_U32.pack(len(state.trt_entries)))
-    for entry in state.trt_entries:
-        parts.append(_TRT_ENTRY.pack(
-            entry.child.pack(), entry.parent.pack(), entry.tid,
-            1 if entry.action == "D" else 0, entry.seq))
     return b"".join(parts)
 
 
@@ -213,19 +203,8 @@ def _decode_changes(data: bytes, offset: int) -> dict:
         offset += _OID_PAIR.size
         in_progress = (Oid.unpack(old), Oid.unpack(new))
     (relocation_floor,) = _U32.unpack_from(data, offset)
-    offset += _U32.size
-    (trt_count,) = _U32.unpack_from(data, offset)
-    offset += _U32.size
-    trt_entries: List[TrtEntry] = []
-    for _ in range(trt_count):
-        child, parent, tid, is_delete, seq = _TRT_ENTRY.unpack_from(
-            data, offset)
-        offset += _TRT_ENTRY.size
-        trt_entries.append(TrtEntry(Oid.unpack(child), Oid.unpack(parent),
-                                    tid, "D" if is_delete else "I", seq))
     return dict(parents=parents, mapping=mapping, log_lsn=log_lsn,
-                in_progress=in_progress, relocation_floor=relocation_floor,
-                trt_entries=trt_entries)
+                in_progress=in_progress, relocation_floor=relocation_floor)
 
 
 def decode_reorg_delta(data: bytes) -> ReorgDelta:
@@ -240,11 +219,12 @@ def decode_reorg_state(data: bytes) -> ReorgState:
     algorithm = data[offset:offset + algo_len].decode("utf-8")
     offset += algo_len
     (partition_id,) = _U32.unpack_from(data, offset)
-    order, offset = _unpack_oid_list(data, offset + _U32.size)
+    (trt_lsn,) = _U64.unpack_from(data, offset + _U32.size)
+    order, offset = _unpack_oid_list(data, offset + _U32.size + _U64.size)
     allocated, offset = _unpack_oid_list(data, offset)
     migrated, offset = _unpack_oid_list(data, offset)
     return ReorgState(algorithm=algorithm, partition_id=partition_id,
-                      order=order, migrated=set(migrated),
+                      trt_lsn=trt_lsn, order=order, migrated=set(migrated),
                       allocated_at_traversal=set(allocated),
                       **_decode_changes(data, offset))
 
@@ -336,59 +316,44 @@ def resume_from_wal(engine, partition_id: int, plan=None, reorg_config=None):
                                  reorg_config=reorg_config)
 
 
-def rebuild_trt(engine, partition_id: int, from_lsn: int,
-                preload=()) -> TemporaryReferenceTable:
-    """Reconstruct a partition's TRT from the log suffix (§4.4).
+class _NoErt:
+    """ERT sink of the TRT replay: the engine's ERTs already rolled
+    forward with the pages during restart recovery."""
 
-    ``preload`` (the checkpointed TRT contents) is replayed first, then
-    the log analyzer's rules are re-applied to every record with
-    ``lsn > from_lsn``: reference updates by user transactions whose
-    referenced object is in the partition become TRT tuples; transaction
-    ENDs trigger the §4.5 purges.  System transactions are identified by
-    scanning BEGIN records over the *whole* log (a transaction's BEGIN
-    may precede the reorg checkpoint).
+    @staticmethod
+    def add(child: Oid, parent: Oid) -> None:
+        pass
+
+    remove = add
+
+
+def rebuild_trt(engine, partition_id: int,
+                from_lsn: int) -> TemporaryReferenceTable:
+    """Reconstruct a partition's TRT from the log (§4.4): run the log
+    written since the TRT was activated (``lsn > from_lsn``) through a
+    :class:`~repro.refs.LogAnalyzer` that has only this TRT active.
+
+    There is no record rule here — which records make tuples, which
+    transactions are the reorganizer's own, what a CLR or a transaction
+    END does are the live analyzer's decisions, taken again.  The
+    engine's ERTs and its analyzer's counters are not touched.
+
+    The result is a *superset* of the TRT the dead incarnation held: the
+    tuples it had consumed (``pop_entry``) reappear.  That is safe.  A
+    consumed tuple concerned an object mid-migration; if that migration
+    committed, the object is never looked up again, and if it aborted,
+    the attempt had already persisted every parent it found that way in
+    the object's checkpointed parent list.  Each tuple is only ever a
+    hint to lock a parent and test ``references()``, so an extra one
+    costs one lock and one check — never a missed or wrong patch.
     """
     trt = TemporaryReferenceTable(
         partition_id, bucket_capacity=engine.config.ert_bucket_capacity)
-    for entry in preload:
-        if entry.action == "D":
-            trt.record_delete(entry.child, entry.parent, entry.tid)
-        else:
-            trt.record_insert(entry.child, entry.parent, entry.tid)
-    # Transactions owned by THIS partition's reorganizer are skipped,
-    # mirroring the live analyzer's rule.
-    owned_tids: Set[int] = set()
-    for record in engine.log.records():
-        if isinstance(record, BeginRecord) and record.is_system and \
-                record.owner_partition == partition_id:
-            owned_tids.add(record.tid)
-
-    def note(tid: int, parent: Oid, old_child, new_child) -> None:
-        if tid in owned_tids:
-            return
-        if old_child is not None and old_child.partition == partition_id:
-            trt.record_delete(old_child, parent, tid)
-        if new_child is not None and new_child.partition == partition_id:
-            trt.record_insert(new_child, parent, tid)
-
+    analyzer = LogAnalyzer(lambda _pid: _NoErt,
+                           strict_2pl=engine.config.strict_transactions)
+    analyzer.activate_trt(trt)
     for record in engine.log.records(from_lsn=from_lsn + 1):
-        if isinstance(record, RefUpdateRecord):
-            note(record.tid, record.parent, record.old_child,
-                 record.new_child)
-        elif isinstance(record, ObjCreateRecord):
-            for child in ObjectImage.decode(record.image).children():
-                note(record.tid, record.oid, None, child)
-        elif isinstance(record, ObjDeleteRecord):
-            for child in ObjectImage.decode(record.before_image).children():
-                note(record.tid, record.oid, child, None)
-        elif isinstance(record, ClrRecord):
-            inner = record.decode_action()
-            if isinstance(inner, RefUpdateRecord):
-                note(inner.tid, inner.parent, inner.old_child,
-                     inner.new_child)
-        elif isinstance(record, EndRecord):
-            trt.on_transaction_end(record.tid,
-                                   engine.config.strict_transactions)
+        analyzer.process(record)
     return trt
 
 
@@ -407,19 +372,11 @@ def committed_migrations_from_log(engine, partition_id: int,
     other order (or checking addresses against the current store) gets
     aliased addresses wrong.
     """
-    owned_tids: Set[int] = set()
-    committed: Set[int] = set()
-    for record in engine.log.records():
-        if isinstance(record, BeginRecord) and record.is_system and \
-                record.owner_partition == partition_id:
-            owned_tids.add(record.tid)
-        elif record.lsn > from_lsn and isinstance(record, CommitRecord):
-            committed.add(record.tid)
+    moved = TransactionTable.scan(engine.log).reorganizer_committed(
+        partition_id)
     pairs: Dict[Oid, Oid] = {}
     for record in engine.log.records(from_lsn=from_lsn + 1):
-        if not isinstance(record, RefUpdateRecord):
-            continue
-        if record.tid not in owned_tids or record.tid not in committed:
+        if record.kind != KIND_REF_UPDATE or record.tid not in moved:
             continue
         old, new = record.old_child, record.new_child
         if old is None or new is None or old == new:
@@ -436,9 +393,10 @@ def resume_reorganization(engine, state_store: ReorgStateStore,
     """Build a reorganizer that continues from the last checkpoint.
 
     Rolls the checkpointed state forward over the log suffix (migrations
-    committed after the checkpoint, §4.4), rebuilds the TRT, restores the
-    relocation floor, and returns a ready-to-run reorganizer — or ``None``
-    when no checkpoint exists (start afresh per §4.4).
+    committed after the checkpoint, §4.4), rebuilds the TRT from the log
+    since its activation, restores the relocation floor, and returns a
+    ready-to-run reorganizer — or ``None`` when no checkpoint exists
+    (start afresh per §4.4).
 
     ``factory`` overrides the algorithm-name class dispatch: called as
     ``factory(engine, partition_id, plan, reorg_config, state_store)``,
@@ -481,8 +439,7 @@ def resume_reorganization(engine, state_store: ReorgStateStore,
         state.relocation_floor
     reorganizer.resume_from(state)
 
-    trt = rebuild_trt(engine, state.partition_id, state.log_lsn,
-                      preload=state.trt_entries)
+    trt = rebuild_trt(engine, state.partition_id, state.trt_lsn)
     # Register the rebuilt TRT so the live analyzer keeps extending it
     # once transactions resume; IRA's run() adopts it rather than
     # activating a fresh one.

@@ -105,6 +105,8 @@ class IncrementalReorganizer:
         self._new_targets: Set[Oid] = set()
         self._migrated: Set[Oid] = set()
         self._allocated_at_traversal: Set[Oid] = set()
+        # Log position of the TRT's activation: where a resume replays from.
+        self._trt_lsn = 0
         # What the next checkpoint delta carries (§4.4): children whose
         # parent lists were touched and migrations committed since the
         # previous checkpoint.
@@ -143,6 +145,7 @@ class IncrementalReorganizer:
     def run(self) -> Generator[Any, Any, ReorgStats]:
         self.stats.started_ms = self.engine.sim.now
         if self.trt is None:
+            self._trt_lsn = self.engine.log.last_lsn
             self.trt = self.engine.activate_trt(self.partition_id)
         try:
             if not self._resumed:
@@ -468,8 +471,7 @@ class IncrementalReorganizer:
             log_lsn=self.engine.log.last_lsn,
             in_progress=in_progress,
             relocation_floor=self.engine.store.partition(
-                self.partition_id).relocation_floor,
-            trt_entries=self.trt.entries())
+                self.partition_id).relocation_floor)
 
     def snapshot_state(self, in_progress=None):
         """The full working state — what loading the store must give back
@@ -481,6 +483,7 @@ class IncrementalReorganizer:
             order=list(self._order),
             migrated=set(self._migrated),
             allocated_at_traversal=set(self._allocated_at_traversal),
+            trt_lsn=self._trt_lsn,
             **self._state_fields(self._parents, self._mapping, in_progress))
 
     def resume_from(self, state) -> None:
@@ -493,5 +496,6 @@ class IncrementalReorganizer:
         self._new_targets.update(self._mapping.values())
         self._migrated = set(state.migrated)
         self._allocated_at_traversal = set(state.allocated_at_traversal)
+        self._trt_lsn = state.trt_lsn
         self.stats.objects_found = len(self._order)
         self._resumed = True

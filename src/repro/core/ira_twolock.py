@@ -36,12 +36,11 @@ from typing import Any, Dict, Generator, List, Optional, Set
 from ..concurrency import LockMode, LockTimeoutError
 from ..errors import ReorganizationError
 from ..storage.oid import Oid
-from ..wal.records import (
-    BeginRecord,
-    CommitRecord,
+from ..wal import (
     ObjCreateRecord,
     PayloadUpdateRecord,
     RefUpdateRecord,
+    TransactionTable,
 )
 from .ira import IncrementalReorganizer
 
@@ -73,23 +72,18 @@ def reconciled_copy_image(engine, partition_id: int, old: Oid, new: Oid,
     # records against the new address, newer than the copy's (committed)
     # creation.  Reorganizer-owned records are the copy's own lifecycle
     # (creation, earlier reconciliations) — never user data.
-    owned: set = set()
-    committed: set = set()
-    for record in engine.log.records():
-        if isinstance(record, BeginRecord) and record.is_system and \
-                record.owner_partition == partition_id:
-            owned.add(record.tid)
-        elif isinstance(record, CommitRecord):
-            committed.add(record.tid)
+    table = TransactionTable.scan(engine.log)
+    moved = table.reorganizer_committed(partition_id)
     created_lsn = None
     for record in engine.log.records():
         if isinstance(record, ObjCreateRecord) and record.oid == new and \
-                record.tid in owned and record.tid in committed:
+                record.tid in moved:
             created_lsn = record.lsn
     if created_lsn is None:
         return image
     for record in engine.log.records(from_lsn=created_lsn + 1):
-        if record.tid in owned or record.tid not in committed:
+        if table.owner.get(record.tid) == partition_id or \
+                record.tid not in table.committed:
             continue
         if isinstance(record, PayloadUpdateRecord) and record.oid == new:
             body = image.payload

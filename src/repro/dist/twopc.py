@@ -53,10 +53,9 @@ from ..concurrency import LockMode, LockTimeoutError
 from ..errors import NodeUnreachableError
 from ..sim import Delay, Wait, WaitTimeout
 from ..storage.oid import Oid
-from ..wal import (BeginRecord, ClrRecord, CommitRecord, EndRecord,
-                   RefUpdateRecord, TpcDecisionRecord, TpcEndRecord,
-                   TpcPrepareRecord, apply_record, invert_record)
-from ..wal.records import PHYSICAL_KINDS
+from ..wal import (BeginRecord, CommitRecord, EndRecord, RefUpdateRecord,
+                   TpcDecisionRecord, TpcEndRecord, TpcPrepareRecord,
+                   TransactionTable, undo_transaction)
 
 PREPARE = "tpc.prepare"
 DECISION = "tpc.decision"
@@ -383,21 +382,12 @@ class TwoPhaseManager:
         COMMIT but no END (aborted branches get theirs from recovery's
         undo), and memoize their outcome for late duplicate messages."""
         log = self.engine.log
-        prepared: Dict[int, str] = {}
-        committed: Set[int] = set()
-        ended: Set[int] = set()
-        for record in log.records():
-            if isinstance(record, TpcPrepareRecord):
-                prepared[record.tid] = record.gid
-            elif isinstance(record, CommitRecord):
-                committed.add(record.tid)
-            elif isinstance(record, EndRecord):
-                ended.add(record.tid)
+        table = TransactionTable.scan(log)
         wrote = False
-        for tid, gid in sorted(prepared.items()):
-            if tid in committed:
-                self.resolved.setdefault(gid, "commit")
-                if tid not in ended:
+        for tid, prepare in sorted(table.prepared.items()):
+            if tid in table.committed:
+                self.resolved.setdefault(prepare.gid, "commit")
+                if tid not in table.ended:
                     log.append(EndRecord(tid, prev_lsn=0))
                     wrote = True
         if wrote:
@@ -439,34 +429,9 @@ class TwoPhaseManager:
             log.flush_now()
             self.stats.in_doubt_committed += 1
         else:
-            self._undo_recovered(tid, prepare.lsn)
+            # The same CLR walk restart recovery uses for losers.
+            undo_transaction(log, self.engine.store, tid, prepare.lsn)
             self.stats.in_doubt_aborted += 1
         self.engine.locks.release_all(tid)
         self.resolved[gid] = "commit" if commit else "abort"
         self.settling -= 1
-
-    def _undo_recovered(self, tid: int, from_lsn: int) -> None:
-        """Roll back a resolved-abort in-doubt branch: the same CLR walk
-        restart recovery uses for losers, ending with END + flush so a
-        second crash sees a cleanly finished transaction."""
-        log = self.engine.log
-        store = self.engine.store
-        lsn = from_lsn
-        while lsn:
-            record = log.read(lsn)
-            if isinstance(record, BeginRecord):
-                break
-            if isinstance(record, ClrRecord):
-                lsn = record.undo_next_lsn
-                continue
-            if record.kind in PHYSICAL_KINDS:
-                inverse = invert_record(record)
-                clr = ClrRecord(tid, prev_lsn=0,
-                                undo_next_lsn=record.prev_lsn,
-                                undone_lsn=record.lsn,
-                                action=inverse.encode())
-                clr_lsn = log.append(clr)
-                apply_record(store, inverse, lsn=clr_lsn)
-            lsn = record.prev_lsn
-        log.append(EndRecord(tid, prev_lsn=0))
-        log.flush_now()

@@ -33,7 +33,7 @@ from typing import Dict, Iterable, List, Tuple
 
 from ..core.checkpointing import committed_migrations_from_log
 from ..verify import deep_verify
-from ..wal import AbortRecord, EndRecord, TpcPrepareRecord
+from ..wal import TransactionTable
 
 
 def node_state_digest(engine) -> str:
@@ -88,15 +88,9 @@ def unresolved_in_doubt(engine) -> Dict[int, str]:
     with the abort record itself).  Non-empty means orphaned in-doubt
     patches.
     """
-    prepared: Dict[int, str] = {}
-    ended = set()
-    for record in engine.log.records():
-        if isinstance(record, TpcPrepareRecord):
-            prepared[record.tid] = record.gid
-        elif isinstance(record, (EndRecord, AbortRecord)):
-            ended.add(record.tid)
-    return {tid: gid for tid, gid in sorted(prepared.items())
-            if tid not in ended}
+    table = TransactionTable.scan(engine.log)
+    return {tid: prepare.gid for tid, prepare in sorted(table.prepared.items())
+            if tid not in table.ended and tid not in table.aborted}
 
 
 def cluster_deep_verify(cluster) -> List[str]:

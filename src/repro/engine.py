@@ -28,6 +28,7 @@ from .wal import (
     LogManager,
     RecoveryManager,
     SnapshotStore,
+    TransactionTable,
 )
 
 
@@ -119,14 +120,12 @@ class StorageEngine:
             self.snapshots = _image.snapshots
 
         # Fork — the last durable checkpoint (none on an empty log)
-        # carries the ERTs, the tid counter and ``unlogged_base``.
+        # carries the ERTs, the tid counter and ``unlogged_base``.  The
+        # one analysis of the log serves this and restart recovery.
+        table = TransactionTable.scan(self.log, self.snapshots)
         checkpoint: dict = {}
-        max_tid = 0
-        for record in self.log.records():
-            max_tid = max(max_tid, record.tid)
-            if isinstance(record, CheckpointRecord) and \
-                    self.snapshots.has(record.snapshot_id):
-                checkpoint = self.snapshots.load(record.snapshot_id)
+        if table.checkpoint is not None:
+            checkpoint = self.snapshots.load(table.checkpoint.snapshot_id)
         self._erts: Dict[int, ExternalReferenceTable] = {
             pid: ExternalReferenceTable.restore(
                 pid, state, bucket_capacity=cfg.ert_bucket_capacity)
@@ -148,14 +147,14 @@ class StorageEngine:
             self.store = ObjectStore(page_size=cfg.page_size)
         else:
             recovery = RecoveryManager(
-                self.log, self.snapshots, cfg.page_size,
+                self.log, self.snapshots, cfg.page_size, table,
                 replay_hook=self.analyzer.process)
             self.store = recovery.run()
             self.recovery_stats = recovery.stats
 
         self.txns = TransactionManager(self)
         self.txns.set_next_tid(
-            max(max_tid + 1, checkpoint.get("next_tid", 1)))
+            max(table.max_tid + 1, checkpoint.get("next_tid", 1)))
         #: True once the store holds content that never went through the
         #: WAL (the §5.2 bulk load).  Recorded in every checkpoint so
         #: single-page repair knows when log replay alone cannot rebuild

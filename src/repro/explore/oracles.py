@@ -64,13 +64,12 @@ from typing import Callable, Dict, List, Optional
 from ..sim import Simulator
 from ..storage.oid import Oid
 from ..verify import deep_verify
-from ..wal.records import (
-    BeginRecord,
-    CommitRecord,
+from ..wal import (
     ObjCreateRecord,
     ObjDeleteRecord,
     PayloadUpdateRecord,
     RefUpdateRecord,
+    TransactionTable,
 )
 from .history import HistoryRecorder, check_serializability
 
@@ -284,13 +283,8 @@ def check_transparency(engine, initial_images: Dict, start_lsn: int,
 
     # Which transactions belong to a reorganizer (their records ARE the
     # reorganization — the model excludes them), and which committed.
-    owned, committed = set(), set()
-    for record in engine.log.records():
-        if isinstance(record, BeginRecord) and record.is_system and \
-                record.owner_partition is not None:
-            owned.add(record.tid)
-        elif isinstance(record, CommitRecord):
-            committed.add(record.tid)
+    table = TransactionTable.scan(engine.log)
+    owned, committed = table.owner, table.committed
 
     model = {translate(oid): translated(image)
              for oid, image in initial_images.items()}

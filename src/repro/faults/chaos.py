@@ -44,7 +44,7 @@ from ..sim import Delay
 from ..storage.errors import CorruptionError
 from ..storage.oid import Oid
 from ..verify import corrupt_snapshot_pages, deep_verify
-from ..wal.records import BeginRecord, CommitRecord, ObjDeleteRecord
+from ..wal import ObjDeleteRecord, TransactionTable
 from ..workload import WorkloadDriver
 from ..workload.metrics import ExperimentMetrics
 from .injector import FaultInjector
@@ -149,21 +149,12 @@ def count_remigrations(engine, partition_id: int, from_lsn: int,
     addresses the pre-crash run had produced).  A correct resume leaves
     those addresses alone and only migrates the still-pending objects.
     """
-    owned: Set[int] = set()
-    committed: Set[int] = set()
-    for record in engine.log.records():
-        if isinstance(record, BeginRecord) and record.is_system and \
-                record.owner_partition == partition_id:
-            owned.add(record.tid)
-        elif record.lsn > from_lsn and isinstance(record, CommitRecord):
-            committed.add(record.tid)
-    count = 0
-    for record in engine.log.records(from_lsn=from_lsn + 1):
-        if isinstance(record, ObjDeleteRecord) and \
-                record.tid in owned and record.tid in committed and \
-                record.oid in already_migrated_new:
-            count += 1
-    return count
+    moved = TransactionTable.scan(engine.log).reorganizer_committed(
+        partition_id)
+    return sum(1 for record in engine.log.records(from_lsn=from_lsn + 1)
+               if isinstance(record, ObjDeleteRecord)
+               and record.tid in moved
+               and record.oid in already_migrated_new)
 
 
 @dataclass
@@ -471,12 +462,15 @@ def run_chaos_point(crash_at_ms: float, algorithm: str = "ira",
         return result
 
     store = WalReorgStateStore(engine, REORG_PARTITION)
-    result.completed_before_crash = store.completed()
+    # One log scan per point: tombstone, state and resume all derive
+    # from the partition's latest progress record.
+    latest = store.latest_record()
+    result.completed_before_crash = latest is not None and latest.is_tombstone
     # A two-lock migration caught between copy-commit and old-delete has
     # the object durably in both places; the resume will collapse the
     # pair, so the reference state must count that object once.
     mixed_pair: Optional[Tuple[Oid, Oid]] = None
-    state = store.load()
+    state = store.load(latest)
     if state is not None and state.in_progress is not None:
         old, new = state.in_progress
         if engine.store.exists(old) and engine.store.exists(new):
@@ -507,8 +501,9 @@ def run_chaos_point(crash_at_ms: float, algorithm: str = "ira",
     if mixed_pair is not None:
         reference_counts[mixed_pair[1].partition] -= 1
     resume_lsn = engine.log.last_lsn
-    resumed = resume_reorganization(engine, store, plan=CompactionPlan(),
-                                    reorg_config=reorg_config)
+    resumed = None if state is None else resume_reorganization(
+        engine, store, plan=CompactionPlan(), reorg_config=reorg_config,
+        state=state)
     premigrated_new: Set[Oid] = set()
     if resumed is not None:
         result.resumed = True

@@ -45,11 +45,8 @@ from ..config import MvccConfig
 from ..errors import WriteConflictError
 from ..storage import ObjectImage
 from ..storage.oid import Oid
-from ..wal.records import (
-    CommitRecord,
-    MergeInstallRecord,
-    TailDeltaRecord,
-)
+from ..wal import TransactionTable
+from ..wal.records import MergeInstallRecord, TailDeltaRecord
 
 
 #: Latch key serializing the tier's commit critical section.
@@ -170,7 +167,7 @@ class MvccTier:
         tier = cls(engine, config)
         store = engine.store
         records = list(engine.log.records())
-        committed = {r.tid for r in records if isinstance(r, CommitRecord)}
+        committed = TransactionTable.scan(engine.log).committed
         installs = [r for r in records if isinstance(r, MergeInstallRecord)
                     and r.owner_tid in committed]
         targets = {phys for r in installs for _, phys in r.flips}

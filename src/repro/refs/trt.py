@@ -142,7 +142,7 @@ class TemporaryReferenceTable:
         return {entry.parent for _, entry in self._index.items()}
 
     def entries(self) -> List[TrtEntry]:
-        """Every live tuple in recording order — for TRT checkpoints (§4.4)."""
+        """Every live tuple in recording order."""
         return sorted((entry for _, entry in self._index.items()),
                       key=lambda e: e.seq)
 

@@ -31,7 +31,7 @@ from ..core import CompactionPlan
 from ..core.checkpointing import WalReorgStateStore, resume_reorganization
 from ..sim import Delay
 from ..txn.transaction import TxnStatus
-from ..wal.records import CommitRecord
+from ..wal import TransactionTable
 from .governor import ReorgGovernor
 from .leases import LeaseTable
 
@@ -264,8 +264,7 @@ class ReorgFleet:
         chain releases the locks the corpse still holds).
         """
         engine = self.engine
-        committed_tids = {record.tid for record in engine.log.records()
-                          if isinstance(record, CommitRecord)}
+        committed_tids = TransactionTable.scan(engine.log).committed
         for tid in sorted(engine.txns.active_tids()):
             txn = engine.txns.transaction(tid)
             if not txn.system or txn.reorg_partition != pid:

@@ -1,5 +1,6 @@
 """Write-ahead logging, checkpoints and ARIES-style restart recovery."""
 
+from .analysis import TransactionTable
 from .apply import apply_record, invert_record, record_page_key
 from .checkpoint import SnapshotStore
 from .log import LogManager, frame_record, scan_frames
@@ -22,7 +23,7 @@ from .records import (
     TpcPrepareRecord,
     decode_record,
 )
-from .recovery import RecoveryManager, RecoveryStats
+from .recovery import RecoveryManager, RecoveryStats, undo_transaction
 
 __all__ = [
     "AbortRecord",
@@ -45,10 +46,12 @@ __all__ = [
     "TpcDecisionRecord",
     "TpcEndRecord",
     "TpcPrepareRecord",
+    "TransactionTable",
     "apply_record",
     "decode_record",
     "frame_record",
     "invert_record",
     "record_page_key",
     "scan_frames",
+    "undo_transaction",
 ]

@@ -29,8 +29,6 @@ _U64 = struct.Struct("<Q")
 # combined formats are concatenations of the original little-endian
 # fields ("<" disables padding), so the encoded bytes are identical.
 _HDR = struct.Struct("<BQQ")            # kind, tid, prev_lsn
-_REF_BODY = struct.Struct("<QHQQ")      # parent, slot, old_child, new_child
-_PAYLOAD_HEAD = struct.Struct("<QII")   # oid, offset, len(before)
 # Whole-record packers (header + body in one C call) for the record
 # kinds the workload appends constantly; same field-by-field layout.
 _BEGIN_FULL = struct.Struct("<BQQBH")   # hdr + flags, reorg_partition
@@ -142,9 +140,6 @@ class BeginRecord(LogRecord):
         return _BEGIN_FULL.pack(KIND_BEGIN, self.tid, self.prev_lsn,
                                 self.flags, self.reorg_partition)
 
-    def _encode_body(self) -> bytes:
-        return _U8.pack(self.flags) + _U16.pack(self.reorg_partition)
-
 
 @dataclass(unsafe_hash=True)
 class CommitRecord(LogRecord):
@@ -213,12 +208,6 @@ class PayloadUpdateRecord(LogRecord):
                     self.offset, len(before))
                 + before + _U32.pack(len(after)) + after)
 
-    def _encode_body(self) -> bytes:
-        return (_PAYLOAD_HEAD.pack(
-                    NULL_REF if self.oid is None else self.oid.pack(),
-                    self.offset, len(self.before))
-                + self.before + _U32.pack(len(self.after)) + self.after)
-
 
 @dataclass(unsafe_hash=True)
 class RefUpdateRecord(LogRecord):
@@ -238,13 +227,6 @@ class RefUpdateRecord(LogRecord):
     def encode(self) -> bytes:
         return _REF_FULL.pack(
             KIND_REF_UPDATE, self.tid, self.prev_lsn,
-            NULL_REF if self.parent is None else self.parent.pack(),
-            self.slot,
-            NULL_REF if self.old_child is None else self.old_child.pack(),
-            NULL_REF if self.new_child is None else self.new_child.pack())
-
-    def _encode_body(self) -> bytes:
-        return _REF_BODY.pack(
             NULL_REF if self.parent is None else self.parent.pack(),
             self.slot,
             NULL_REF if self.old_child is None else self.old_child.pack(),

@@ -3,7 +3,9 @@
 Given the durable log (the flushed prefix that survived the crash) and
 the snapshot store, recovery rebuilds the object store, rolls forward
 committed work, and rolls back losers by writing CLRs — so running
-recovery is itself crash-safe and idempotent.
+recovery is itself crash-safe and idempotent.  The analysis pass is
+:class:`~repro.wal.analysis.TransactionTable`, shared with every other
+reader of the log's transaction structure.
 
 Migration transactions run by the reorganizer are ordinary transactions
 here: if the system failed mid-migration, the in-flight migration is
@@ -14,23 +16,21 @@ the time of failure will be undone"), leaving no half-moved object.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Set, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from ..storage import ObjectStore, Page, PageRepairError
 from ..storage.page import snapshot_checksum_ok
+from .analysis import TransactionTable
 from .apply import apply_record, invert_record, record_page_key
 from .checkpoint import SnapshotStore
 from .log import LogManager
 from .records import (
-    AbortRecord,
     BeginRecord,
     CheckpointRecord,
     ClrRecord,
-    CommitRecord,
     EndRecord,
     LogRecord,
     PHYSICAL_KINDS,
-    TpcDecisionRecord,
     TpcPrepareRecord,
 )
 
@@ -42,6 +42,7 @@ class RecoveryStats:
     """What recovery did — reported by the crash-recovery example."""
 
     checkpoint_lsn: int = 0
+    #: Durable records past the checkpoint — the window redo replays.
     records_analyzed: int = 0
     records_redone: int = 0
     loser_txns: List[int] = field(default_factory=list)
@@ -64,8 +65,44 @@ class RecoveryStats:
     in_doubt_txns: Dict[int, TpcPrepareRecord] = field(default_factory=dict)
 
 
+def undo_transaction(log: LogManager, store: ObjectStore, tid: int,
+                     from_lsn: int) -> int:
+    """Roll back a transaction nobody is running any more — a restart
+    loser, or an in-doubt 2PC branch resolved "abort" — by walking its
+    undo chain and writing CLRs, then END + flush so a second crash sees
+    a cleanly finished transaction.  Returns the CLRs written.
+
+    (A *live* transaction's ``abort`` is a generator that charges
+    simulated CPU per undone operation; this walk costs no simulated
+    time.)
+    """
+    clrs = 0
+    lsn = from_lsn
+    while lsn:
+        record = log.read(lsn)
+        if isinstance(record, BeginRecord):
+            break
+        if isinstance(record, ClrRecord):
+            # Already-compensated suffix: skip to what is still undone.
+            lsn = record.undo_next_lsn
+            continue
+        if record.kind in PHYSICAL_KINDS:
+            inverse = invert_record(record)
+            clr_lsn = log.append(ClrRecord(
+                tid, prev_lsn=0, undo_next_lsn=record.prev_lsn,
+                undone_lsn=record.lsn, action=inverse.encode()))
+            apply_record(store, inverse, lsn=clr_lsn)
+            clrs += 1
+        lsn = record.prev_lsn
+    log.append(EndRecord(tid, prev_lsn=0))
+    log.flush_now()
+    return clrs
+
+
 class RecoveryManager:
-    """Runs the three recovery passes over a rebuilt log manager.
+    """Runs redo and undo over a rebuilt log manager, from the analysis
+    the caller already did (``table`` — engine assembly reads its last
+    checkpoint and tid high-water mark off the same scan).
 
     ``replay_hook`` is invoked for every durable record from the
     checkpoint onward, in LSN order — the engine passes the log analyzer's
@@ -74,46 +111,49 @@ class RecoveryManager:
     """
 
     def __init__(self, log: LogManager, snapshots: SnapshotStore,
-                 page_size: int, replay_hook: Optional[ReplayHook] = None):
+                 page_size: int, table: TransactionTable,
+                 replay_hook: Optional[ReplayHook] = None):
         self.log = log
         self.snapshots = snapshots
         self.page_size = page_size
+        self.table = table
         self.replay_hook = replay_hook
         self.stats = RecoveryStats()
 
     def run(self) -> ObjectStore:
-        self.stats.log_tail_truncated = self.log.tail_truncated
-        self.stats.log_tail_problem = self.log.tail_problem
-        store, checkpoint_lsn, seed_txns = self._load_last_checkpoint()
-        self.stats.checkpoint_lsn = checkpoint_lsn
-        losers, winners = self._analysis(checkpoint_lsn, seed_txns)
+        stats, table = self.stats, self.table
+        stats.log_tail_truncated = self.log.tail_truncated
+        stats.log_tail_problem = self.log.tail_problem
+        store, checkpoint_lsn = self._load_last_checkpoint()
+        stats.checkpoint_lsn = checkpoint_lsn
+        stats.records_analyzed = self.log.last_lsn - checkpoint_lsn
+        stats.in_doubt_txns = table.in_doubt()
+        losers = table.losers()
         self._redo(store, checkpoint_lsn)
-        self._undo(store, losers)
-        self.stats.loser_txns = sorted(losers)
-        self.stats.winner_txns = sorted(winners)
+        # Per-transaction undo chains are independent, so the order
+        # across transactions does not matter.
+        for tid in sorted(losers):
+            stats.clrs_written += undo_transaction(
+                self.log, store, tid, losers[tid])
+        stats.loser_txns = sorted(losers)
+        stats.winner_txns = sorted(table.committed | table.ended)
         return store
 
-    # -- pass 0: locate the snapshot --------------------------------------------
+    # -- pass 0: load the snapshot ------------------------------------------------
 
     def _load_last_checkpoint(self):
-        checkpoint: Optional[CheckpointRecord] = None
-        older: List[CheckpointRecord] = []
-        for record in self.log.records():
-            if isinstance(record, CheckpointRecord) and \
-                    self.snapshots.has(record.snapshot_id):
-                if checkpoint is not None:
-                    older.append(checkpoint)
-                checkpoint = record
+        checkpoint = self.table.checkpoint
         if checkpoint is None:
-            return ObjectStore(page_size=self.page_size), 0, {}
+            return ObjectStore(page_size=self.page_size), 0
         payload = self.snapshots.load(checkpoint.snapshot_id)
         corrupt: List[Tuple[int, int]] = []
         store = ObjectStore.restore(payload["store"], corrupt_sink=corrupt)
         for pid, page_no in corrupt:
             self._repair_page(
-                store, pid, page_no, older, checkpoint.lsn,
+                store, pid, page_no, self.table.checkpoints[:-1],
+                checkpoint.lsn,
                 unlogged_base=bool(payload.get("unlogged_base", False)))
-        return store, checkpoint.lsn, checkpoint.active_txn_table()
+        return store, checkpoint.lsn
 
     # -- single-page repair ---------------------------------------------------------
 
@@ -167,54 +207,6 @@ class RecoveryManager:
         store.partition(pid).page(page_no).verify()
         self.stats.repaired_pages.append((pid, page_no))
 
-    # -- pass 1: analysis ----------------------------------------------------------
-
-    def _analysis(self, checkpoint_lsn: int,
-                  seed_txns: Dict[int, int]):
-        last_lsn: Dict[int, int] = dict(seed_txns)
-        committed: Set[int] = set()
-        ended: Set[int] = set()
-        aborted: Set[int] = set()
-        prepared: Dict[int, TpcPrepareRecord] = {}
-        for record in self.log.records(from_lsn=checkpoint_lsn + 1):
-            self.stats.records_analyzed += 1
-            if record.tid == 0:
-                continue
-            if isinstance(record, BeginRecord):
-                last_lsn[record.tid] = record.lsn
-            elif isinstance(record, CommitRecord):
-                committed.add(record.tid)
-                last_lsn[record.tid] = record.lsn
-            elif isinstance(record, EndRecord):
-                ended.add(record.tid)
-                last_lsn.pop(record.tid, None)
-            elif isinstance(record, TpcPrepareRecord):
-                prepared[record.tid] = record
-                last_lsn[record.tid] = record.lsn
-            elif isinstance(record, TpcDecisionRecord):
-                # The durable commit decision IS the commit point of the
-                # coordinator's local branch (presumed abort): honor it
-                # even if the crash beat the branch's own COMMIT record.
-                if record.commit:
-                    committed.add(record.tid)
-                last_lsn[record.tid] = record.lsn
-            else:
-                if isinstance(record, AbortRecord):
-                    aborted.add(record.tid)
-                last_lsn[record.tid] = record.lsn
-        # A prepared branch with no durable decision is in-doubt: neither
-        # undone (the coordinator may have committed globally) nor
-        # committed (it may answer "abort").  A branch whose rollback
-        # already logged ABORT lost its doubt — the decision was abort.
-        in_doubt = {tid: rec for tid, rec in prepared.items()
-                    if tid in last_lsn and tid not in committed
-                    and tid not in aborted}
-        self.stats.in_doubt_txns = in_doubt
-        losers = {tid: lsn for tid, lsn in last_lsn.items()
-                  if tid not in committed and tid not in in_doubt}
-        winners = committed | ended
-        return losers, winners
-
     # -- pass 2: redo ---------------------------------------------------------------
 
     def _redo(self, store: ObjectStore, checkpoint_lsn: int) -> None:
@@ -224,38 +216,3 @@ class RecoveryManager:
                 self.stats.records_redone += 1
             if self.replay_hook is not None:
                 self.replay_hook(record)
-
-    # -- pass 3: undo -----------------------------------------------------------------
-
-    def _undo(self, store: ObjectStore, losers: Dict[int, int]) -> None:
-        # Undo each loser's chain; per-transaction chains are independent,
-        # so the order across transactions does not matter.
-        for tid in sorted(losers):
-            self._undo_transaction(store, tid, losers[tid])
-
-    def _undo_transaction(self, store: ObjectStore, tid: int,
-                          from_lsn: int) -> None:
-        lsn = from_lsn
-        while lsn:
-            record = self.log.read(lsn)
-            if isinstance(record, BeginRecord):
-                break
-            if isinstance(record, ClrRecord):
-                # Already-compensated suffix: skip to what is still undone.
-                lsn = record.undo_next_lsn
-                continue
-            if isinstance(record, (CommitRecord, AbortRecord)):
-                lsn = record.prev_lsn
-                continue
-            if record.kind in PHYSICAL_KINDS:
-                inverse = invert_record(record)
-                clr = ClrRecord(tid, prev_lsn=0,
-                                undo_next_lsn=record.prev_lsn,
-                                undone_lsn=record.lsn,
-                                action=inverse.encode())
-                clr_lsn = self.log.append(clr)
-                apply_record(store, inverse, lsn=clr_lsn)
-                self.stats.clrs_written += 1
-            lsn = record.prev_lsn
-        self.log.append(EndRecord(tid, prev_lsn=0))
-        self.log.flush_now()

@@ -14,7 +14,11 @@ from repro.core import (
     rebuild_trt,
     resume_reorganization,
 )
+from repro.concurrency import LockTimeoutError
 from repro.core.checkpointing import committed_migrations_from_log
+from repro.sim import Delay
+from repro.storage import ObjectImage
+from repro.wal import ClrRecord
 from repro.workload import WorkloadDriver
 from repro.workload.metrics import ExperimentMetrics
 
@@ -114,9 +118,45 @@ def test_committed_migrations_recovered_from_log():
         assert db.store.exists(new)
 
 
+#: (operation, outcome) per round of :func:`_churn`.
+CHURN = [("create", "commit"), ("create", "abort"), ("delete", "abort"),
+         ("create", "commit"), ("delete", "commit")] * 3
+
+
+def _churn(db, layout):
+    """Create, delete and abort in partition 1 — every way a reference
+    into it can appear or vanish besides a plain reference update."""
+    root = layout.cluster_roots[1][0]
+    mine = []       # committed creations still alive
+    for round_no, (operation, outcome) in enumerate(CHURN):
+        txn = db.engine.txns.begin()
+        try:
+            children = yield from txn.read_refs(root)
+            if operation == "create":
+                oid = yield from txn.create_object(1, ObjectImage.new(
+                    2, payload=b"churn-%02d" % round_no, refs=children[:2]))
+            else:
+                oid = mine[-1]
+                txn.local_refs.add(oid)
+                yield from txn.delete_object(oid)
+            yield Delay(7.0)
+            if outcome == "abort":
+                yield from txn.abort()
+            else:
+                yield from txn.commit()
+                if operation == "create":
+                    mine.append(oid)
+                else:
+                    mine.pop()
+        except LockTimeoutError:
+            yield from txn.abort(reason="deadlock")
+        yield Delay(40.0)
+
+
 def test_rebuild_trt_matches_live_trt():
-    """The §4.4 log-scan reconstruction must agree with the TRT the
-    analyzer maintained on-line."""
+    """The §4.4 replay must agree with the TRT the analyzer maintained
+    on-line — tuples and creations — across reference updates, object
+    creations and deletions, and aborted transactions (CLRs)."""
     wl = WorkloadConfig(num_partitions=2, objects_per_partition=170,
                         mpl=4, seed=17, ref_update_prob=0.6)
     db, layout = Database.with_workload(wl)
@@ -127,8 +167,15 @@ def test_rebuild_trt_matches_live_trt():
     metrics = ExperimentMetrics("x", wl.mpl)
     for i in range(wl.mpl):
         db.sim.spawn(driver._thread_process(i, metrics), name=f"t{i}")
+    db.sim.spawn(_churn(db, layout), name="churn")
     db.sim.run(until=3000.0)
     db.sim.kill_all()
+
+    undone = {type(r.decode_action()).__name__
+              for r in db.engine.log.records(start_lsn + 1)
+              if isinstance(r, ClrRecord)}
+    assert {"ObjCreateRecord", "ObjDeleteRecord"} <= undone, \
+        "the workload must abort both a deletion and a creation"
 
     rebuilt = rebuild_trt(db.engine, 1, from_lsn=start_lsn)
     live = {(e.child, e.parent, e.tid, e.action)
@@ -136,6 +183,9 @@ def test_rebuild_trt_matches_live_trt():
     again = {(e.child, e.parent, e.tid, e.action)
              for e in rebuilt.entries()}
     assert again == live
+    assert live_trt.created_since_activation
+    assert rebuilt.created_since_activation == \
+        live_trt.created_since_activation
 
 
 def test_resume_restores_relocation_floor():

@@ -17,7 +17,6 @@ from repro.core.checkpointing import (
     encode_reorg_state,
 )
 from repro.faults import FaultInjector, FaultPlan
-from repro.refs.trt import TrtEntry
 from repro.sim import Delay
 from repro.storage.errors import PageChecksumError, PageRepairError
 from repro.storage.oid import Oid
@@ -373,8 +372,7 @@ def _sample_state():
         log_lsn=77,
         in_progress=(b, Oid(1, 9, 2)),
         relocation_floor=4,
-        trt_entries=[TrtEntry(a, b, 12, "I", 1),
-                     TrtEntry(a, c, 12, "D", 2)],
+        trt_lsn=31,
     )
 
 
