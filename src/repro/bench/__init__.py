@@ -2,57 +2,49 @@
 
 :data:`EXPERIMENTS` is the registry and :func:`run` executes one entry
 (``repro bench`` is a lookup into it); :mod:`harness` holds the runner
-the entries share, :mod:`baseline` the ``BENCH_*.json`` layer.
+the entries share, :mod:`baseline` the ``BENCH.json`` layer.
 """
 
 from .baseline import (
     compare_figure,
-    figure_payload,
     load_baseline,
     new_baseline,
     save_baseline,
 )
-from .experiments import EXPERIMENTS, format_table2, run
+from .experiments import EXPERIMENTS, PAPER_EXPERIMENTS, run
 from .harness import (
     SCALES,
     Arm,
     BenchPoint,
     BenchScale,
+    Clause,
     Column,
     Experiment,
     base_workload,
-    bench_scale,
-    format_series,
+    figure,
     render,
     run_arm,
     run_experiment,
-    run_point,
-    run_three_way,
-    save_results,
 )
 
 __all__ = [
     "compare_figure",
-    "figure_payload",
     "load_baseline",
     "new_baseline",
     "save_baseline",
     "EXPERIMENTS",
+    "PAPER_EXPERIMENTS",
     "SCALES",
     "Arm",
     "BenchPoint",
     "BenchScale",
+    "Clause",
     "Column",
     "Experiment",
     "base_workload",
-    "bench_scale",
-    "format_series",
-    "format_table2",
+    "figure",
     "render",
     "run",
     "run_arm",
     "run_experiment",
-    "run_point",
-    "run_three_way",
-    "save_results",
 ]

@@ -1,22 +1,24 @@
-"""The experiment runner: one sweep loop, four protocols, one renderer.
+"""The experiment runner: one sweep loop, five protocols, one renderer.
 
 The paper's §5 study is one protocol — MPL threads run "until the
 reorganization operation completed", the no-reorg twin is measured over
 the same window — applied to different arms.  An :class:`Experiment`
 (registry: :mod:`repro.bench.experiments`) declares arms, sweep points
 per scale and table columns; :func:`run_experiment` executes it through
-one of the four protocols that genuinely differ: :func:`closed_loop`,
-:func:`trace_reorganize_measure`, :func:`serve_sweep`, :func:`dist_sweep`.
+one of the five protocols that genuinely differ: :func:`closed_loop`,
+:func:`reorganize_alone`, :func:`trace_reorganize_measure`,
+:func:`serve_sweep`, :func:`dist_sweep`.
 
-Scales of the paper's experiments (``REPRO_BENCH_SCALE``):
+Scales of the paper's experiments (``repro bench --scale``):
 
 * ``paper``    — Table 1 defaults: 10 partitions x 4080 objects, the full
   sweep ranges.  Slowest; closest to the published absolute numbers.
-* ``standard`` (default) — 6 partitions x 1020 objects and trimmed sweep
-  ranges.  All the paper's *shapes* (who wins, where curves peak, the
+* ``standard`` — 6 partitions x 1020 objects and trimmed sweep ranges.
+  All the paper's *shapes* (who wins, where curves peak, the
   orders-of-magnitude dispersion gaps) reproduce at this scale in a few
-  minutes.
-* ``quick``    — 3 partitions x 340 objects, smoke-test sweeps.
+  minutes; the paper's verdicts are stated for it.
+* ``quick``    — 3 partitions x 340 objects, smoke-test sweeps: what the
+  tier-1 suite reproduces exactly.
 
 Every run is deterministic given the workload seed.
 """
@@ -24,9 +26,9 @@ Every run is deterministic given the workload seed.
 from __future__ import annotations
 
 import dataclasses
-import os
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Mapping, Optional, Sequence, Tuple
+from typing import (Any, Callable, Dict, Iterable, List, Mapping, NamedTuple,
+                    Optional, Sequence, Tuple)
 
 from ..cluster import AffinityGraph, ClusteringAdvisor, ClusterTracer
 from ..concurrency import LockTimeoutError
@@ -37,6 +39,7 @@ from ..database import Database
 from ..dist import DistCluster, cluster_deep_verify
 from ..mvcc import MvccTier
 from ..serve import ReorgFleet, ReorgGovernor, ServingLayer
+from ..storage import ObjectImage
 from ..workload import WorkloadDriver, random_walk_transaction
 
 
@@ -89,20 +92,7 @@ SCALES: Dict[str, BenchScale] = {
 }
 
 
-def bench_scale() -> BenchScale:
-    """The active scale, from ``REPRO_BENCH_SCALE`` (default: standard)."""
-    name = os.environ.get("REPRO_BENCH_SCALE", "standard")
-    try:
-        return SCALES[name]
-    except KeyError:
-        raise ValueError(
-            f"REPRO_BENCH_SCALE={name!r}; choose from {sorted(SCALES)}") \
-            from None
-
-
-def base_workload(scale: Optional[BenchScale] = None,
-                  **overrides) -> WorkloadConfig:
-    scale = scale or bench_scale()
+def base_workload(scale: BenchScale, **overrides) -> WorkloadConfig:
     params = dict(num_partitions=scale.num_partitions,
                   objects_per_partition=scale.objects_per_partition)
     params.update(overrides)
@@ -117,21 +107,16 @@ class BenchPoint:
     """One measured run of one arm."""
 
     algorithm: str
-    #: Anything with a ``summary()`` — :class:`ExperimentMetrics` for
-    #: every protocol but the dist sweep's :class:`DistMetrics`.
+    #: Anything with a ``summary()`` — :class:`ExperimentMetrics`, or
+    #: the :class:`ReorgMetrics` / :class:`DistMetrics` of the two
+    #: protocols that run no user transactions.
     metrics: Any
+    #: What the protocol measured beside the metrics (columns and
+    #: verdicts read it; the committed figure does not carry it).
     overrides: Dict[str, object] = field(default_factory=dict)
     #: Kernel counters captured at the end of the run (events dispatched,
     #: timers scheduled/cancelled, heap peak) — see ``Simulator.counters``.
     counters: Dict[str, int] = field(default_factory=dict)
-
-    @property
-    def throughput(self) -> float:
-        return self.metrics.throughput_tps
-
-    @property
-    def art(self) -> float:
-        return self.metrics.avg_response_ms
 
 
 @dataclass(frozen=True)
@@ -143,17 +128,21 @@ class Arm:
     algorithm: Optional[str] = None
     #: :class:`SystemConfig` overrides.
     system: Mapping[str, object] = field(default_factory=dict)
+    #: :class:`ReorgConfig` overrides (closed loop).
+    reorg: Mapping[str, object] = field(default_factory=dict)
     #: The per-transaction generator and the aborts a thread retries.
     body: Callable = random_walk_transaction
     retry_on: Tuple[type, ...] = (LockTimeoutError,)
     #: Attach the MVCC tier, so ``body`` runs on snapshots.
     snapshot: bool = False
-    #: Measure this no-reorg arm over the named reorganizing arm's window
-    #: (capped) — the paper's "while reorganization is in progress", so a
-    #: during-reorg number always has a baseline of the same length.
+    #: Measure this arm over the named reorganizing arm's window — the
+    #: paper's "while reorganization is in progress", so a during-reorg
+    #: number always has a baseline of the same length.  A no-reorg twin's
+    #: window is capped (``nr_horizon_cap_ms``: its rates are stationary);
+    #: a reorganizing twin runs the full window (§5.3.4).
     twin_of: Optional[str] = None
-    #: What one protocol reads: ``plan`` (trace/reorganize/measure),
-    #: ``governed`` (serve).
+    #: What one protocol reads: ``plan`` (trace/reorganize/measure and
+    #: reorganize-alone), ``governed`` (serve).
     options: Mapping[str, object] = field(default_factory=dict)
 
     def driver(self, engine, layout, workload: WorkloadConfig
@@ -186,6 +175,26 @@ class Column:
         return value if isinstance(value, str) else format(value, self.fmt)
 
 
+def _shown(value) -> str:
+    if isinstance(value, float):
+        return format(value, ".6g")
+    if isinstance(value, (list, tuple)):
+        return f"[{', '.join(map(_shown, value))}]"
+    return str(value)
+
+
+class Clause(NamedTuple):
+    """One inequality of an experiment's verdict."""
+
+    text: str
+    holds: bool
+    #: The numbers (or curves) compared, shown when the clause fails.
+    values: Tuple
+
+    def describe(self) -> str:
+        return f"{self.text}: {' vs '.join(map(_shown, self.values))}"
+
+
 @dataclass(frozen=True)
 class Experiment:
     name: str
@@ -196,6 +205,9 @@ class Experiment:
     #: Scale name → the protocol's scale parameters.
     scales: Mapping[str, object]
     columns: Tuple[Column, ...]
+    #: The acceptance claim and the clauses that together decide it.
+    claim: str
+    verdict: Callable[[Rows], Iterable[Clause]]
     #: Scale attribute listing the sweep's points; ``None`` = one point.
     sweep: Optional[str] = None
     #: What a sweep point is (closed loop: the workload field it sets).
@@ -204,14 +216,13 @@ class Experiment:
     x_key: Callable[[object], str] = str
     #: Closed loop: overrides of ``base_workload(scale)``.
     workload: Mapping[str, object] = field(default_factory=dict)
-    #: The acceptance claim and the check that it holds.
-    claim: str = ""
-    verdict: Optional[Callable[[Rows], bool]] = None
-    #: Committed baseline files holding this experiment's figures.
-    baselines: Tuple[str, ...] = ()
 
     def arm(self, name: str) -> Arm:
         return next(arm for arm in self.arms if arm.name == name)
+
+    def failures(self, rows: Rows) -> List[Clause]:
+        """The verdict's clauses that do not hold (empty = it holds)."""
+        return [clause for clause in self.verdict(rows) if not clause.holds]
 
     def points(self, scale_name: str) -> Sequence:
         if self.sweep is None:
@@ -222,8 +233,8 @@ class Experiment:
 def run_arms(arms: Sequence[Arm],
              run_one: Callable[[Arm, Optional[float]], BenchPoint]
              ) -> ArmPoints:
-    """``run_one(arm, twin_window_ms)`` for every arm, the reorganizing
-    arms first so each no-reorg twin can be given its arm's window."""
+    """``run_one(arm, twin_window_ms)`` for every arm, the arms that set
+    their own window first so each twin can be given its arm's."""
     points: ArmPoints = {}
     for arm in sorted(arms, key=lambda arm: arm.twin_of is not None):
         window = (points[arm.twin_of].metrics.window_ms
@@ -251,14 +262,24 @@ def run_experiment(experiment: Experiment, scale_name: str,
     return rows
 
 
-def keyed_points(experiment: Experiment, rows: Rows):
-    """``rows`` as the payload nests them: by sweep-point key when swept,
-    then by arm when there is more than one."""
-    def arms(points: ArmPoints):
-        return points if len(points) > 1 else next(iter(points.values()))
-    if experiment.sweep is None:
-        return arms(rows[None])
-    return {experiment.x_key(x): arms(points) for x, points in rows.items()}
+def figure(experiment: Experiment, rows: Rows) -> Dict[str, object]:
+    """What ``BENCH.json`` pins of one run (schema: :mod:`.baseline`): each
+    point's simulated summary and kernel counters — nested by sweep-point
+    key when swept, then by arm when there is more than one — and whether
+    the verdict holds."""
+    def nested(leaf: Callable[[BenchPoint], object]):
+        def arms(points: ArmPoints):
+            if len(points) == 1:
+                return leaf(next(iter(points.values())))
+            return {name: leaf(point) for name, point in points.items()}
+        if experiment.sweep is None:
+            return arms(rows[None])
+        return {experiment.x_key(x): arms(points)
+                for x, points in rows.items()}
+
+    return {"metrics": nested(lambda point: point.metrics.summary()),
+            "counters": nested(lambda point: point.counters),
+            "holds": not experiment.failures(rows)}
 
 
 def render(experiment: Experiment, rows: Rows) -> str:
@@ -276,9 +297,10 @@ def render(experiment: Experiment, rows: Rows) -> str:
     lines = [experiment.title, "-" * len(experiment.title)]
     lines += [" ".join(cell.rjust(width) for cell, width in zip(row, widths))
               for row in table]
-    if experiment.verdict is not None:
-        holds = "holds" if experiment.verdict(rows) else "DOES NOT HOLD"
-        lines.append(f"\n{holds}: {experiment.claim}")
+    failed = experiment.failures(rows)
+    lines.append(f"\n{'DOES NOT HOLD' if failed else 'holds'}: "
+                 f"{experiment.claim}")
+    lines += [f"  fails: {clause.describe()}" for clause in failed]
     return "\n".join(lines)
 
 
@@ -298,32 +320,29 @@ def _verified(db: Database, point: BenchPoint, tier=None) -> BenchPoint:
 
 
 def run_arm(arm: Arm, workload: WorkloadConfig,
-            system: Optional[SystemConfig] = None,
-            reorg_config: Optional[ReorgConfig] = None,
-            horizon_ms: Optional[float] = None,
-            plan_factory=CompactionPlan) -> BenchPoint:
+            horizon_ms: Optional[float] = None) -> BenchPoint:
     """One closed-loop run of ``arm`` on a freshly built database: MPL
-    threads racing one reorganization of partition 1, or — without an
+    threads racing one reorganization of partition 1 (the window closing
+    at ``horizon_ms`` if given, else when it completes), or — without an
     algorithm — running alone for ``horizon_ms``."""
-    system = (system or SystemConfig()).copy(**arm.system)
-    db, layout = Database.with_workload(workload, system=system)
-    tier = MvccTier.attach(db.engine, MvccConfig()) if arm.snapshot else None
-    driver = arm.driver(db.engine, layout, workload)
+    db, layout = Database.with_workload(
+        workload, system=SystemConfig(**arm.system))
+    engine = db.engine
+    tier = MvccTier.attach(engine, MvccConfig()) if arm.snapshot else None
+    driver = arm.driver(engine, layout, workload)
+    overrides = {"partition_objects": workload.objects_per_partition,
+                 "ert_size": len(engine.ert_for(1))}
     if arm.algorithm is None:
         metrics = driver.run(horizon_ms=horizon_ms)
         metrics.algorithm = arm.name
     else:
-        reorganizer = db.reorganizer(1, arm.algorithm, plan=plan_factory(),
-                                     reorg_config=reorg_config)
+        reorganizer = db.reorganizer(
+            1, arm.algorithm, plan=CompactionPlan(),
+            reorg_config=ReorgConfig(**arm.reorg) if arm.reorg else None)
         metrics = driver.run(reorganizer=reorganizer, horizon_ms=horizon_ms)
-    return _verified(db, BenchPoint(arm.name, metrics), tier)
-
-
-def _twin_horizon(twin_window_ms: Optional[float],
-                  scale: BenchScale) -> Optional[float]:
-    if twin_window_ms is None:
-        return None
-    return min(twin_window_ms, scale.nr_horizon_cap_ms)
+    # The bulk load forces no log write: every flush is this run's own.
+    overrides["log_flushes"] = engine.log.flush_count
+    return _verified(db, BenchPoint(arm.name, metrics, overrides), tier)
 
 
 def closed_loop(experiment: Experiment, arm: Arm, scale: BenchScale, x,
@@ -331,8 +350,10 @@ def closed_loop(experiment: Experiment, arm: Arm, scale: BenchScale, x,
     workload = base_workload(scale, **experiment.workload)
     if experiment.sweep is not None:
         workload = workload.copy(**{experiment.x_label: x})
-    return run_arm(arm, workload,
-                   horizon_ms=_twin_horizon(twin_window_ms, scale))
+    horizon_ms = twin_window_ms
+    if horizon_ms is not None and arm.algorithm is None:
+        horizon_ms = min(horizon_ms, scale.nr_horizon_cap_ms)
+    return run_arm(arm, workload, horizon_ms)
 
 
 #: The paper's three-way comparison (Table 2, Figures 6-11).
@@ -340,27 +361,55 @@ PAPER_ARMS = (Arm("nr", twin_of="ira"), Arm("ira", "ira"),
               Arm("pqr", "pqr"))
 
 
-def run_point(algorithm: str, workload: WorkloadConfig,
-              system: Optional[SystemConfig] = None,
-              reorg_config: Optional[ReorgConfig] = None,
-              horizon_ms: Optional[float] = None,
-              plan_factory=CompactionPlan) -> BenchPoint:
-    """One closed-loop run of ``algorithm`` (``"nr"`` = none) — the
-    ablation benchmarks' entry to :func:`run_arm`."""
-    arm = Arm(algorithm, None if algorithm == "nr" else algorithm)
-    return run_arm(arm, workload, system, reorg_config, horizon_ms,
-                   plan_factory)
+# -- protocol 2: one reorganization, no concurrent load ----------------------
 
 
-def run_three_way(workload: WorkloadConfig,
-                  scale: Optional[BenchScale] = None) -> ArmPoints:
-    """NR / IRA / PQR at one parameter point (the paper's comparison)."""
-    scale = scale or bench_scale()
-    return run_arms(PAPER_ARMS, lambda arm, twin_window_ms: run_arm(
-        arm, workload, horizon_ms=_twin_horizon(twin_window_ms, scale)))
+@dataclass
+class ReorgMetrics:
+    """What one reorganization did when nothing ran beside it."""
+
+    objects_migrated: int
+    parent_patches: int
+    max_locks_held: int
+    external_lock_acquisitions: int
+    duration_ms: float
+
+    def summary(self) -> Dict[str, float]:
+        return dataclasses.asdict(self)
 
 
-# -- protocol 2: trace / reorganize / measure ---------------------------------
+def reorganize_alone(experiment: Experiment, arm: Arm, scale: BenchScale,
+                     batch: int, twin_window_ms) -> BenchPoint:
+    """§7's migration-order question needs no user load: collection-like
+    hub parents in partition 2 each reference ``fanout`` objects strided
+    across partition 1, which is then reorganized in migration batches of
+    ``batch`` under the arm's plan, and the reorganizer's own lock
+    traffic is the result."""
+    workload = base_workload(scale, **experiment.workload)
+    db, _ = Database.with_workload(workload,
+                                   system=SystemConfig(**arm.system))
+    targets = list(db.store.live_oids(1))
+    hubs, fanout = 12, workload.objects_per_partition // 16
+
+    def add_hub_parents(txn):
+        for hub in range(hubs):
+            members = targets[hub::hubs][:fanout]
+            txn.local_refs.update(members)
+            yield from txn.create_object(2, ObjectImage.new(
+                fanout, refs=members, payload=b"hub-%02d" % hub))
+    db.execute(add_hub_parents)
+    stats = db.run(db.reorganizer(
+        1, arm.algorithm, plan=arm.options["plan"](),
+        reorg_config=ReorgConfig(migration_batch_size=batch)).run())
+    return _verified(db, BenchPoint(arm.name, ReorgMetrics(
+        objects_migrated=stats.objects_migrated,
+        parent_patches=stats.parent_patches,
+        max_locks_held=stats.max_locks_held,
+        external_lock_acquisitions=stats.external_lock_acquisitions,
+        duration_ms=round(stats.duration_ms, 1))))
+
+
+# -- protocol 3: trace / reorganize / measure ---------------------------------
 
 
 def trace_reorganize_measure(experiment: Experiment, arm: Arm, scale, x,
@@ -401,7 +450,7 @@ def trace_reorganize_measure(experiment: Experiment, arm: Arm, scale, x,
     return _verified(db, BenchPoint(arm.name, metrics, overrides))
 
 
-# -- protocol 3: the open-loop serve sweep ------------------------------------
+# -- protocol 4: the open-loop serve sweep ------------------------------------
 
 
 def serve_sweep(experiment: Experiment, arm: Arm, scale, servers: int,
@@ -440,7 +489,7 @@ def serve_sweep(experiment: Experiment, arm: Arm, scale, servers: int,
     return _verified(db, BenchPoint(arm.name, metrics, overrides))
 
 
-# -- protocol 4: the dist cluster sweep ---------------------------------------
+# -- protocol 5: the dist cluster sweep ---------------------------------------
 
 
 @dataclass
@@ -485,32 +534,3 @@ def dist_sweep(experiment: Experiment, arm: Arm, scale,
         paused_ms=sum(r.paused_ms for r in reorgs)),
         counters={"net_sent": cluster.net.stats.sent,
                   "net_delivered": cluster.net.stats.delivered})
-
-
-# -- output -----------------------------------------------------------------------
-
-
-def format_series(title: str, x_label: str, xs: Sequence,
-                  series: Dict[str, Sequence[float]],
-                  y_format: str = "{:9.2f}") -> str:
-    """A paper-figure data table: one row per x, one column per series."""
-    lines = [title, "-" * len(title)]
-    header = f"{x_label:>12} " + " ".join(f"{name:>9}" for name in series)
-    lines.append(header)
-    for i, x in enumerate(xs):
-        row = f"{x!s:>12} " + " ".join(
-            y_format.format(values[i]) for values in series.values())
-        lines.append(row)
-    return "\n".join(lines)
-
-
-def save_results(name: str, text: str) -> str:
-    """Persist a bench's rendered output under benchmarks/results/."""
-    results_dir = os.path.join(os.path.dirname(os.path.dirname(
-        os.path.dirname(os.path.dirname(os.path.abspath(__file__))))),
-        "benchmarks", "results")
-    os.makedirs(results_dir, exist_ok=True)
-    path = os.path.join(results_dir, f"{name}.txt")
-    with open(path, "w") as handle:
-        handle.write(text + "\n")
-    return path

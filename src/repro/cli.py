@@ -9,12 +9,13 @@ Commands
     with the chosen algorithm, and report interference + integrity.
 
 ``bench``
-    Run one paper experiment (table2, mpl, partition-size, update-prob)
-    or one of the extension experiments — clustering (NR vs random
-    placement vs affinity-clustered IRA in the disk-resident setting),
-    dist, mvcc, scale, or locks (flat vs hierarchical lock manager
-    under a scan-heavy mix, see CONCURRENCY.md) — and print its data
-    table.
+    Run one experiment of the registry (``repro.bench.EXPERIMENTS``:
+    the paper's Table 2, Figures 6-11, §5.3.4 and ablations, and the
+    extension experiments — ``repro bench --help`` lists them, generated
+    from the registry) and print its data table and verdict.  Exits 1
+    when the verdict does not hold, or, with ``--compare BENCH.json``,
+    when the run differs from the committed figure in any simulated
+    metric, kernel counter or the verdict.
 
 ``inspect``
     Build the workload and print the database's physical layout
@@ -142,30 +143,12 @@ def cmd_demo(args) -> int:
     return 0 if report.ok else 1
 
 
-def _profile_summary(profiler, top_n: int) -> List[dict]:
-    """Top ``top_n`` functions by cumulative time, JSON-serialisable."""
-    import pstats
-    stats = pstats.Stats(profiler)
-    rows = []
-    for func, (cc, nc, tt, ct, _callers) in stats.stats.items():
-        filename, lineno, name = func
-        rows.append({
-            "function": f"{filename.rsplit('/', 1)[-1]}:{lineno}({name})",
-            "ncalls": nc,
-            "tottime_s": round(tt, 4),
-            "cumtime_s": round(ct, 4),
-        })
-    rows.sort(key=lambda row: row["cumtime_s"], reverse=True)
-    return rows[:top_n]
-
-
 def cmd_bench(args) -> int:
     figure_key = f"{args.experiment}/{args.scale}"
     recorded = None
     if args.json:
         # Only a missing file starts a new baseline: an unreadable or
-        # wrong-schema one may hold ``pre_pr``/``profiles`` blocks that
-        # overwriting would destroy.
+        # wrong-schema one holds something overwriting would destroy.
         try:
             recorded = load_baseline(args.json)
         except FileNotFoundError:
@@ -174,49 +157,29 @@ def cmd_bench(args) -> int:
             print(f"refusing to overwrite {args.json}: {exc}",
                   file=sys.stderr)
             return 1
+    # Loaded before the run: a stale or unreadable file fails at once.
+    committed = load_baseline(args.compare) if args.compare else None
 
-    profiler = None
-    if args.profile:
-        import cProfile
-        profiler = cProfile.Profile()
-        profiler.enable()
     text, payload = run(
         args.experiment, args.scale,
         progress=lambda line: print(f"  {line}", file=sys.stderr))
-    if profiler is not None:
-        profiler.disable()
-
     print(text)
-    print(f"\n[{figure_key}] wall-clock {payload['wall_clock_s']:.2f}s",
-          file=sys.stderr)
-
-    if profiler is not None:
-        import pstats
-        print(f"\ncProfile hotspots (top {args.profile} by total time):")
-        stats = pstats.Stats(profiler, stream=sys.stdout)
-        stats.sort_stats("tottime").print_stats(args.profile)
-        # Mirror the top N by *cumulative* time into the JSON payload so
-        # a committed baseline carries its own profile summary.
-        payload["profile"] = _profile_summary(profiler, args.profile)
 
     if recorded is not None:
         recorded["figures"][figure_key] = payload
         save_baseline(args.json, recorded)
         print(f"wrote {figure_key} to {args.json}", file=sys.stderr)
 
-    if args.compare:
-        baseline = load_baseline(args.compare)
-        problems = compare_figure(figure_key, payload, baseline,
-                                  max_regress_pct=args.max_regress)
-        if problems:
-            for problem in problems:
-                print(f"BENCH REGRESSION: {problem}", file=sys.stderr)
-            return 1
-        base_wall = baseline["figures"][figure_key]["wall_clock_s"]
-        print(f"bench-smoke OK: {payload['wall_clock_s']:.2f}s vs baseline "
-              f"{base_wall:.2f}s (+{args.max_regress:.0f}% allowed), "
-              f"simulated metrics and counters identical", file=sys.stderr)
-    return 0
+    if committed is not None:
+        # The committed figure is the expectation, verdict included.
+        problems = compare_figure(figure_key, payload, committed)
+        for problem in problems:
+            print(f"BENCH DRIFT: {problem}", file=sys.stderr)
+        if not problems:
+            print(f"{figure_key}: simulated metrics, counters and verdict "
+                  f"identical to {args.compare}", file=sys.stderr)
+        return 1 if problems else 0
+    return 0 if payload["holds"] else 1
 
 
 def cmd_inspect(args) -> int:
@@ -504,25 +467,22 @@ def build_parser() -> argparse.ArgumentParser:
     _add_scale_arguments(demo)
     demo.set_defaults(fn=cmd_demo)
 
-    bench = sub.add_parser("bench", help="run one paper experiment")
-    bench.add_argument("experiment", choices=list(EXPERIMENTS))
-    bench.add_argument("--profile", type=int, nargs="?", const=25,
-                       default=0, metavar="N",
-                       help="run under cProfile and print the top N "
-                            "hotspots by total time (default N=25)")
+    bench = sub.add_parser(
+        "bench", help="run one registered experiment",
+        formatter_class=argparse.RawDescriptionHelpFormatter,
+        epilog="experiments:\n" + "\n".join(
+            f"  {name:<16} {experiment.title}"
+            for name, experiment in EXPERIMENTS.items()))
+    bench.add_argument("experiment", choices=list(EXPERIMENTS),
+                       metavar="experiment")
     bench.add_argument("--json", metavar="FILE",
-                       help="record wall-clock, simulated metrics and "
-                            "kernel counters into a BENCH_*.json baseline "
-                            "(merged into FILE if it exists)")
+                       help="record the run's figure (simulated metrics, "
+                            "kernel counters, verdict) into FILE, merged "
+                            "with the figures it already holds")
     bench.add_argument("--compare", metavar="FILE",
-                       help="compare against a committed BENCH_*.json; "
-                            "exit 1 on wall-clock regression beyond "
-                            "--max-regress or any simulated-metric drift")
-    bench.add_argument("--max-regress", "--tolerance", type=float,
-                       default=50.0, dest="max_regress", metavar="PCT",
-                       help="allowed wall-clock regression vs the "
-                            "--compare baseline, percent (default 50); "
-                            "--tolerance is an alias")
+                       help="compare against the committed BENCH.json; "
+                            "exit 1 on any drift in simulated metrics, "
+                            "kernel counters or the verdict")
     bench.add_argument("--scale", default="quick",
                        choices=sorted(SCALES))
     bench.set_defaults(fn=cmd_bench)

@@ -466,7 +466,7 @@ class Simulator:
         self._proc_counter = 0
         self._policy: Optional[SchedulerPolicy] = None
         # Kernel counters, surfaced by ``counters()`` for the benchmark
-        # baselines (BENCH_*.json).
+        # figures (BENCH.json).
         self._events_dispatched = 0
         self._timers_cancelled = 0
         self._heap_peak = 0

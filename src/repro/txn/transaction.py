@@ -345,9 +345,23 @@ class Transaction:
             self._check_ref_source(child)
         yield from self._cpu(self.engine.config.cpu_update_extra_ms
                              if cpu_ms is None else cpu_ms)
-        oid = self.engine.store.allocate_object(partition_id, image,
-                                                fresh_only=fresh_only)
-        yield from self.lock(oid, LockMode.X)
+        store, locks = self.engine.store, self.engine.locks
+        while True:
+            oid = store.allocate_object(partition_id, image,
+                                        fresh_only=fresh_only)
+            if locks.try_acquire(self.tid, oid, LockMode.X):
+                break
+            # The slot was freed by a deleter that is still active: it
+            # holds X until it ends, and its rollback puts the old bytes
+            # back.  Nothing is logged yet, so take ours out before
+            # waiting — a timeout or an abort must find nothing to undo.
+            store.free_object(oid)
+            yield from locks.acquire_wait(self.tid, oid, LockMode.X)
+            # The deleter ended; allocate afresh.  If its delete stuck the
+            # allocator offers the slot again and the lock is re-entrant;
+            # if it rolled back, the lock guards its object, not ours.
+            if store.exists(oid):
+                locks.release(self.tid, oid)
         yield from self.engine.fix_page(oid, dirty=True)
         self._note("w", oid)
         self._log(ObjCreateRecord(self.tid, self.last_lsn, oid=oid,

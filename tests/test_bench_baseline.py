@@ -1,27 +1,27 @@
-"""Tests for the BENCH_<n>.json baseline layer and result determinism."""
+"""Tests for the BENCH.json baseline layer and result determinism."""
 
 import copy
+import json
 
 import pytest
 
 from repro.bench import (
-    SCALES,
-    base_workload,
+    EXPERIMENTS,
     compare_figure,
-    figure_payload,
+    figure,
     load_baseline,
     new_baseline,
-    run_three_way,
+    run_experiment,
     save_baseline,
 )
 from repro.bench.baseline import SCHEMA
 
 
-def _figure(wall=1.0, avg=100.0):
+def _figure(avg=100.0, holds=True):
     return {
-        "wall_clock_s": wall,
         "metrics": {"nr": {"avg_response_ms": avg, "completed": 50}},
         "counters": {"nr": {"events_dispatched": 1000}},
+        "holds": holds,
     }
 
 
@@ -35,38 +35,33 @@ class TestCompareFigure:
     def test_identical_run_passes(self):
         fig = _figure()
         baseline = _baseline(**{"table2/quick": copy.deepcopy(fig)})
-        assert compare_figure("table2/quick", fig, baseline, 10.0) == []
-
-    def test_wall_clock_within_tolerance_passes(self):
-        baseline = _baseline(**{"table2/quick": _figure(wall=1.0)})
-        current = _figure(wall=1.4)
-        assert compare_figure("table2/quick", current, baseline, 50.0) == []
-
-    def test_wall_clock_regression_fails(self):
-        baseline = _baseline(**{"table2/quick": _figure(wall=1.0)})
-        current = _figure(wall=1.6)
-        problems = compare_figure("table2/quick", current, baseline, 50.0)
-        assert len(problems) == 1
-        assert "wall-clock regression" in problems[0]
+        assert compare_figure("table2/quick", fig, baseline) == []
 
     def test_metrics_drift_fails_regardless_of_wall_clock(self):
+        """Host cost is neither recorded nor compared: the smallest
+        simulated difference is drift, and nothing can excuse it."""
         baseline = _baseline(**{"table2/quick": _figure(avg=100.0)})
-        current = _figure(avg=100.001)  # faster wall, drifted result
-        current["wall_clock_s"] = 0.1
-        problems = compare_figure("table2/quick", current, baseline, 50.0)
+        current = _figure(avg=100.001)
+        problems = compare_figure("table2/quick", current, baseline)
         assert len(problems) == 1
         assert "drifted" in problems[0]
         assert "'nr'" in problems[0]
 
-    def test_metrics_drift_ignorable_when_disabled(self):
-        baseline = _baseline(**{"table2/quick": _figure(avg=100.0)})
-        current = _figure(avg=999.0)
-        assert compare_figure("table2/quick", current, baseline, 50.0,
-                              check_metrics=False) == []
+    @pytest.mark.parametrize("committed", [True, False])
+    def test_verdict_drift_fails_in_either_direction(self, committed):
+        """A committed ``holds: false`` is an expectation like any other:
+        the run must reproduce it, not merely do no worse."""
+        baseline = _baseline(**{"table2/quick": _figure(holds=committed)})
+        assert compare_figure("table2/quick", _figure(holds=committed),
+                              baseline) == []
+        problems = compare_figure("table2/quick",
+                                  _figure(holds=not committed), baseline)
+        assert len(problems) == 1
+        assert "verdict drifted" in problems[0]
 
     def test_missing_figure_reported(self):
         baseline = _baseline(**{"table2/quick": _figure()})
-        problems = compare_figure("mpl/standard", _figure(), baseline, 50.0)
+        problems = compare_figure("mpl/standard", _figure(), baseline)
         assert len(problems) == 1
         assert "no figure 'mpl/standard'" in problems[0]
 
@@ -76,7 +71,7 @@ class TestCompareFigure:
         fig = _figure()
         baseline = _baseline(**{"table2/quick": copy.deepcopy(fig)})
         fig["counters"]["nr"]["events_dispatched"] += 5
-        problems = compare_figure("table2/quick", fig, baseline, 50.0)
+        problems = compare_figure("table2/quick", fig, baseline)
         assert len(problems) == 1
         assert "counters drifted" in problems[0]
         assert "'nr'" in problems[0]
@@ -84,7 +79,7 @@ class TestCompareFigure:
 
 class TestBaselineIO:
     def test_round_trip(self, tmp_path):
-        path = str(tmp_path / "BENCH_test.json")
+        path = str(tmp_path / "BENCH.json")
         data = _baseline(**{"table2/quick": _figure()})
         save_baseline(path, data)
         assert load_baseline(path) == data
@@ -97,18 +92,29 @@ class TestBaselineIO:
             load_baseline(path)
 
     def test_new_baseline_has_current_schema(self):
-        assert new_baseline()["schema"] == SCHEMA
+        assert new_baseline()["schema"] == SCHEMA == "repro-bench/2"
+
+    def test_stale_schema_fails_compare_loudly(self, tmp_path):
+        """A schema-1 file (wall-clock blocks, no verdict) handed to
+        ``--compare`` must not compare against nothing."""
+        from repro.cli import main
+        path = tmp_path / "stale.json"
+        path.write_text(json.dumps({"schema": "repro-bench/1",
+                                    "figures": {}}))
+        with pytest.raises(ValueError, match="unknown baseline schema"):
+            main(["bench", "dist", "--scale", "quick",
+                  "--compare", str(path)])
 
     @pytest.mark.parametrize("content", [
-        '{"schema": "repro-bench/999", "figures": {}, "pre_pr": {"x": 1}}',
-        '{"schema": "repro-bench/1", "figures": {"table2/st',
+        '{"schema": "repro-bench/999", "figures": {}, "notes": {"x": 1}}',
+        '{"schema": "repro-bench/2", "figures": {"table2/st',
     ], ids=["wrong-schema", "truncated"])
     def test_bench_json_never_overwrites_an_unreadable_baseline(
             self, tmp_path, capsys, content):
         """``repro bench --json`` starts a new baseline only when the
         file is missing; anything else keeps its bytes and exits 1."""
         from repro.cli import main
-        path = tmp_path / "BENCH_old.json"
+        path = tmp_path / "BENCH.json"
         path.write_text(content)
         code = main(["bench", "dist", "--scale", "quick",
                      "--json", str(path)])
@@ -127,11 +133,10 @@ class TestSeedPinnedDeterminism:
         change rather than noise, and what the kernel/storage fast paths
         are required to preserve.
         """
-        scale = SCALES["quick"]
+        table2 = EXPERIMENTS["table2"]
 
         def run():
-            points = run_three_way(base_workload(scale, mpl=30), scale=scale)
-            return figure_payload(points, wall_clock_s=0.0)
+            return figure(table2, run_experiment(table2, "quick"))
 
         first, second = run(), run()
         assert first["metrics"] == second["metrics"]

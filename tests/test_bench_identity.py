@@ -1,4 +1,4 @@
-"""Pinned-seed byte-identity: the determinism contract behind BENCH_*.json.
+"""Pinned-seed byte-identity: the determinism contract behind BENCH.json.
 
 Every perf PR (ROADMAP item 3) must leave seeded runs byte-identical —
 same simulated clock, same kernel counters, same WAL bytes, same page

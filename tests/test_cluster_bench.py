@@ -48,14 +48,14 @@ def test_arm_is_deterministic():
 
 
 def test_memory_resident_summaries_have_no_buffer_key():
-    """The pre-existing BENCH baselines (table2 etc. run memory-resident)
-    must not grow a buffer section."""
-    from repro.bench import run_point
+    """The memory-resident figures (table2 etc.) must not grow a buffer
+    section."""
+    from repro.bench import Arm, run_arm
     from repro.config import WorkloadConfig
-    point = run_point("nr", WorkloadConfig(num_partitions=2,
-                                           objects_per_partition=170,
-                                           mpl=2, seed=7),
-                      horizon_ms=2_000.0)
+    point = run_arm(Arm("nr"), WorkloadConfig(num_partitions=2,
+                                              objects_per_partition=170,
+                                              mpl=2, seed=7),
+                    horizon_ms=2_000.0)
     assert point.metrics.buffer is None
     assert "buffer" not in point.metrics.summary()
 

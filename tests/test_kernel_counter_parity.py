@@ -4,7 +4,7 @@
 horizon check (``until``) and the installed policy's ready-set gather.
 With or without either it must dispatch the same schedule AND do the
 same bookkeeping: ``events_dispatched``, ``timers_cancelled`` and
-``heap_peak`` feed the committed BENCH_*.json baselines, so a mode that
+``heap_peak`` feed the committed BENCH.json figures, so a mode that
 dispatched identically but *counted* differently would corrupt the
 perf-regression gate silently.  The contract: no policy ≡ FIFO policy ≡
 far horizon.

@@ -1,15 +1,14 @@
 """``repro bench scale``: structure and baseline wiring.
 
 The heavy acceptance run (quick sweep, governed-vs-ungoverned verdict,
-exact match with the committed ``BENCH_6.json``) lives in
+exact match with the committed ``BENCH.json``) lives in
 ``test_bench_figures.py``; here a tiny injected scale keeps the serve
 protocol itself honest, and the committed baseline is checked for shape.
 """
 
 import dataclasses
-import json
 
-from repro.bench import EXPERIMENTS, render, run_experiment
+from repro.bench import EXPERIMENTS, load_baseline, render, run_experiment
 from repro.bench.experiments import interference_pct
 
 SCALE = EXPERIMENTS["scale"]
@@ -59,10 +58,8 @@ def test_scale_point_is_deterministic():
 
 
 def test_committed_baseline_has_the_quick_figure():
-    with open("BENCH_6.json") as handle:
-        baseline = json.load(handle)
-    assert baseline["schema"] == "repro-bench/1"
-    figure = baseline["figures"]["scale/quick"]
+    figure = load_baseline("BENCH.json")["figures"]["scale/quick"]
+    assert figure["holds"] is True
     points = SCALE.points("quick")
     assert set(figure["metrics"]) == {str(p) for p in points}
     for servers in points:

@@ -309,3 +309,108 @@ def test_update_ref_records_old_child_in_local_memory(engine):
         assert child in txn.local_refs
         yield from txn.commit()
     run(engine, cutter())
+
+
+# -- create into a slot whose deleter is still active ---------------------------
+#
+# The allocator reuses a freed slot at once, but its deleter holds X on
+# the address until it ends and its rollback puts the old bytes back.
+# A creator must never wait for that lock with its own, still unlogged,
+# bytes sitting in the slot.
+
+def _committed_a(engine):
+    def setup(txn):
+        oid = yield from txn.create_object(1, make_object(payload=b"a-bytes"))
+        return oid
+    return committed(engine, setup)
+
+
+def _deleter_and_creator(engine, deleter_ends, after_ms):
+    """t1 deletes ``a`` and ends (``deleter_ends(txn)``) ``after_ms``
+    later; t2 creates into the same partition at 100 ms, once the delete
+    has happened.  Returns ``a`` and what t2 saw: ``(created, whether it
+    holds a lock on a)`` before committing, or — if it timed out waiting
+    — ``("timeout", whether anything sits at a)`` before aborting."""
+    a = _committed_a(engine)
+    seen = []
+
+    def deleter():
+        txn = engine.txns.begin()
+        yield from txn.read(a)
+        yield from txn.delete_object(a)
+        yield Delay(after_ms)
+        yield from deleter_ends(txn)
+
+    def creator():
+        yield Delay(100)
+        txn = engine.txns.begin()
+        try:
+            created = yield from txn.create_object(
+                1, make_object(payload=b"b-bytes"))
+        except LockTimeoutError:
+            seen.append(("timeout", engine.store.exists(a)))
+            yield from txn.abort()
+        else:
+            seen.append((created, engine.locks.holds(txn.tid, a)))
+            yield from txn.commit()
+
+    engine.sim.spawn(deleter())
+    engine.sim.spawn(creator())
+    engine.sim.run()
+    return a, seen
+
+
+def _aborts(txn):
+    yield from txn.abort()
+
+
+def _commits(txn):
+    yield from txn.commit()
+
+
+def test_create_blocked_on_active_deleter_leaves_no_bytes_behind(engine):
+    """The creator times out waiting and aborts; the deleter then aborts
+    too.  At the parent of the fix the deleter's rollback raised
+    ``StorageError: slot 0 already occupied``."""
+    a, seen = _deleter_and_creator(engine, _aborts, after_ms=5000)
+    # Nothing placed, nothing logged: the slot is the deleter's.
+    assert seen == [("timeout", False)]
+    assert engine.store.get_payload(a) == b"a-bytes"
+    assert list(engine.store.live_oids(1)) == [a]
+    assert engine.verify_integrity().ok
+
+
+def test_create_queued_behind_deleter_that_aborts_lands_elsewhere(engine):
+    """The deleter rolls back *while* the creator is still queued."""
+    a, ((created, holds_a),) = _deleter_and_creator(engine, _aborts,
+                                                     after_ms=300)
+    assert created != a
+    # The lock it queued for guards the deleter's restored object, not
+    # anything the creator touched: it is given back, not kept to commit.
+    assert not holds_a
+    assert engine.store.get_payload(a) == b"a-bytes"
+    assert engine.store.get_payload(created) == b"b-bytes"
+    assert engine.verify_integrity().ok
+
+
+def test_create_queued_behind_deleter_that_commits_reuses_the_slot(engine):
+    a, ((created, holds_a),) = _deleter_and_creator(engine, _commits,
+                                                     after_ms=300)
+    assert created == a and holds_a
+    assert engine.store.get_payload(a) == b"b-bytes"
+    assert engine.verify_integrity().ok
+
+
+def test_create_reuses_own_freed_slot_without_waiting(engine):
+    """An IRA batch reuses its own just-deleted source slot."""
+    a = _committed_a(engine)
+
+    def body(txn):
+        yield from txn.read(a)
+        yield from txn.delete_object(a)
+        again = yield from txn.create_object(
+            1, make_object(payload=b"b-bytes"))
+        return again
+    assert committed(engine, body) == a
+    assert engine.locks.stats.waits == 0
+    assert engine.store.get_payload(a) == b"b-bytes"

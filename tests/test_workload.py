@@ -46,6 +46,32 @@ class TestGraphGenerator:
         assert image.get_ref(glue_slot(cfg)) is not None
         assert image.ref_capacity == node_ref_capacity(cfg)
 
+    def test_clusters_are_complete_trees_under_persistent_roots(
+            self, db_layout):
+        """§5.2: 85-object clusters, each a complete 4-ary tree of depth
+        3 whose root is a persistent root (a stub in the root partition
+        is its one external parent at load)."""
+        db, layout = db_layout
+        cfg = layout.config
+        assert (cfg.branching, cfg.cluster_size, cfg.tree_depth) == (4, 85, 3)
+        members = set()
+        for pid in layout.data_partitions:
+            for stub, root in zip(layout.root_stubs[pid],
+                                  layout.cluster_roots[pid]):
+                assert stub.partition == ROOT_PARTITION
+                assert db.read_object(stub).children() == [root]
+                level, sizes = [root], []
+                for _ in range(cfg.tree_depth + 1):
+                    sizes.append(len(level))
+                    members.update(level)
+                    images = [db.read_object(node) for node in level]
+                    level = [image.get_ref(slot) for image in images
+                             for slot in range(cfg.branching)
+                             if image.get_ref(slot) is not None]
+                assert sizes == [1, 4, 16, 64]
+        # The clusters partition the data: no node shared, none left over.
+        assert len(members) == 3 * 170
+
     def test_every_node_has_glue_edge(self, db_layout):
         db, layout = db_layout
         cfg = layout.config
