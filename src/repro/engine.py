@@ -297,6 +297,17 @@ class StorageEngine:
         self.sim.kill_all()
         return image
 
+    def discard(self) -> None:
+        """Give up the store and the reference tables — the engine is done.
+
+        An engine is cyclic garbage (its transaction manager and analyzer
+        point back at it) and benches run with the collector off, so one
+        that is merely dropped keeps every page alive; its pages and ERT
+        buckets are in no cycle and go the moment nothing names them.
+        """
+        self.store = None
+        self._erts.clear()
+
     @classmethod
     def recover(cls, image: CrashImage,
                 sim: Optional[Simulator] = None) -> "StorageEngine":

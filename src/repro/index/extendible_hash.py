@@ -163,10 +163,14 @@ class ExtendibleHashIndex:
         for key, values in bucket.entries.items():
             target = high if _key_hash(key) & distinguishing_bit else low
             target.entries[key] = values
-        for index, entry in enumerate(self._directory):
-            if entry is bucket:
-                self._directory[index] = \
-                    high if index & distinguishing_bit else low
+        # The slots naming a bucket of local depth d are exactly those
+        # whose low d bits are its keys' — a stride of 2**d through the
+        # directory (a bucket only splits when full, so it has a key).
+        directory = self._directory
+        first = _key_hash(next(iter(bucket.entries))) \
+            & (distinguishing_bit - 1)
+        for index in range(first, len(directory), distinguishing_bit):
+            directory[index] = high if index & distinguishing_bit else low
 
     def _double_directory(self) -> None:
         self._directory = self._directory + list(self._directory)

@@ -123,6 +123,9 @@ class MvccTier:
         #: targets are physical artifacts, never new logical identities).
         self.logical_ids: Set[Oid] = set()
         self._chains: Dict[Oid, List[VersionEntry]] = {}
+        #: The chains longer than one entry, in the order they grew —
+        #: all epoch GC has to look at.
+        self._grown: Dict[Oid, List[VersionEntry]] = {}
         #: Explicit relocations only; identity for never-merged objects.
         self._lineage: Dict[Oid, Oid] = {}
         self.last_commit_ts = 0
@@ -136,10 +139,11 @@ class MvccTier:
         #: timestamp and write set, in commit order, never pruned.
         self.commit_log: List[Tuple[int, Tuple[Oid, ...]]] = []
         self.history: List[TxnHistory] = []
-        #: GC audit trail: ``(loid, pruned_ts, successor_ts, watermark)``
-        #: per pruned version — the property tests assert
-        #: ``successor_ts <= watermark`` for every entry (nothing a live
-        #: snapshot could still see is ever reclaimed).
+        #: GC audit trail, kept under ``cfg.record_history`` like the
+        #: commit log: ``(loid, pruned_ts, successor_ts, watermark)`` per
+        #: pruned version — the property tests assert ``successor_ts <=
+        #: watermark`` for every entry (nothing a live snapshot could
+        #: still see is ever reclaimed).
         self.gc_log: List[Tuple[Oid, int, int, int]] = []
 
     # -- construction -----------------------------------------------------------
@@ -182,6 +186,7 @@ class MvccTier:
                         loid, [VersionEntry(0, None, loid)])
                     chain.append(VersionEntry(record.commit_ts,
                                               ObjectImage.decode(image)))
+                    tier._grown[loid] = chain
                     tier.logical_ids.add(loid)
                 tier.last_commit_ts = max(tier.last_commit_ts,
                                           record.commit_ts)
@@ -325,8 +330,9 @@ class MvccTier:
             # Publish only after the flush: a crash during the log write
             # must leave no reader having seen the version.
             for loid, image in writes.items():
-                self._chains[loid].append(
-                    VersionEntry(commit_ts, image.copy()))
+                chain = self._chains[loid]
+                chain.append(VersionEntry(commit_ts, image.copy()))
+                self._grown[loid] = chain
             self.last_commit_ts = commit_ts
         finally:
             latches.unlatch(_COMMIT_LATCH)
@@ -376,19 +382,24 @@ class MvccTier:
         """Prune chain versions no active (or future) snapshot can see."""
         self._commits_since_gc = 0
         watermark = self.watermark()
-        for loid, chain in self._chains.items():
-            if len(chain) == 1:
-                continue
+        record = self.cfg.record_history
+        shrunk = []
+        for loid, chain in self._grown.items():
+            if chain[1].ts > watermark:
+                continue    # nothing below the entry the watermark keeps
             keep = bisect_right(chain, watermark,
                                 key=lambda entry: entry.ts) - 1
-            if keep <= 0:
-                continue
-            successor = chain[keep].ts
-            for entry in chain[:keep]:
-                self.gc_log.append(
-                    (loid, entry.ts, successor, watermark))
+            if record:
+                successor = chain[keep].ts
+                for entry in chain[:keep]:
+                    self.gc_log.append(
+                        (loid, entry.ts, successor, watermark))
             self.stats.versions_pruned += keep
             del chain[:keep]
+            if len(chain) == 1:
+                shrunk.append(loid)
+        for loid in shrunk:
+            del self._grown[loid]
 
     def sweep_frees(self) -> Generator[Any, Any, int]:
         """Free superseded base objects below the watermark.

@@ -62,5 +62,33 @@ class SnapshotStore:
             del self._snapshots[sid]
         return len(doomed)
 
+    def copy(self) -> "SnapshotStore":
+        """A by-value copy: same ids, private payloads."""
+        clone = SnapshotStore()
+        clone._snapshots = {sid: _copy_payload(payload)
+                            for sid, payload in self._snapshots.items()}
+        clone._next_id = self._next_id
+        return clone
+
     def __len__(self) -> int:
         return len(self._snapshots)
+
+
+def _copy_payload(payload: Dict[str, Any]) -> Dict[str, Any]:
+    """A checkpoint payload copied down to its per-page state dicts.
+
+    That is as deep as anything writes: a torn checkpoint write and a
+    durable bit flip (``repro.faults``) assign ``state["buf"]`` inside a
+    stored snapshot, and restore copies whatever it takes from a page
+    state.  The page ``bytes`` and slot entries are immutable and shared.
+    """
+    store = payload["store"]
+    return {
+        **payload,
+        "store": {**store, "partitions": {
+            pid: {**part, "pages": {no: dict(state) for no, state
+                                    in part["pages"].items()}}
+            for pid, part in store["partitions"].items()}},
+        "erts": {pid: list(entries)
+                 for pid, entries in payload["erts"].items()},
+    }

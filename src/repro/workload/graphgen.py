@@ -61,6 +61,15 @@ class GraphLayout:
     def data_partitions(self) -> List[int]:
         return sorted(self.cluster_roots)
 
+    def copy(self) -> "GraphLayout":
+        """A by-value copy: ``remap`` on one does not reach the other."""
+        return GraphLayout(
+            config=self.config,
+            root_stubs={pid: list(oids)
+                        for pid, oids in self.root_stubs.items()},
+            cluster_roots={pid: list(oids)
+                           for pid, oids in self.cluster_roots.items()})
+
     def remap(self, mapping: Dict[Oid, Oid]) -> None:
         """Apply a reorganization's old→new mapping to the layout."""
         for stubs in self.root_stubs.values():

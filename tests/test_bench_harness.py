@@ -40,7 +40,7 @@ def test_base_workload_uses_scale():
     assert workload.mpl == 7
 
 
-def test_run_point_nr_and_reorg():
+def test_run_arm_nr_and_reorg():
     workload = base_workload(TINY, mpl=2)
     nr = run_arm(Arm("nr"), workload, horizon_ms=1000.0)
     assert nr.algorithm == "nr"
@@ -60,7 +60,7 @@ def test_arm_reorg_override_reaches_the_reorganizer():
     assert batched.overrides["log_flushes"] < single.overrides["log_flushes"]
 
 
-def test_run_three_way_produces_all_algorithms():
+def test_run_experiment_produces_the_paper_arms():
     arms = run_experiment(TABLE2_TINY, "tiny")[None]
     assert list(arms) == [arm.name for arm in PAPER_ARMS] \
         == ["nr", "ira", "pqr"]
@@ -71,7 +71,7 @@ def test_run_three_way_produces_all_algorithms():
         pytest.approx(arms["ira"].metrics.window_ms)
 
 
-def test_format_table2_includes_paper_reference():
+def test_render_table2_includes_paper_reference():
     text = render(TABLE2_TINY, run_experiment(TABLE2_TINY, "tiny"))
     assert "NR" in text and "IRA" in text and "PQR" in text
     assert "paper" in text

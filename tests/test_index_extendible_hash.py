@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.index import ExtendibleHashIndex
+from repro.index.extendible_hash import _Bucket, _key_hash
 
 
 def test_insert_and_get():
@@ -137,3 +138,65 @@ def test_any_bucket_capacity_holds_any_keys(capacity, keys):
     assert sorted(idx.keys()) == sorted(keys)
     for key in keys:
         assert idx.get(key) == {key * 2}
+
+
+class ScanningSplit(ExtendibleHashIndex):
+    """The reference: rewire a split bucket's slots by scanning the whole
+    directory, as ``_split`` did before it strode through it."""
+
+    def _split(self, bucket):
+        if bucket.local_depth == self._global_depth:
+            self._double_directory()
+        new_depth = bucket.local_depth + 1
+        low, high = _Bucket(new_depth), _Bucket(new_depth)
+        distinguishing_bit = 1 << (new_depth - 1)
+        for key, values in bucket.entries.items():
+            target = high if _key_hash(key) & distinguishing_bit else low
+            target.entries[key] = values
+        for index, entry in enumerate(self._directory):
+            if entry is bucket:
+                self._directory[index] = \
+                    high if index & distinguishing_bit else low
+
+
+def directory_contents(idx):
+    """Per slot: which bucket it names (by the first slot naming it), at
+    what local depth, holding which entries in which order."""
+    first_slot = {}
+    for slot, bucket in enumerate(idx._directory):
+        first_slot.setdefault(id(bucket), slot)
+    return [(first_slot[id(bucket)], bucket.local_depth,
+             list(bucket.entries.items())) for bucket in idx._directory]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(min_value=1, max_value=8),
+       st.lists(st.tuples(st.sampled_from(["insert", "insert", "remove"]),
+                          st.integers(min_value=0, max_value=2_000),
+                          st.integers(min_value=0, max_value=2)),
+                max_size=400))
+def test_strided_split_rewires_exactly_what_a_directory_scan_would(
+        capacity, ops):
+    strided = ExtendibleHashIndex(bucket_capacity=capacity)
+    scanning = ScanningSplit(bucket_capacity=capacity)
+    for op, key, value in ops:
+        for idx in strided, scanning:
+            getattr(idx, op)(key, value)
+    assert strided.global_depth == scanning.global_depth
+    assert directory_contents(strided) == directory_contents(scanning)
+
+
+def test_strided_split_matches_the_scan_on_packed_oid_keys():
+    strided = ExtendibleHashIndex(bucket_capacity=8)
+    scanning = ScanningSplit(bucket_capacity=8)
+    for partition in (1, 2):
+        for page in range(5):
+            for slot in range(6):
+                key = (partition << 40) | (page << 16) | slot
+                strided.insert(key, slot)
+                scanning.insert(key, slot)
+    # Ten keys that differ only above bit 16 agree on the mix's low 16
+    # bits, so 60 entries make a 2**17-slot directory — where a scan per
+    # split hurt.
+    assert strided.global_depth == scanning.global_depth == 17
+    assert directory_contents(strided) == directory_contents(scanning)

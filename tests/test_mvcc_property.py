@@ -147,3 +147,33 @@ def test_first_committer_wins_on_overlapping_writes(build_mvcc_db):
     image, _ = engine.sim.run_process(
         tier.read(target, tier.last_commit_ts))
     assert image.payload[:4] == b"AAAA"
+
+
+# -- epoch GC bookkeeping ------------------------------------------------------
+
+def _grown_by_scan(tier):
+    return {loid for loid, chain in tier._chains.items() if len(chain) > 1}
+
+
+@pytest.mark.parametrize("record_history", [True, False])
+def test_gc_walks_only_grown_chains_and_logs_only_for_the_oracle(
+        build_mvcc_db, record_history):
+    from repro.config import MvccConfig
+
+    db, layout, tier = build_mvcc_db(
+        MvccConfig(record_history=record_history, gc_every_commits=4))
+    pinned = tier.begin_snapshot()
+    _concurrent_run(db, layout, tier, seed=9)
+    # Under the pinned snapshot nothing below a chain's kept entry goes.
+    assert set(tier._grown) == _grown_by_scan(tier) != set()
+    tier.end_snapshot(pinned)
+    remaining = sum(len(chain) - 1 for chain in tier._chains.values())
+    before = tier.stats.versions_pruned
+    tier.gc_pass()
+    assert tier.stats.versions_pruned - before == remaining > 0
+    assert set(tier._grown) == _grown_by_scan(tier) == set()
+    # The audit trail is oracle food, like the commit log.
+    assert len(tier.gc_log) == \
+        (tier.stats.versions_pruned if record_history else 0)
+    assert bool(tier.commit_log) == record_history
+    assert tier.verify() == []

@@ -82,6 +82,11 @@ def _recover(crash_image):
 def _assert_clean(db, tier, injector):
     assert tier.verify() == []
     assert db.verify_integrity().ok
+    # Replay grows chains; recovery's closing GC pass walks only those
+    # replay marked as grown, and with no snapshot active leaves one
+    # entry on every chain.
+    assert not tier._grown
+    assert all(len(chain) == 1 for chain in tier._chains.values())
     # Zero-silent-corruption accounting: the plan injected a crash and
     # nothing else; no page was torn, no bit flipped, no checksum lied.
     assert injector.stats.crashes_fired == 1
