@@ -42,7 +42,7 @@ from .core import (
     ReorgStats,
     TwoLockReorganizer,
 )
-from .core import WalReorgStateStore, resume_from_wal
+from .core import WalReorgStateStore
 from .cluster import (
     AffinityClusteringPlan,
     AffinityGraph,
@@ -130,6 +130,5 @@ __all__ = [
     "chaos_sweep",
     "corruption_sweep",
     "deep_verify",
-    "resume_from_wal",
     "__version__",
 ]

@@ -148,8 +148,8 @@ class Arm:
     def driver(self, engine, layout, workload: WorkloadConfig
                ) -> WorkloadDriver:
         """The closed-loop driver submitting this arm's transactions."""
-        driver = WorkloadDriver(engine, layout, ExperimentConfig(
-            workload=workload, system=engine.config))
+        driver = WorkloadDriver(engine, layout,
+                                ExperimentConfig(workload=workload))
         driver.walk_fn = self.body
         driver.retry_on = self.retry_on
         return driver

@@ -77,15 +77,24 @@ from .explore.mutations import MUTATIONS
 from .workload import WorkloadDriver
 
 
-def _add_scale_arguments(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--partitions", type=int, default=3,
-                        help="number of data partitions (default 3)")
-    parser.add_argument("--objects", type=int, default=1020,
-                        help="objects per partition, multiple of 85 "
-                             "(default 1020)")
-    parser.add_argument("--mpl", type=int, default=8,
-                        help="concurrent transaction threads (default 8)")
-    parser.add_argument("--seed", type=int, default=42)
+_SCALE_HELP = {
+    "partitions": "number of data partitions (default {})",
+    "objects": "objects per partition, multiple of 85 (default {})",
+    "mpl": "concurrent transaction threads (default {})",
+}
+
+
+def _add_scale_arguments(parser: argparse.ArgumentParser,
+                         partitions: int = 3, objects: int = 1020,
+                         mpl: int = 8, seed: int = 42,
+                         texts: dict = _SCALE_HELP) -> None:
+    """The four workload-size flags ``_workload`` reads, with this
+    command's defaults (``texts``: flag -> help, ``{}`` = the default)."""
+    for flag, default in (("partitions", partitions), ("objects", objects),
+                          ("mpl", mpl), ("seed", seed)):
+        text = texts.get(flag)
+        parser.add_argument(f"--{flag}", type=int, default=default,
+                            help=text and text.format(default))
 
 
 def _workload(args) -> WorkloadConfig:
@@ -109,8 +118,7 @@ def cmd_demo(args) -> int:
           f"{args.algorithm} on partition 1 under MPL {workload.mpl} "
           f"({args.locks} locks) ...")
     driver = WorkloadDriver(db.engine, layout,
-                            ExperimentConfig(workload=workload,
-                                             system=system or SystemConfig()))
+                            ExperimentConfig(workload=workload))
     metrics = driver.run(reorganizer=db.reorganizer(
         1, args.algorithm, plan=CompactionPlan()))
     stats = metrics.reorg_stats
@@ -310,9 +318,7 @@ def cmd_chaos(args) -> int:
                          run_chaos_point)
     if args.dist:
         return _cmd_chaos_dist(args)
-    workload = WorkloadConfig(num_partitions=args.partitions,
-                              objects_per_partition=args.objects,
-                              mpl=args.mpl, seed=args.seed)
+    workload = _workload(args)
     reorg_config = ReorgConfig(checkpoint_every=args.checkpoint_every)
     kinds = None
     if args.corruption != "none":
@@ -412,9 +418,7 @@ def cmd_explore(args) -> int:
                  if result.mutation else ""))
         return 0 if result.ok else 1
 
-    workload = WorkloadConfig(num_partitions=args.partitions,
-                              objects_per_partition=args.objects,
-                              mpl=args.mpl, seed=args.seed)
+    workload = _workload(args)
     # Each mutation targets one algorithm's (and lock manager's) seam;
     # follow it unless the user explicitly picked one.
     algorithm = args.algorithm or (
@@ -524,11 +528,9 @@ def build_parser() -> argparse.ArgumentParser:
     chaos.add_argument("--checkpoint-every", type=int, default=20,
                        help="reorg progress checkpoint interval "
                             "(migrations, default 20)")
-    chaos.add_argument("--partitions", type=int, default=2)
-    chaos.add_argument("--objects", type=int, default=340)
-    chaos.add_argument("--mpl", type=int, default=4)
-    chaos.add_argument("--seed", type=int, default=13,
-                       help="workload + fault-plan seed (default 13)")
+    _add_scale_arguments(
+        chaos, partitions=2, objects=340, mpl=4, seed=13,
+        texts={"seed": "workload + fault-plan seed (default {})"})
     chaos.add_argument("--corruption", default="none",
                        choices=["none", "all", "torn_page", "bit_flip",
                                 "torn_log_tail"],
@@ -566,13 +568,10 @@ def build_parser() -> argparse.ArgumentParser:
                          choices=["ira", "ira-2lock", "mvcc"],
                          help="default: ira, or the --mutation's target "
                               "algorithm")
-    explore.add_argument("--partitions", type=int, default=2)
-    explore.add_argument("--objects", type=int, default=85,
-                         help="objects per partition, multiple of 85 "
-                              "(default 85)")
-    explore.add_argument("--mpl", type=int, default=3)
-    explore.add_argument("--seed", type=int, default=131,
-                         help="workload seed (default 131)")
+    _add_scale_arguments(
+        explore, partitions=2, objects=85, mpl=3, seed=131,
+        texts={"objects": _SCALE_HELP["objects"],
+               "seed": "workload seed (default {})"})
     explore.add_argument("--locks", default=None,
                          choices=["flat", "hier"],
                          help="lock manager to explore under (default: "

@@ -68,14 +68,14 @@ class AffinityGraph:
         if len(edges) > self.max_edges:
             self._prune(edges, self.max_edges * 3 // 4)
 
-    def decay(self, factor: float, floor: float = 1e-3) -> None:
+    def decay(self, factor: float) -> None:
         """Multiply every counter by ``factor``, dropping dust below
-        ``floor`` — old traffic fades, the maps stay bounded."""
+        1e-3 — old traffic fades, the maps stay bounded."""
         for table in (self.heat, self.edges):
             dead = []
             for key, value in table.items():
                 value *= factor
-                if value < floor:
+                if value < 1e-3:
                     dead.append(key)
                 else:
                     table[key] = value

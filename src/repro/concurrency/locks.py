@@ -420,7 +420,13 @@ class LockManager:
         return len(entry.queue) if entry else 0
 
     def ever_lockers(self, key) -> Set[int]:
-        """Active transactions that have ever locked ``key`` (§4.1)."""
+        """Active transactions that have ever locked ``key`` (§4.1).
+
+        Answers from the history alone, which is kept only under
+        ``track_history`` — an engine turns that on exactly when its
+        transactions release read locks early, and under strict 2PL
+        nothing calls this: every locker still holds its lock.
+        """
         return set(self._history.get(key, ()))
 
     def waiting_on(self, tid: int):

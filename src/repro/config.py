@@ -18,8 +18,16 @@ from dataclasses import dataclass, field, replace
 from typing import Optional
 
 
+class _Config:
+    """What every configuration dataclass below inherits."""
+
+    def copy(self, **overrides):
+        """A copy with ``overrides`` replaced (validation re-runs)."""
+        return replace(self, **overrides)
+
+
 @dataclass(frozen=True)
-class RetryPolicy:
+class RetryPolicy(_Config):
     """One deterministic retry/backoff policy for every retry loop.
 
     The repo's retry sites share two delay shapes:
@@ -35,6 +43,10 @@ class RetryPolicy:
     the caller passing a seeded ``random.Random`` (build one with
     :meth:`rng`).  ``delay_ms`` draws from the RNG exactly as the
     historical inline code did, so seeded runs reproduce byte-for-byte.
+    Frozen also means it compares by value, so a config that holds one
+    (``SystemConfig.io_retry``, ``ReorgConfig.deadlock_retry``,
+    ``ServeConfig.abort_retry``) still does — ``Database.with_workload``
+    keys its load image on that.
     """
 
     #: Give up after this many retries (``None`` = retry forever).
@@ -94,12 +106,9 @@ class RetryPolicy:
             delay *= 1.0 - self.jitter * rng.random()
         return delay
 
-    def copy(self, **overrides) -> "RetryPolicy":
-        return replace(self, **overrides)
-
 
 @dataclass
-class SystemConfig:
+class SystemConfig(_Config):
     """Engine parameters and the simulated cost model (times in ms)."""
 
     page_size: int = 4096
@@ -125,14 +134,14 @@ class SystemConfig:
     disk_write_ms: float = 10.0
 
     ert_bucket_capacity: int = 8          # extendible-hash bucket size
-    track_lock_history: bool = True       # §4.1 support in the lock manager
     #: Deadlock handling: ``"timeout"`` is the paper's scheme (§5); with
     #: ``"waits-for"`` the lock manager detects cycles at block time and
     #: victimizes the requester that closed the cycle (the timeout stays
     #: armed as a fallback).  The serving layer defaults to waits-for.
     deadlock_detection: str = "timeout"
-    enforce_ref_protocol: bool = True     # refs must come from read objects
-    strict_transactions: bool = True      # strict 2PL (relaxed per §4.1)
+    #: Strict 2PL; ``False`` releases read locks early (§4.1), and is
+    #: what makes the lock manager keep its ever-locked history.
+    strict_transactions: bool = True
 
     # Lock-manager selection (ROADMAP item 4): ``"flat"`` is the paper's
     # per-object S/X scheme; ``"hier"`` the multi-granularity manager
@@ -148,31 +157,19 @@ class SystemConfig:
     #: conflicting requester (safe: covered fine locks are re-granted).
     lock_deescalate_on_conflict: bool = True
 
-    # Transient-I/O handling (exercised by the repro.faults injector): a
-    # failed page read/write or log flush is retried with capped
-    # exponential backoff before the error escalates.
-    io_retry_limit: int = 4
-    io_retry_backoff_ms: float = 5.0
+    #: Transient-I/O handling (exercised by the repro.faults injector): a
+    #: failed page read/write or log flush is retried with uncapped
+    #: exponential backoff, no jitter, before the error escalates.
+    io_retry: RetryPolicy = RetryPolicy.exponential(5.0, max_retries=4)
 
-    # Corruption defense.  Pages always carry checksums; these knobs
-    # control *when* they are re-verified: on every buffer-pool miss
-    # read (disk-resident setting), and by the background scrubber
-    # (:class:`repro.storage.scrub.Scrubber`; 0 = no scrubbing).
+    #: Corruption defense.  Pages always carry checksums; this controls
+    #: whether they are re-verified on every buffer-pool miss read
+    #: (disk-resident setting).
     verify_page_reads: bool = True
-    scrub_interval_ms: float = 0.0
-    scrub_pages_per_sweep: int = 8
-
-    def io_retry_policy(self) -> RetryPolicy:
-        """Transient-I/O retries: uncapped exponential, no jitter."""
-        return RetryPolicy.exponential(base_ms=self.io_retry_backoff_ms,
-                                       max_retries=self.io_retry_limit)
-
-    def copy(self, **overrides) -> "SystemConfig":
-        return replace(self, **overrides)
 
 
 @dataclass
-class WorkloadConfig:
+class WorkloadConfig(_Config):
     """Table 1 of the paper (defaults column) plus §5.2 structure."""
 
     num_partitions: int = 10              # NUMPARTITIONS
@@ -215,12 +212,9 @@ class WorkloadConfig:
     def tree_depth(self) -> int:
         return self._depth()
 
-    def copy(self, **overrides) -> "WorkloadConfig":
-        return replace(self, **overrides)
-
 
 @dataclass
-class ReorgConfig:
+class ReorgConfig(_Config):
     """Knobs for the reorganization utilities."""
 
     #: Object migrations grouped per system transaction (§4.3).  The paper's
@@ -230,35 +224,19 @@ class ReorgConfig:
     collect_garbage: bool = False
     #: Checkpoint reorganizer state every N migrations (0 = never, §4.4).
     checkpoint_every: int = 0
-    #: Retries when Find_Exact_Parents loses a deadlock (lock timeout).
-    max_deadlock_retries: int = 50
-    #: Deadlock retries back off exponentially instead of re-colliding in
-    #: lockstep: the ``n``-th retry sleeps
-    #: ``min(retry_backoff_ms * retry_backoff_factor**n,
-    #: retry_backoff_max_ms)`` scaled down by up to ``retry_jitter`` drawn
-    #: from a seeded RNG, so runs stay deterministic.  ``retry_backoff_ms=0``
-    #: restores the old retry-immediately behaviour.
-    retry_backoff_ms: float = 8.0
-    retry_backoff_factor: float = 2.0
-    retry_backoff_max_ms: float = 1000.0
-    retry_jitter: float = 0.5
-    retry_seed: int = 0
-
-    def retry_policy(self) -> RetryPolicy:
-        """The deadlock-retry backoff above as a :class:`RetryPolicy`."""
-        return RetryPolicy.exponential(
-            base_ms=self.retry_backoff_ms,
-            factor=self.retry_backoff_factor,
-            max_ms=self.retry_backoff_max_ms,
-            jitter=self.retry_jitter,
-            max_retries=self.max_deadlock_retries)
-
-    def copy(self, **overrides) -> "ReorgConfig":
-        return replace(self, **overrides)
+    #: What a migration does after losing a deadlock (a lock timeout,
+    #: §4.4): the budget and the backoff index count *consecutive* losses
+    #: of one unit of work — a batch, or one object under §4.2 — so
+    #: repeated collisions with the same user transactions
+    #: de-synchronize instead of re-colliding in lockstep, and the
+    #: jitter comes from a seeded RNG, so runs stay deterministic.
+    #: ``base_ms=0`` retries immediately.
+    deadlock_retry: RetryPolicy = RetryPolicy.exponential(
+        8.0, max_ms=1000.0, jitter=0.5, max_retries=50)
 
 
 @dataclass
-class ServeConfig:
+class ServeConfig(_Config):
     """Front-end serving layer (``repro.serve``): open-loop arrivals,
     admission control, deadlines, and retry budgets."""
 
@@ -286,25 +264,18 @@ class ServeConfig:
     #: (the request still completes — the simulator cannot preempt a
     #: transaction mid-walk, matching a real server finishing the work).
     response_deadline_ms: float = 8_000.0
-    #: Per-request retry budget after deadlock/timeout aborts; an
-    #: exhausted budget gives the request up (a distinct counter).
-    retry_budget: int = 8
+    #: Per-request backoff and retry budget after deadlock/timeout
+    #: aborts — the workload driver's uniform jitter; an exhausted
+    #: budget gives the request up (a distinct counter).
+    abort_retry: RetryPolicy = RetryPolicy.uniform(max_retries=8)
     #: How long arrivals are generated (the measurement window may close
     #: later, once in-flight requests drain).
     duration_ms: float = 30_000.0
     seed: int = 42
 
-    def retry_policy(self) -> RetryPolicy:
-        """Per-request abort backoff: the driver's uniform jitter under
-        this config's retry budget."""
-        return RetryPolicy.uniform(max_retries=self.retry_budget)
-
-    def copy(self, **overrides) -> "ServeConfig":
-        return replace(self, **overrides)
-
 
 @dataclass
-class FleetConfig:
+class FleetConfig(_Config):
     """Multi-worker reorganizer fleet: partition claims via sim-time
     leases with heartbeats (crash takeover resumes from REORG_PROGRESS)."""
 
@@ -316,20 +287,13 @@ class FleetConfig:
     lease_ms: float = 600.0
     #: Heartbeat renewal interval (must be well under ``lease_ms``).
     heartbeat_ms: float = 150.0
-    #: Partitions each fleet run reorganizes (claimed one at a time per
-    #: worker from the advisor's recommendation order).
-    partitions: int = 2
-
-    def copy(self, **overrides) -> "FleetConfig":
-        return replace(self, **overrides)
 
 
 @dataclass
-class GovernorConfig:
+class GovernorConfig(_Config):
     """Reorg governor: paces or pauses the fleet when the serving layer's
     shed/deadline-miss rates breach the SLO."""
 
-    enabled: bool = True
     #: Sampling tick and sliding-window length for rate estimation.
     tick_ms: float = 250.0
     window_ms: float = 2_000.0
@@ -343,12 +307,9 @@ class GovernorConfig:
     #: until the rates recover below the SLO.
     pause_after_breaches: int = 4
 
-    def copy(self, **overrides) -> "GovernorConfig":
-        return replace(self, **overrides)
-
 
 @dataclass
-class DistConfig:
+class DistConfig(_Config):
     """Multi-node cluster (``repro.dist``): sharding, interconnect and
     cross-node reorganization knobs."""
 
@@ -374,7 +335,7 @@ class DistConfig:
     link_delay_max_ms: float = 3.0
     heartbeat_ms: float = 25.0
     suspect_after_ms: float = 80.0
-    #: Per-attempt RPC deadline; retries follow :meth:`rpc_retry_policy`.
+    #: Per-attempt RPC deadline; retries follow ``dist.rpc.RPC_RETRY``.
     rpc_deadline_ms: float = 30.0
     #: How long a prepared participant waits for the pushed decision
     #: before pulling it from the coordinator.
@@ -396,28 +357,11 @@ class DistConfig:
         if not 0.0 <= self.local_hub_fraction <= 1.0:
             raise ValueError("local_hub_fraction must be in [0, 1]")
 
-    def rpc_retry_policy(self) -> RetryPolicy:
-        """Cross-node RPC backoff: the same shared policy shape as disk
-        retries and the serving layer — capped exponential with seeded
-        jitter, then :class:`~repro.errors.NodeUnreachableError`."""
-        return RetryPolicy.exponential(base_ms=5.0, factor=2.0,
-                                       max_ms=80.0, jitter=0.25,
-                                       max_retries=6)
-
-    def copy(self, **overrides) -> "DistConfig":
-        return replace(self, **overrides)
-
 
 @dataclass
-class MvccConfig:
+class MvccConfig(_Config):
     """Multi-version read tier (:mod:`repro.mvcc`) knobs."""
 
-    #: First-committer-wins retries per logical transaction before the
-    #: caller gives the walk up (the serving layer has its own budget).
-    max_write_conflict_retries: int = 8
-    #: Uniform backoff range between conflict retries (ms).
-    conflict_backoff_low_ms: float = 1.0
-    conflict_backoff_high_ms: float = 25.0
     #: The merge consolidates a partition's tail versions into this many
     #: new base objects per CPU yield (pure pacing — the install itself
     #: is one atomic system transaction regardless).
@@ -429,24 +373,15 @@ class MvccConfig:
     #: explorer turns this on; benches leave it off to bound memory).
     record_history: bool = False
 
-    def conflict_retry_policy(self) -> RetryPolicy:
-        return RetryPolicy.uniform(low_ms=self.conflict_backoff_low_ms,
-                                   high_ms=self.conflict_backoff_high_ms,
-                                   max_retries=self.max_write_conflict_retries)
-
-    def copy(self, **overrides) -> "MvccConfig":
-        return replace(self, **overrides)
-
 
 @dataclass
 class ExperimentConfig:
     """One performance-experiment run (driver settings)."""
 
     workload: WorkloadConfig = field(default_factory=WorkloadConfig)
+    #: Read by nothing — the engine has its own; accepted only because
+    #: ``perf/adapter.py`` passes it (ROADMAP item 3(g)).
     system: SystemConfig = field(default_factory=SystemConfig)
-    reorg: ReorgConfig = field(default_factory=ReorgConfig)
-    #: Partition to reorganize (1-based; 0 is the persistent-root partition).
-    reorg_partition: int = 1
     #: Simulated-time horizon (ms) for runs without a reorganizer (NR) or as
     #: a safety bound; None = run until the reorganizer finishes.
     horizon_ms: Optional[float] = None

@@ -18,7 +18,6 @@ from .checkpointing import (
     decode_reorg_state,
     encode_reorg_state,
     rebuild_trt,
-    resume_from_wal,
     resume_reorganization,
 )
 from .gc import CopyingGarbageCollector, GcStats, MarkAndSweepCollector
@@ -74,6 +73,5 @@ __all__ = [
     "migrate_partition_quiescent",
     "rebuild_trt",
     "references_equal",
-    "resume_from_wal",
     "resume_reorganization",
 ]

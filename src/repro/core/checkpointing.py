@@ -302,20 +302,6 @@ class WalReorgStateStore(ReorgStateStore):
         return latest is not None and latest.is_tombstone
 
 
-def resume_from_wal(engine, partition_id: int, plan=None, reorg_config=None):
-    """Resume a crashed reorganization from its WAL progress records.
-
-    Convenience over :func:`resume_reorganization` with a
-    :class:`WalReorgStateStore`: returns a ready-to-run reorganizer, or
-    ``None`` when the durable log holds no (non-tombstoned) progress
-    record for the partition — meaning either no checkpoint survived or
-    the reorganization had already completed.
-    """
-    store = WalReorgStateStore(engine, partition_id)
-    return resume_reorganization(engine, store, plan=plan,
-                                 reorg_config=reorg_config)
-
-
 class _NoErt:
     """ERT sink of the TRT replay: the engine's ERTs already rolled
     forward with the pages during restart recovery."""

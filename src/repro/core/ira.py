@@ -115,9 +115,8 @@ class IncrementalReorganizer:
         self._resumed = False
         # Seeded per-reorganizer: a string seed keeps runs reproducible
         # (tuple seeds would go through randomized hash()).
-        self._retry_policy = self.cfg.retry_policy()
-        self._retry_rng = self._retry_policy.rng(
-            f"backoff/{self.cfg.retry_seed}/{partition_id}")
+        self._retry_rng = self.cfg.deadlock_retry.rng(
+            f"backoff/0/{partition_id}")
         #: Observation hook ``probe(event, **info)`` for repro.explore:
         #: fired at "exact_parents" (oid, parents), "migrated"
         #: (oid, new_oid) and "lock" (tid, target).  Must not mutate
@@ -221,7 +220,8 @@ class IncrementalReorganizer:
     def _migrate_batch(self, batch: List[Oid]) -> Generator[Any, Any, None]:
         """Migrate a group of objects in one system transaction (§4.3),
         retrying the whole batch after a deadlock-resolving timeout."""
-        for attempt in range(self.cfg.max_deadlock_retries + 1):
+        attempt = 0
+        while True:
             txn = self.engine.txns.begin(system=True, reorg_partition=self.partition_id)
             batch_mapping: Dict[Oid, Oid] = {}
             keep_locked: Set[Oid] = set()
@@ -234,15 +234,13 @@ class IncrementalReorganizer:
                         txn, oid, parents, batch_mapping, bookkeeping)
                 yield from self._commit_batch(txn, batch_mapping)
             except LockTimeoutError:
-                self.stats.deadlock_retries += 1
                 yield from txn.abort(reason="deadlock")
-                yield from self._retry_backoff(attempt)
+                yield from self._deadlock_retry(
+                    attempt, f"batch starting at {batch[0]}")
+                attempt += 1
                 continue
             self._apply_bookkeeping(batch_mapping, bookkeeping)
             return
-        raise ReorganizationError(
-            f"batch starting at {batch[0]} exceeded "
-            f"{self.cfg.max_deadlock_retries} deadlock retries")
 
     def _commit_batch(self, txn,
                       batch_mapping: Dict[Oid, Oid]
@@ -256,15 +254,20 @@ class IncrementalReorganizer:
         """
         yield from txn.commit()
 
-    def _retry_backoff(self, attempt: int) -> Generator[Any, Any, None]:
-        """Sleep before retrying a deadlock-aborted batch (§4.4 retries).
-
-        Capped exponential backoff with deterministic seeded jitter, so
-        repeated collisions with the same user transactions de-synchronize
-        instead of re-colliding in lockstep.  ``retry_backoff_ms = 0``
-        restores the retry-immediately behaviour.
+    def _deadlock_retry(self, attempt: int,
+                        unit: object) -> Generator[Any, Any, None]:
+        """The one step after a migration loses a deadlock (§4.4): count
+        it, give up once ``ReorgConfig.deadlock_retry`` is exhausted,
+        else sleep its backoff.  ``attempt`` is how many times in a row
+        this ``unit`` of work — a batch here, one object under §4.2 —
+        had already lost, so budget and backoff restart with each unit.
         """
-        delay = self._retry_policy.delay_ms(attempt, self._retry_rng)
+        policy = self.cfg.deadlock_retry
+        self.stats.deadlock_retries += 1
+        if policy.exhausted(attempt):
+            raise ReorganizationError(
+                f"{unit}: exceeded {policy.max_retries} deadlock retries")
+        delay = policy.delay_ms(attempt, self._retry_rng)
         if delay > 0:
             self.stats.backoff_ms_total += delay
             yield Delay(delay)

@@ -143,8 +143,10 @@ class TwoLockReorganizer(IncrementalReorganizer):
                 yield from self.pacer()
 
     def _migrate_one(self, oid: Oid,
-                     resumed_new_oid: Optional[Oid] = None
-                     ) -> Generator[Any, Any, None]:
+                     resumed_new_oid: Optional[Oid] = None,
+                     attempt: int = 0) -> Generator[Any, Any, None]:
+        """Migrate one object; ``attempt`` counts the deadlocks this
+        object's migration has lost in a row (see ``_deadlock_retry``)."""
         engine = self.engine
         anchor = engine.txns.begin(system=True, reorg_partition=self.partition_id)
         try:
@@ -201,16 +203,11 @@ class TwoLockReorganizer(IncrementalReorganizer):
             # victimised before it re-registers the pair (re-locking the
             # old address) must still hand the copy on: forgetting it
             # would create a second copy and strand the first.
-            self.stats.deadlock_retries += 1
             yield from anchor.abort(reason="deadlock")
             retry_new = self.in_flight.pop(oid, resumed_new_oid)
-            if self.stats.deadlock_retries > self.cfg.max_deadlock_retries:
-                raise ReorganizationError(
-                    f"{oid}: exceeded {self.cfg.max_deadlock_retries} "
-                    f"deadlock retries")
-            yield from self._retry_backoff(
-                min(self.stats.deadlock_retries - 1, 32))
-            yield from self._migrate_one(oid, resumed_new_oid=retry_new)
+            yield from self._deadlock_retry(attempt, oid)
+            yield from self._migrate_one(oid, resumed_new_oid=retry_new,
+                                         attempt=attempt + 1)
             return
         del self.in_flight[oid]
         self._finish_object(oid, new_oid)

@@ -191,11 +191,9 @@ class Database:
         return factory(self.engine, partition_id, plan=plan,
                        reorg_config=reorg_config, **kwargs)
 
-    def compact(self, partition_id: int,
-                algorithm: str = "ira") -> ReorgStats:
+    def compact(self, partition_id: int) -> ReorgStats:
         """On-line compaction: repack live objects, drop emptied pages."""
-        return self.reorganize(partition_id, algorithm=algorithm,
-                               plan=CompactionPlan())
+        return self.reorganize(partition_id, plan=CompactionPlan())
 
     def collect_garbage(self, partition_id: int, method: str = "copying",
                         target_partition: Optional[int] = None) -> GcStats:

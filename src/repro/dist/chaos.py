@@ -160,9 +160,10 @@ def _arm_message_loss(rate: float, at_ms: float, until_ms: float
         cluster.sim.call_later(
             at_ms, lambda: cluster.net.set_loss(rate),
             label="chaos/loss-on")
-        cluster.sim.call_later(
-            until_ms, lambda: cluster.net.set_loss(0.0),
-            label="chaos/loss-off")
+        if until_ms != float("inf"):
+            cluster.sim.call_later(
+                until_ms, lambda: cluster.net.set_loss(0.0),
+                label="chaos/loss-off")
     return arm
 
 
@@ -177,14 +178,8 @@ def arm_fault_plan(cluster: DistCluster, plan) -> None:
         a, b, cut_ms, heal_ms = plan.partition_link
         _arm_link_partition(a, b, cut_ms, heal_ms)(cluster)
     if plan.message_drop_rate > 0.0:
-        start, end = plan.message_drop_window_ms
-        cluster.sim.call_later(
-            start, lambda: cluster.net.set_loss(plan.message_drop_rate),
-            label="chaos/loss-on")
-        if end != float("inf"):
-            cluster.sim.call_later(
-                end, lambda: cluster.net.set_loss(0.0),
-                label="chaos/loss-off")
+        _arm_message_loss(plan.message_drop_rate,
+                          *plan.message_drop_window_ms)(cluster)
 
 
 def default_scenarios(quick: bool = False) -> List[tuple]:

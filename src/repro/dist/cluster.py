@@ -168,9 +168,8 @@ class DistCluster:
             migration_batch_size=self.config.migration_batch_size,
             checkpoint_every=self.config.migration_batch_size)
 
-    def reorganize_all(self, reorg_config: Optional[ReorgConfig] = None
-                       ) -> None:
-        self._reorg_config = reorg_config or self.default_reorg_config()
+    def reorganize_all(self) -> None:
+        self._reorg_config = self.default_reorg_config()
         for node in self.nodes:
             start_reorg(node, self._reorg_config.copy())
 
@@ -192,17 +191,15 @@ class DistCluster:
                 and not any(n.twopc.prepared or n.twopc.settling
                             for n in self.nodes))
 
-    def run_until_reorgs_done(self, horizon_ms: Optional[float] = None,
-                              step_ms: float = 200.0) -> bool:
+    def run_until_reorgs_done(self) -> bool:
         """Advance the shared clock until the cluster quiesces or the
-        horizon passes.  Heartbeats never drain the queue, so this steps
-        in bounded increments rather than running to empty."""
-        horizon = horizon_ms if horizon_ms is not None \
-            else self.config.horizon_ms
+        config's horizon passes.  Heartbeats never drain the queue, so
+        this steps in bounded increments rather than running to empty."""
+        horizon = self.config.horizon_ms
         while self.sim.now < horizon:
             if self._quiesced():
                 return True
-            self.sim.run(until=min(self.sim.now + step_ms, horizon))
+            self.sim.run(until=min(self.sim.now + 200.0, horizon))
         return self._quiesced()
 
     def run(self, for_ms: float) -> None:

@@ -8,25 +8,21 @@ data partition — the distributed reorganizer.
 Every process a node spawns is named ``n{id}/<suffix>``, which is what
 makes a node crash precise: ``kill_matching("n{id}/")`` reaps exactly
 this node's processes (reorganizer, scrubber, detector, RPC servers,
-decision waiters) while the rest of the cluster keeps running.  The
-engine's own ``spawn_scrubber`` is *not* used — it hardcodes the process
-name ``"scrubber"``, which would collide across nodes and escape the
-per-node kill.
+decision waiters) while the rest of the cluster keeps running.
 """
 
 from __future__ import annotations
 
 from typing import Any, Dict, Generator, List, Optional
 
-from dataclasses import replace
-
 from ..storage.oid import Oid
 from ..storage.scrub import Scrubber
 from .detector import FailureDetector
-from .rpc import RpcEndpoint
+from .rpc import RPC_RETRY, RpcEndpoint
 from .twopc import TwoPhaseManager
 
 OBJ_READ = "obj.read"
+_SINGLE_TRY = RPC_RETRY.copy(max_retries=0)
 
 #: node id -> (data partition, hub partition); see DistConfig.
 def data_partition(node_id: int) -> int:
@@ -56,10 +52,8 @@ class DistNode:
         self.reorg = None
         self.reorg_stats = None
         self.reorg_done = False
-        self._rpc_policy = cluster.config.rpc_retry_policy()
-        self._rpc_rng = self._rpc_policy.rng(
+        self._rpc_rng = RPC_RETRY.rng(
             f"rpc/{cluster.config.seed}/n{node_id}")
-        self._single_policy = replace(self._rpc_policy, max_retries=0)
 
     def proc_name(self, suffix: str) -> str:
         return f"n{self.node_id}/{suffix}"
@@ -104,7 +98,7 @@ class DistNode:
         ``attempts=1`` makes a single try (best-effort pushes whose loss
         something else already guarantees against).
         """
-        policy = self._single_policy if attempts == 1 else self._rpc_policy
+        policy = _SINGLE_TRY if attempts == 1 else RPC_RETRY
         reply = yield from self.rpc.call(
             dst, method, payload,
             deadline_ms=self.cluster.config.rpc_deadline_ms,

@@ -24,6 +24,11 @@ from ..config import RetryPolicy
 from ..errors import NodeUnreachableError
 from ..sim import Wait, WaitTimeout, Delay
 
+#: Cross-node RPC backoff: capped exponential with seeded jitter, then
+#: :class:`~repro.errors.NodeUnreachableError`.
+RPC_RETRY = RetryPolicy.exponential(base_ms=5.0, factor=2.0, max_ms=80.0,
+                                    jitter=0.25, max_retries=6)
+
 
 class RpcStats:
     def __init__(self) -> None:

@@ -98,12 +98,11 @@ class StorageEngine:
         self._charge_update = cfg.cpu_update_extra_ms > 0
         self.log_disk = Resource(self.sim, capacity=1, name="log-disk")
         self.data_disk = Resource(self.sim, capacity=1, name="data-disk")
-        io_retry = cfg.io_retry_policy()
         self.buffer = (BufferPool(self.sim, self.data_disk,
                                   capacity_pages=cfg.buffer_pool_pages,
                                   read_ms=cfg.disk_read_ms,
                                   write_ms=cfg.disk_write_ms,
-                                  retry=io_retry)
+                                  retry=cfg.io_retry)
                        if cfg.disk_resident else None)
         self.locks = build_lock_manager(self.sim, cfg)
         self.latches = LatchManager(self.sim)
@@ -111,12 +110,12 @@ class StorageEngine:
         # Fork — the log: empty, or rebuilt from the flushed bytes.
         if _image is None:
             self.log = LogManager(self.sim, self.log_disk, cfg.log_flush_ms,
-                                  retry=io_retry)
+                                  retry=cfg.io_retry)
             self.snapshots = SnapshotStore()
         else:
             self.log = LogManager.from_durable(
                 self.sim, self.log_disk, cfg.log_flush_ms,
-                _image.durable_log, retry=io_retry)
+                _image.durable_log, retry=cfg.io_retry)
             self.snapshots = _image.snapshots
 
         # Fork — the last durable checkpoint (none on an empty log)
@@ -202,19 +201,6 @@ class StorageEngine:
         partition = self.store.partition(partition_id)
         if page_no in partition._pages:
             partition.page(page_no).verify()
-
-    def spawn_scrubber(self):
-        """Start the background checksum scrubber configured by
-        ``scrub_interval_ms`` (no-op when disabled); returns the
-        :class:`~repro.storage.scrub.Scrubber` or ``None``."""
-        if self.config.scrub_interval_ms <= 0:
-            return None
-        from .storage.scrub import Scrubber
-        scrubber = Scrubber(
-            self, interval_ms=self.config.scrub_interval_ms,
-            pages_per_sweep=self.config.scrub_pages_per_sweep)
-        self.sim.spawn(scrubber.run(), name="scrubber")
-        return scrubber
 
     # -- partitions & reference tables ------------------------------------------
 

@@ -25,7 +25,7 @@ from dataclasses import asdict, dataclass, field
 from typing import Callable, Dict, List, Optional
 
 from ..bench import EXPERIMENTS, Arm
-from ..config import MvccConfig, ReorgConfig, SystemConfig, WorkloadConfig
+from ..config import MvccConfig, SystemConfig, WorkloadConfig
 from ..core import CompactionPlan
 from ..database import Database
 from ..mvcc import MvccTier
@@ -106,8 +106,6 @@ class ScheduleResult:
 def run_schedule(policy: TracingPolicy,
                  workload: Optional[WorkloadConfig] = None,
                  algorithm: str = "ira",
-                 reorg_config: Optional[ReorgConfig] = None,
-                 reorg_partition: int = 1,
                  mutation: Optional[Mutation] = None,
                  locks: str = "flat",
                  strict: bool = True,
@@ -135,8 +133,7 @@ def run_schedule(policy: TracingPolicy,
         history = HistoryRecorder(sim)
         engine.history = history
 
-    reorg = db.reorganizer(reorg_partition, arm.algorithm,
-                           plan=CompactionPlan(), reorg_config=reorg_config)
+    reorg = db.reorganizer(1, arm.algorithm, plan=CompactionPlan())
     if mutation is not None:
         mutation.install(engine, reorg)
     if not arm.snapshot:
@@ -253,7 +250,6 @@ class ExploreReport:
 def explore(seeds: int = 50, depth: int = 2,
             workload: Optional[WorkloadConfig] = None,
             algorithm: str = "ira",
-            reorg_config: Optional[ReorgConfig] = None,
             mutation_name: Optional[str] = None,
             locks: str = "flat",
             strict: bool = True,
@@ -281,8 +277,7 @@ def explore(seeds: int = 50, depth: int = 2,
     def run_one(policy: TracingPolicy, kind: str) -> Optional[ScheduleResult]:
         mutation = MUTATIONS[mutation_name]() if mutation_name else None
         result = run_schedule(policy, workload=workload, algorithm=algorithm,
-                              reorg_config=reorg_config, mutation=mutation,
-                              locks=locks, strict=strict)
+                              mutation=mutation, locks=locks, strict=strict)
         report.schedules_run += 1
         if result.trace_hash in seen:
             return None
@@ -294,8 +289,7 @@ def explore(seeds: int = 50, depth: int = 2,
                 f"{', '.join(result.failing())}")
             if out_dir is not None:
                 path = _emit_artifact(out_dir, result, workload, algorithm,
-                                      reorg_config, mutation_name,
-                                      locks, strict,
+                                      mutation_name, locks, strict,
                                       minimize_budget, say)
                 if path not in report.artifacts:
                     report.artifacts.append(path)
@@ -333,7 +327,6 @@ def explore(seeds: int = 50, depth: int = 2,
 
 def _emit_artifact(out_dir: str, result: ScheduleResult,
                    workload: WorkloadConfig, algorithm: str,
-                   reorg_config: Optional[ReorgConfig],
                    mutation_name: Optional[str],
                    locks: str, strict: bool,
                    minimize_budget: int,
@@ -345,9 +338,7 @@ def _emit_artifact(out_dir: str, result: ScheduleResult,
         def still_fails(subset: Dict[int, tuple]) -> bool:
             mutation = MUTATIONS[mutation_name]() if mutation_name else None
             rerun = run_schedule(ReplayPolicy(subset), workload=workload,
-                                 algorithm=algorithm,
-                                 reorg_config=reorg_config,
-                                 mutation=mutation,
+                                 algorithm=algorithm, mutation=mutation,
                                  locks=locks, strict=strict)
             return signature <= set(rerun.failing())
 
@@ -362,7 +353,6 @@ def _emit_artifact(out_dir: str, result: ScheduleResult,
             mutation = MUTATIONS[mutation_name]() if mutation_name else None
             result = run_schedule(ReplayPolicy(decisions),
                                   workload=workload, algorithm=algorithm,
-                                  reorg_config=reorg_config,
                                   mutation=mutation,
                                   locks=locks, strict=strict)
 
@@ -371,8 +361,7 @@ def _emit_artifact(out_dir: str, result: ScheduleResult,
     path = os.path.join(out_dir, f"failure-{result.trace_hash}.json")
     with open(path, "w") as handle:
         json.dump(build_artifact(decisions, result, workload, algorithm,
-                                 reorg_config, mutation_name, locks, strict,
-                                 minimized),
+                                 mutation_name, locks, strict, minimized),
                   handle, indent=2, sort_keys=True)
     say(f"wrote {path}")
     return path
@@ -380,7 +369,6 @@ def _emit_artifact(out_dir: str, result: ScheduleResult,
 
 def build_artifact(decisions: Dict[int, tuple], result: ScheduleResult,
                    workload: WorkloadConfig, algorithm: str,
-                   reorg_config: Optional[ReorgConfig],
                    mutation_name: Optional[str],
                    locks: str = "flat", strict: bool = True,
                    minimized: bool = False) -> dict:
@@ -388,8 +376,6 @@ def build_artifact(decisions: Dict[int, tuple], result: ScheduleResult,
         "version": 1,
         "workload": asdict(workload),
         "algorithm": algorithm,
-        "reorg_config": (asdict(reorg_config)
-                         if reorg_config is not None else None),
         "mutation": mutation_name,
         "locks": locks,
         "strict": strict,
@@ -408,13 +394,15 @@ def replay_artifact(path: str) -> ScheduleResult:
     with open(path) as handle:
         data = json.load(handle)
     workload = WorkloadConfig(**data["workload"])
-    reorg_config = (ReorgConfig(**data["reorg_config"])
-                    if data.get("reorg_config") else None)
+    if data.get("reorg_config") is not None:
+        # Artifacts written before the parameter went carry the key,
+        # always null: every exploration ran the default ReorgConfig.
+        raise ValueError(f"{path}: artifact names a reorg_config; "
+                         f"schedules run under the default one")
     mutation = (MUTATIONS[data["mutation"]]()
                 if data.get("mutation") else None)
     policy = ReplayPolicy(decode_decisions(data["decisions"]))
     return run_schedule(policy, workload=workload,
-                        algorithm=data["algorithm"],
-                        reorg_config=reorg_config, mutation=mutation,
+                        algorithm=data["algorithm"], mutation=mutation,
                         locks=data.get("locks", "flat"),
                         strict=data.get("strict", True))

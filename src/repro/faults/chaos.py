@@ -558,6 +558,34 @@ def run_chaos_point(crash_at_ms: float, algorithm: str = "ira",
     return result
 
 
+def _sweep(points: int, algorithm: str,
+           workload: Optional[WorkloadConfig],
+           reorg_config: Optional[ReorgConfig], seed: int,
+           kinds: Tuple[str, ...], progress) -> ChaosReport:
+    """Crash at ``points`` distinct times spread across the reorg window;
+    with ``kinds``, each point also injects one silent corruption (kinds
+    cycle across points) under its own seed, so the corrupted
+    page/bit/cut differs from point to point."""
+    if points < 1:
+        raise ValueError("need at least one crash point")
+    workload = workload or DEFAULT_WORKLOAD
+    reorg_config = reorg_config or DEFAULT_REORG
+    start, end = probe_run_window(algorithm, workload, reorg_config)
+    report = ChaosReport(algorithm=algorithm, seed=seed)
+    span = end - start
+    for index in range(points):
+        crash_at = start + span * (index + 1) / (points + 1)
+        result = run_chaos_point(
+            crash_at, algorithm=algorithm, workload=workload,
+            reorg_config=reorg_config,
+            seed=seed + index if kinds else seed,
+            corruption=kinds[index % len(kinds)] if kinds else None)
+        report.points.append(result)
+        if progress is not None:
+            progress(result.describe())
+    return report
+
+
 def chaos_sweep(points: int = 50, algorithm: str = "ira",
                 workload: Optional[WorkloadConfig] = None,
                 reorg_config: Optional[ReorgConfig] = None,
@@ -568,22 +596,8 @@ def chaos_sweep(points: int = 50, algorithm: str = "ira",
     ``progress`` (optional callable, e.g. ``print``) receives each
     point's one-line description as it completes.
     """
-    if points < 1:
-        raise ValueError("need at least one crash point")
-    workload = workload or DEFAULT_WORKLOAD
-    reorg_config = reorg_config or DEFAULT_REORG
-    start, end = probe_run_window(algorithm, workload, reorg_config)
-    report = ChaosReport(algorithm=algorithm, seed=seed)
-    span = end - start
-    for index in range(points):
-        crash_at = start + span * (index + 1) / (points + 1)
-        result = run_chaos_point(crash_at, algorithm=algorithm,
-                                 workload=workload,
-                                 reorg_config=reorg_config, seed=seed)
-        report.points.append(result)
-        if progress is not None:
-            progress(result.describe())
-    return report
+    return _sweep(points, algorithm, workload, reorg_config, seed, (),
+                  progress)
 
 
 def corruption_sweep(points: int = 51, algorithm: str = "ira",
@@ -602,23 +616,7 @@ def corruption_sweep(points: int = 51, algorithm: str = "ira",
     gate: every injection detected-and-healed (healed state equal to a
     corruption-free twin's recovery) or refused with a typed error.
     """
-    if points < 1:
-        raise ValueError("need at least one crash point")
     if not kinds:
         raise ValueError("need at least one corruption kind")
-    workload = workload or DEFAULT_WORKLOAD
-    reorg_config = reorg_config or DEFAULT_REORG
-    start, end = probe_run_window(algorithm, workload, reorg_config)
-    report = ChaosReport(algorithm=algorithm, seed=seed)
-    span = end - start
-    for index in range(points):
-        crash_at = start + span * (index + 1) / (points + 1)
-        result = run_chaos_point(crash_at, algorithm=algorithm,
-                                 workload=workload,
-                                 reorg_config=reorg_config,
-                                 seed=seed + index,
-                                 corruption=kinds[index % len(kinds)])
-        report.points.append(result)
-        if progress is not None:
-            progress(result.describe())
-    return report
+    return _sweep(points, algorithm, workload, reorg_config, seed, kinds,
+                  progress)

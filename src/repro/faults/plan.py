@@ -171,12 +171,12 @@ class FaultPlan:
         return cls(seed=seed, crash_at_ms=ms)
 
     @classmethod
-    def crash_at_write(cls, n: int, seed: int = 0) -> "FaultPlan":
-        return cls(seed=seed, crash_at_page_write=n)
+    def crash_at_write(cls, n: int) -> "FaultPlan":
+        return cls(crash_at_page_write=n)
 
     @classmethod
-    def kill_reorg_at(cls, ms: float, seed: int = 0) -> "FaultPlan":
-        return cls(seed=seed, kill_process_at_ms=ms)
+    def kill_reorg_at(cls, ms: float) -> "FaultPlan":
+        return cls(kill_process_at_ms=ms)
 
     @classmethod
     def crash_with_torn_tail(cls, ms: float, seed: int = 0) -> "FaultPlan":
@@ -184,10 +184,8 @@ class FaultPlan:
 
     @classmethod
     def bit_flip_then_crash(cls, flip_ms: float, crash_ms: float,
-                            target: str = "durable",
                             seed: int = 0) -> "FaultPlan":
-        return cls(seed=seed, bit_flip_at_ms=flip_ms, crash_at_ms=crash_ms,
-                   bit_flip_target=target)
+        return cls(seed=seed, bit_flip_at_ms=flip_ms, crash_at_ms=crash_ms)
 
     @classmethod
     def tear_checkpoint(cls, nth: int, crash_ms: float,
@@ -195,11 +193,11 @@ class FaultPlan:
         return cls(seed=seed, torn_page_write=nth, crash_at_ms=crash_ms)
 
     @classmethod
-    def kill_node_at(cls, node_id: int, ms: float, down_ms: float = 140.0,
-                     seed: int = 0) -> "FaultPlan":
-        return cls(seed=seed, kill_node=(node_id, ms, down_ms))
+    def kill_node_at(cls, node_id: int, ms: float,
+                     down_ms: float = 140.0) -> "FaultPlan":
+        return cls(kill_node=(node_id, ms, down_ms))
 
     @classmethod
-    def cut_link(cls, a: int, b: int, ms: float, heal_ms: float,
-                 seed: int = 0) -> "FaultPlan":
-        return cls(seed=seed, partition_link=(a, b, ms, heal_ms))
+    def cut_link(cls, a: int, b: int, ms: float,
+                 heal_ms: float) -> "FaultPlan":
+        return cls(partition_link=(a, b, ms, heal_ms))

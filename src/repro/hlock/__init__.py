@@ -19,13 +19,15 @@ def build_lock_manager(sim, config) -> LockManager:
     """Construct the lock manager a :class:`SystemConfig` asks for.
 
     The engine's one assembly path calls this for fresh boot and
-    recovery alike, so the choice survives crash/restart.
+    recovery alike, so the choice survives crash/restart.  The §4.1
+    ever-locked history is kept exactly when something can read it:
+    IRA consults it only when transactions release read locks early.
     """
     if config.lock_manager == "hier":
         return HierarchicalLockManager(
             sim,
             timeout_ms=config.lock_timeout_ms,
-            track_history=config.track_lock_history,
+            track_history=not config.strict_transactions,
             detection=config.deadlock_detection,
             escalate_after=config.lock_escalate_after,
             partition_escalate_after=config.lock_partition_escalate_after,
@@ -36,7 +38,7 @@ def build_lock_manager(sim, config) -> LockManager:
     return LockManager(
         sim,
         timeout_ms=config.lock_timeout_ms,
-        track_history=config.track_lock_history,
+        track_history=not config.strict_transactions,
         detection=config.deadlock_detection)
 
 

@@ -164,7 +164,7 @@ class ServingLayer:
                  metrics: ServeMetrics) -> Generator[Any, Any, None]:
         sim = self.engine.sim
         cfg = self.serve
-        policy = cfg.retry_policy()
+        policy = cfg.abort_retry
         backoff_rng = policy.rng(f"{cfg.seed}/request-{request.request_id}")
         # With an MVCC tier attached, requests run as snapshot
         # transactions: reads route to versioned images and never wait on

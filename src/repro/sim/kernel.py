@@ -325,12 +325,12 @@ class Process:
         """Return value of the generator; raises its exception if it failed."""
         return self.done.value
 
-    def kill(self, exc: Optional[BaseException] = None) -> None:
+    def kill(self) -> None:
         """Forcibly terminate this process.
 
-        The exception (default :class:`ProcessKilled`) is thrown into the
-        generator so ``finally`` blocks run; whatever the generator does with
-        it, the process is dead afterwards.
+        :class:`ProcessKilled` is thrown into the generator so ``finally``
+        blocks run; whatever the generator does with it, the process is
+        dead afterwards.
         """
         if not self._alive:
             return
@@ -338,7 +338,7 @@ class Process:
         # throwing: if the generator catches the kill and yields a new Wait,
         # the old registration must not resurrect it later.
         self._cancel_wait()
-        self._step(throw=exc or ProcessKilled(f"process {self.name} killed"))
+        self._step(throw=ProcessKilled(f"process {self.name} killed"))
 
     def _step(self, send: Any = None, throw: Optional[BaseException] = None) -> None:
         """Advance the generator one step and interpret what it yields."""
@@ -698,10 +698,10 @@ class Simulator:
             "heap_peak": self._heap_peak,
         }
 
-    def kill_all(self, exc: Optional[BaseException] = None) -> None:
+    def kill_all(self) -> None:
         """Kill every live process (crash injection) and drop pending events."""
         for proc in list(self._live_processes):
-            proc.kill(exc)
+            proc.kill()
         for entry in self._queue:
             entry[2] = None  # late TimerHandle.cancel must stay a no-op
         for entry in self._ready:
@@ -714,15 +714,14 @@ class Simulator:
         """The currently-alive processes (fault-injection introspection)."""
         return sorted(self._live_processes, key=lambda p: p.name)
 
-    def kill_matching(self, name_substring: str,
-                      exc: Optional[BaseException] = None) -> int:
+    def kill_matching(self, name_substring: str) -> int:
         """Kill every live process whose name contains ``name_substring``
         (targeted fault injection, e.g. killing a reorganizer mid-batch);
         returns how many were killed."""
         victims = [p for p in self.live_processes()
                    if name_substring in p.name]
         for proc in victims:
-            proc.kill(exc)
+            proc.kill()
         return len(victims)
 
     def __repr__(self) -> str:

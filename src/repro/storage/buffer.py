@@ -91,7 +91,7 @@ class BufferPool:
         self.write_ms = write_ms
         #: The transient-I/O budget; a standalone pool (tests, micro-
         #: benchmarks) gets the default configuration's.
-        self.retry = retry or SystemConfig().io_retry_policy()
+        self.retry = retry or SystemConfig().io_retry
         self.fault_hook: Optional[IOFaultHook] = None
         self.verify_hook: Optional[ReadVerifyHook] = None
         self._frames: "OrderedDict[PageKey, bool]" = OrderedDict()  # -> dirty

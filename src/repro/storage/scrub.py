@@ -40,8 +40,7 @@ class Scrubber:
     """Continuously sweep an engine's pages, verifying checksums.
 
     ``run()`` is a simulation-process generator; spawn it with
-    ``engine.sim.spawn(scrubber.run(), name="scrubber")`` or via
-    :meth:`repro.engine.StorageEngine.spawn_scrubber`.  Each detected
+    ``engine.sim.spawn(scrubber.run(), name="scrubber")``.  Each detected
     page is reported once per sweep position change; ``stop()`` ends the
     process at its next wakeup.
     """

@@ -46,11 +46,10 @@ class ObjectStore:
     # -- partition management ---------------------------------------------------
 
     def create_partition(self, partition_id: int,
-                         page_size: Optional[int] = None,
                          max_pages: Optional[int] = None) -> Partition:
         if partition_id in self._partitions:
             raise ValueError(f"partition {partition_id} already exists")
-        part = Partition(partition_id, page_size or self.page_size, max_pages)
+        part = Partition(partition_id, self.page_size, max_pages)
         self._partitions[partition_id] = part
         return part
 

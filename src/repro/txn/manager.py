@@ -41,7 +41,7 @@ class TransactionManager:
 
     # -- lifecycle ------------------------------------------------------------
 
-    def begin(self, system: bool = False, strict: bool | None = None,
+    def begin(self, system: bool = False,
               reorg_partition: int | None = None) -> Transaction:
         """Start a transaction (logs BEGIN; no simulated cost).
 
@@ -52,9 +52,7 @@ class TransactionManager:
         """
         tid = self._next_tid
         self._next_tid += 1
-        if strict is None:
-            strict = self.engine.config.strict_transactions
-        txn = Transaction(self.engine, tid, system=system, strict=strict)
+        txn = Transaction(self.engine, tid, system=system)
         txn.reorg_partition = reorg_partition
         self._active[tid] = txn
         self._done_events[tid] = self.engine.sim.event(name=f"txn-done:{tid}")

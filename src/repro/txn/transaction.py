@@ -54,12 +54,13 @@ class Transaction:
     generator methods with ``yield from`` inside a simulation process.
     """
 
-    def __init__(self, engine, tid: int, system: bool = False,
-                 strict: bool = True):
+    def __init__(self, engine, tid: int, system: bool = False):
         self.engine = engine
         self.tid = tid
         self.system = system
-        self.strict = strict
+        # Engine-wide, not per transaction: IRA's §4.1 wait for early
+        # lock releasers is gated on the same config field.
+        self.strict = engine.config.strict_transactions
         self.status = TxnStatus.ACTIVE
         self.last_lsn = 0
         # The explore harness installs its recorder before any
@@ -488,7 +489,7 @@ class Transaction:
         apply_record(self.engine.store, record, lsn=lsn)
 
     def _check_ref_source(self, child: Oid) -> None:
-        if not self.engine.config.enforce_ref_protocol or self.system:
+        if self.system:
             return
         if child not in self.local_refs and child not in self.created:
             raise ReferenceProtocolError(

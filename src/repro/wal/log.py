@@ -97,7 +97,7 @@ class LogManager:
         self.flush_time_ms = flush_time_ms
         #: The transient-I/O budget; standalone managers (tests, micro-
         #: benchmarks) get the default configuration's.
-        self.retry = retry or SystemConfig().io_retry_policy()
+        self.retry = retry or SystemConfig().io_retry
         self.fault_hook: Optional[FlushFaultHook] = None
         self._encoded: List[bytes] = []   # the byte stream, by LSN - 1
         self._flushed_lsn = 0

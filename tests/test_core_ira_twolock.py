@@ -222,3 +222,81 @@ def test_back_to_back_deadlocks_reuse_the_committed_copy():
     assert stats.deadlock_retries == 2
     assert db.partition_stats(1).live_objects == live_before
     assert db.verify_integrity().ok
+
+
+def test_seed_4_two_lock_run_survives_its_deadlocks():
+    """Regression: the retry budget and the backoff index counted the
+    *run's* deadlock losses, not one object's, so this run died with
+    ``1:6:36: exceeded 50 deadlock retries`` after 50 losses spread over
+    340 migrations (and slept 0.5-1 s per retry from the eighth on)."""
+    from repro.bench import Arm
+    from repro.bench.harness import run_arm
+
+    point = run_arm(Arm("ira-2lock", "ira-2lock"),
+                    WorkloadConfig(num_partitions=3,
+                                   objects_per_partition=340,
+                                   mpl=30, seed=4))     # verifies integrity
+    stats = point.metrics.reorg_stats
+    assert stats.objects_migrated == 340
+    assert 0 < stats.deadlock_retries < 50
+
+
+def _two_lock_run_losing(losses, reorg_config=None):
+    """Run a two-lock reorganization in which the migration of the
+    ``i``-th object in migration order loses ``losses[i]`` deadlocks in a
+    row: a lock holder outside the transaction table pins the object's
+    old address, and each blocked re-lock is timed out on the spot."""
+    db, _ = Database.with_workload(
+        WorkloadConfig(num_partitions=2, objects_per_partition=85,
+                       mpl=1, seed=21))
+    locks = db.engine.locks
+    reorg = TwoLockReorganizer(db.engine, 1, plan=CompactionPlan(),
+                               reorg_config=reorg_config)
+    reader = -1
+    remaining = {}
+    migrate_one = reorg._migrate_one
+
+    def pinning(oid, resumed_new_oid=None, attempt=0):
+        if oid not in remaining:
+            remaining[oid] = losses.get(len(remaining), 0)
+        locks.release_all(reader)
+        if remaining[oid]:
+            assert locks.try_acquire(reader, oid, LockMode.S)
+        return migrate_one(oid, resumed_new_oid, attempt)
+
+    def force_timeout(tid, key, mode):
+        if remaining.get(key):
+            remaining[key] -= 1
+            return True
+        return False
+
+    reorg._migrate_one = pinning
+    locks.fault_hook = force_timeout
+    return db, db.run(reorg.run(), name="reorg")
+
+
+def test_deadlock_budget_and_backoff_restart_with_each_object():
+    from repro import ReorgConfig
+    from repro.config import RetryPolicy
+
+    # 60 losses in all, more than the budget of 50, ten per object; no
+    # jitter, so the sleeps are the policy's own 8, 16, ... capped at 1 s.
+    policy = RetryPolicy.exponential(8.0, max_ms=1000.0, max_retries=50)
+    db, stats = _two_lock_run_losing(
+        {index: 10 for index in range(0, 60, 10)},
+        ReorgConfig(deadlock_retry=policy))
+    assert stats.deadlock_retries == 60
+    assert stats.objects_migrated == 85
+    assert stats.backoff_ms_total == 6 * sum(
+        policy.delay_ms(attempt) for attempt in range(10))
+    assert db.verify_integrity().ok
+
+
+def test_deadlock_budget_is_spent_by_one_object_losing_in_a_row():
+    from repro import ReorganizationError
+
+    _, stats = _two_lock_run_losing({3: 50})
+    assert stats.deadlock_retries == 50
+    with pytest.raises(ReorganizationError,
+                       match="exceeded 50 deadlock retries"):
+        _two_lock_run_losing({3: 51})

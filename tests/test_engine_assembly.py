@@ -10,6 +10,7 @@ runs out, after exactly the configured number of retries.
 import pytest
 
 from repro import Database, StorageEngine, SystemConfig, WorkloadConfig
+from repro.config import RetryPolicy
 from repro.storage import TransientIOError
 from tests.conftest import committed, make_object, run
 
@@ -72,8 +73,8 @@ def _always_fail(*_args):
 
 def test_exhausted_flush_budget_is_never_reported_durable():
     outcomes = {}
-    for label, engine, _oid in _fresh_and_recovered(
-            SystemConfig(io_retry_limit=1)):
+    for label, engine, _oid in _fresh_and_recovered(SystemConfig(
+            io_retry=RetryPolicy.exponential(5.0, max_retries=1))):
         engine.log.fault_hook = _always_fail
         flushed, flushes = engine.log.flushed_lsn, engine.log.flush_count
         with pytest.raises(TransientIOError):
@@ -88,7 +89,9 @@ def test_exhausted_flush_budget_is_never_reported_durable():
 
 @pytest.mark.parametrize("limit", [0, 2, 6])
 def test_pool_read_fault_exhausts_after_exactly_limit_retries(limit):
-    config = SystemConfig(disk_resident=True, io_retry_limit=limit)
+    config = SystemConfig(
+        disk_resident=True,
+        io_retry=RetryPolicy.exponential(5.0, max_retries=limit))
     for label, engine, oid in _fresh_and_recovered(config):
         engine.buffer.discard((oid.partition, oid.page))
         engine.buffer.fault_hook = _always_fail

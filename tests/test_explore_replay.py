@@ -43,8 +43,8 @@ def test_replay_reproduces_identical_failure_in_process():
 def test_artifact_replays_identically_in_fresh_process(tmp_path):
     result = _failing_run()
     artifact = build_artifact(dict(result.trace), result,
-                              default_workload(), "ira", None,
-                              "unlogged_poke", minimized=False)
+                              default_workload(), "ira", "unlogged_poke",
+                              minimized=False)
     path = tmp_path / "failure.json"
     path.write_text(json.dumps(artifact))
 

@@ -87,17 +87,6 @@ def test_scrubber_detects_live_bit_flip_under_traffic():
                for pid, page, _ in scrubber.stats.findings)
 
 
-def test_engine_spawns_scrubber_from_config():
-    eng = fresh_engine(scrub_interval_ms=10.0, scrub_pages_per_sweep=2)
-    populate(eng, 1)
-    scrubber = eng.spawn_scrubber()
-    assert scrubber is not None
-    eng.sim.run(until=60.0)
-    assert scrubber.stats.pages_scanned > 0
-
-    assert fresh_engine().spawn_scrubber() is None  # disabled by default
-
-
 def test_scrubber_survives_vanishing_pages():
     eng = fresh_engine()
     oids = populate(eng, 1)

@@ -54,14 +54,26 @@ def test_strict_2pl_read_lock_held_until_commit(engine):
     run(engine, reader())
 
 
-def test_short_lock_mode_releases_s_immediately(engine):
+@pytest.fixture
+def relaxed_engine():
+    """Short-duration read locks (§4.1) are an engine-wide setting: it is
+    what makes IRA wait for early releasers and the lock manager keep
+    the history that wait reads."""
+    eng = StorageEngine(SystemConfig(strict_transactions=False))
+    eng.create_partition(1)
+    return eng
+
+
+def test_short_lock_mode_releases_s_immediately(relaxed_engine):
+    engine = relaxed_engine
+
     def setup(txn):
         oid = yield from txn.create_object(1, make_object())
         return oid
     oid = committed(engine, setup)
 
     def reader():
-        txn = engine.txns.begin(strict=False)
+        txn = engine.txns.begin()
         yield from txn.read(oid)
         assert not engine.locks.holds(txn.tid, oid)
         # §4.1: the lock manager still remembers this locker.
@@ -72,7 +84,9 @@ def test_short_lock_mode_releases_s_immediately(engine):
     run(engine, reader())
 
 
-def test_short_lock_mode_keeps_x_locks(engine):
+def test_short_lock_mode_keeps_x_locks(relaxed_engine):
+    engine = relaxed_engine
+
     def setup(txn):
         oid = yield from txn.create_object(
             1, make_object(payload=b"12345678"))
@@ -80,7 +94,7 @@ def test_short_lock_mode_keeps_x_locks(engine):
     oid = committed(engine, setup)
 
     def writer():
-        txn = engine.txns.begin(strict=False)
+        txn = engine.txns.begin()
         yield from txn.read(oid, for_update=True)
         yield from txn.write_payload(oid, 0, b"X")
         assert engine.locks.holds(txn.tid, oid, LockMode.X)
