@@ -19,7 +19,7 @@ from .concurrency import LatchManager
 from .hlock import build_lock_manager
 from .config import SystemConfig
 from .refs import ExternalReferenceTable, LogAnalyzer, TemporaryReferenceTable
-from .sim import Delay, Resource, Simulator
+from .sim import Hold, Resource, Simulator
 from .storage import ObjectStore, Oid
 from .storage.buffer import BufferPool
 from .txn import TransactionManager
@@ -86,12 +86,11 @@ class StorageEngine:
         self.config = cfg = config or SystemConfig()
         self.sim = sim or Simulator()
         self.cpu = Resource(self.sim, capacity=cfg.cpu_count, name="cpu")
-        # Shared Delay commands for the fixed per-access CPU charges: the
-        # kernel only ever reads ``dt`` off a yielded Delay, so the hot
-        # transactional paths can reuse one instance per configured cost
-        # instead of allocating one per object access.
-        self._access_delay = Delay(cfg.cpu_object_access_ms)
-        self._update_delay = Delay(cfg.cpu_update_extra_ms)
+        # Shared Hold commands for the fixed per-access CPU charges: the
+        # kernel only reads a yielded Hold's fields, so the hot
+        # transactional paths allocate nothing per object access.
+        self._access_hold = Hold(self.cpu, cfg.cpu_object_access_ms)
+        self._update_hold = Hold(self.cpu, cfg.cpu_update_extra_ms)
         # Hot-path guards: one attribute read instead of a config chase
         # per access (a zero cost skips the CPU resource entirely).
         self._charge_access = cfg.cpu_object_access_ms > 0

@@ -5,14 +5,15 @@ paper's threaded performance study is reproduced on a simulator.
 """
 
 from .errors import ProcessKilled, SimError, SimulationDeadlock, WaitTimeout
-from .kernel import (Delay, Event, Process, ScheduleEntry, SchedulerPolicy,
-                     Simulator, TimerHandle, Wait)
+from .kernel import (Delay, Event, Hold, Process, ScheduleEntry,
+                     SchedulerPolicy, Simulator, TimerHandle, Wait)
 from .resources import CpuMeter, Mutex, Resource
 
 __all__ = [
     "CpuMeter",
     "Delay",
     "Event",
+    "Hold",
     "Mutex",
     "Process",
     "ProcessKilled",

@@ -18,6 +18,11 @@ A process is a generator that yields *commands*:
     If ``timeout`` elapses first, :class:`~repro.sim.errors.WaitTimeout`
     is raised inside the process.
 
+``Hold(resource, dt)``
+    Queue (FCFS) for a slot of ``resource``, hold it for ``dt`` time
+    units, release it, resume — a whole CPU or disk charge as one
+    command (``Resource.use`` yields exactly this).
+
 Engine code composes blocking operations with ``yield from``; the value a
 sub-generator ``return``s propagates to the caller as usual.
 
@@ -166,6 +171,31 @@ class Wait:
         return f"Wait({self.event!r}, timeout={self.timeout!r})"
 
 
+class Hold:
+    """Command: queue for a slot of ``resource`` (a ``Resource``: its
+    ``_hold`` starts or parks the process, its ``release`` hands the slot
+    on), hold it ``dt`` time units, release it, resume the process.
+
+    The kernel only reads the two fields, so one instance may be yielded
+    any number of times, by any number of processes.
+    """
+
+    __slots__ = ("resource", "dt")
+
+    def __init__(self, resource: Any, dt: float):
+        if dt < 0:
+            raise ValueError(f"negative hold: {dt!r}")
+        self.resource = resource
+        self.dt = dt
+
+    def __repr__(self) -> str:
+        return f"Hold({self.resource!r}, {self.dt!r})"
+
+
+def _noop() -> None:
+    """What a killed process's pending hold entry is turned into."""
+
+
 class Event:
     """A one-shot event processes can wait on.
 
@@ -304,7 +334,8 @@ class Process:
     processes can join via ``yield Wait(process.done)``.
     """
 
-    __slots__ = ("sim", "name", "gen", "done", "_alive", "_waiter")
+    __slots__ = ("sim", "name", "gen", "done", "_alive", "_waiter",
+                 "_hold", "_hold_entry")
 
     def __init__(self, sim: "Simulator", gen: ProcessGenerator, name: str):
         self.sim = sim
@@ -315,6 +346,11 @@ class Process:
         # The in-flight Wait registration, if any — a killed or finished
         # process must not linger on an event's waiter list.
         self._waiter: Optional[_Waiter] = None
+        # The in-flight Hold, if any, and — once its slot is granted (until
+        # then the process sits on the resource's FIFO) — the queue entry
+        # that will start or end the service.
+        self._hold: Optional[Hold] = None
+        self._hold_entry: Optional[list] = None
 
     @property
     def alive(self) -> bool:
@@ -338,6 +374,7 @@ class Process:
         # throwing: if the generator catches the kill and yields a new Wait,
         # the old registration must not resurrect it later.
         self._cancel_wait()
+        self._cancel_hold()
         self._step(throw=ProcessKilled(f"process {self.name} killed"))
 
     def _step(self, send: Any = None, throw: Optional[BaseException] = None) -> None:
@@ -358,12 +395,14 @@ class Process:
         except BaseException as exc:  # noqa: BLE001 - reported via done event
             self._finish(exc=exc)
             return
-        # Exact-type fast paths for the two commands every step yields
+        # Exact-type fast paths for the three commands every step yields
         # (``isinstance`` plus a second call frame were measurable);
         # subclasses and stray commands fall through to ``_dispatch``.
         cls = command.__class__
         if cls is Delay:
             self.sim._schedule(command.dt, self._step, self.name)
+        elif cls is Hold:
+            command.resource._hold(self, command)
         elif cls is Wait:
             self._wait(command.event, command.timeout)
         else:
@@ -392,16 +431,50 @@ class Process:
             self._wait(command.event, command.timeout)
         elif isinstance(command, Event):
             self._wait(command, None)
+        elif isinstance(command, Hold):
+            command.resource._hold(self, command)
         else:
             self._step(throw=TypeError(
                 f"process {self.name} yielded unsupported command "
-                f"{command!r}; yield Delay(...), Wait(...) or an Event"))
+                f"{command!r}; yield Delay(...), Wait(...), Hold(...) "
+                f"or an Event"))
 
     def _cancel_wait(self) -> None:
         waiter = self._waiter
         if waiter is not None:
             self._waiter = None
             waiter.cancel()
+
+    def _hold_start(self) -> None:
+        """``Resource.release`` handed the slot over: start the service.
+        Scheduled where a gate's wake-up would be, and schedules the end
+        of service where the woken generator's ``Delay`` would be — the
+        ``seq`` stream is that of gate-wait-then-delay."""
+        self._hold_entry = self.sim._schedule(
+            self._hold.dt, self._hold_done, self.name)
+
+    def _hold_done(self) -> None:
+        """End of service: release first (handing the slot on), then
+        resume the generator — the order a ``finally: release()`` gave."""
+        hold, self._hold = self._hold, None
+        self._hold_entry = None
+        hold.resource.release()
+        self._step()
+
+    def _cancel_hold(self) -> None:
+        """Killed mid-Hold: leave the queue, or — granted, whether or not
+        service has started — release the slot onward.  The pending
+        start/end entry stays queued as a counted no-op (as a dead
+        process's ``_step`` entry is), whatever the generator does next."""
+        hold = self._hold
+        if hold is not None:
+            self._hold = None
+            entry, self._hold_entry = self._hold_entry, None
+            if entry is None:
+                hold.resource._waiters.remove(self)
+            else:
+                entry[2] = _noop
+                hold.resource.release()
 
     def _wait(self, event: Event, timeout: Optional[float]) -> None:
         waiter = _Waiter(self, event)

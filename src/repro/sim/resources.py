@@ -14,9 +14,9 @@ Both are FCFS servers modelled by :class:`Resource`.
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Generator, Optional
+from typing import Any, Generator, Optional, Union
 
-from .kernel import Delay, Event, Simulator, Wait
+from .kernel import Event, Hold, Process, Simulator, Wait
 
 
 class Resource:
@@ -43,7 +43,9 @@ class Resource:
         self.name = name or "resource"
         self._grant_name = self.name + ":grant"
         self._in_use = 0
-        self._waiters: deque[Event] = deque()
+        # One FIFO for both kinds of waiter: ``acquire()``'s gates and the
+        # processes parked by a contended ``Hold``.
+        self._waiters: deque[Union[Event, Process]] = deque()
         # Aggregate statistics; cheap to keep and used by the benchmarks to
         # report utilisation.
         self.total_busy_time = 0.0
@@ -58,55 +60,23 @@ class Resource:
     def queue_length(self) -> int:
         return len(self._waiters)
 
-    def try_use(self) -> bool:
-        """Uncontended-acquire fast path: grant and return ``True`` when a
-        slot is free and nobody queues ahead, else ``False`` (the caller
-        should then ``yield Wait(self.wait_gate())``).  Lets hot process
-        code skip creating an ``acquire()``/``use()`` generator for the
-        common uncontended case."""
-        if self._in_use < self.capacity and not self._waiters:
-            # ``_grant`` inlined: this brackets every uncontended CPU
-            # charge, the most frequent resource operation in a run.
-            if self._in_use == 0:
-                self._busy_since = self.sim._now
-            self._in_use += 1
-            self.total_acquisitions += 1
-            return True
-        return False
-
-    def wait_gate(self) -> Event:
-        """Enqueue the caller and return the gate ``release`` will fire;
-        the slot is already granted by the time the gate fires.
-
-        A caller killed at its ``yield Wait(gate)`` MUST call
-        :meth:`cancel_wait` (the kernel throws into the generator, so an
-        ``except BaseException`` around the wait sees it) — otherwise
-        the queue entry, or the already-granted slot, leaks and the
-        resource wedges for every later user.
-        """
-        gate = Event(self.sim, self._grant_name)
-        self._waiters.append(gate)
-        return gate
-
-    def cancel_wait(self, gate: Event) -> None:
-        """Withdraw a :meth:`wait_gate` registration after its waiter
-        died.  If the gate already fired the slot was granted to the
-        corpse — release it onward; otherwise drop the queue entry."""
-        if gate.fired:
-            self.release()
-        else:
-            self._waiters.remove(gate)
-
     def acquire(self) -> Generator[Any, Any, None]:
         """Blocking acquire (generator; compose with ``yield from``)."""
-        if not self.try_use():
-            gate = self.wait_gate()
-            try:
-                yield Wait(gate)
-            except BaseException:
-                self.cancel_wait(gate)
-                raise
-        # _release granted us the slot before firing the gate.
+        if self._in_use < self.capacity and not self._waiters:
+            self._grant()
+            return
+        gate = Event(self.sim, self._grant_name)
+        self._waiters.append(gate)
+        try:
+            yield Wait(gate)
+        except BaseException:
+            # Killed at the wait: a fired gate means ``release`` already
+            # granted the corpse the slot — pass it on; else leave the queue.
+            if gate.fired:
+                self.release()
+            else:
+                self._waiters.remove(gate)
+            raise
 
     def release(self) -> None:
         """Release one slot and hand it to the oldest waiter, if any."""
@@ -118,26 +88,31 @@ class Resource:
             self.total_busy_time += self.sim._now - self._busy_since
             self._busy_since = None
         if self._waiters:
-            gate = self._waiters.popleft()
+            # The slot is the oldest waiter's from here on; its wake-up
+            # goes through the scheduler, never synchronously.
+            waiter = self._waiters.popleft()
             self._grant()
-            gate.succeed()
+            if waiter.__class__ is Event:
+                waiter.succeed()
+            else:
+                waiter._hold_entry = self.sim._schedule(
+                    0.0, waiter._hold_start, waiter.name)
 
     def use(self, duration: float) -> Generator[Any, Any, None]:
         """Acquire, hold for ``duration`` simulated ms, release."""
-        # Uncontended acquire inlined: ``use`` brackets every simulated
-        # CPU charge, so the generator ``yield from self.acquire()``
-        # would create is measurable in the benchmarks.
-        if not self.try_use():
-            gate = self.wait_gate()
-            try:
-                yield Wait(gate)
-            except BaseException:
-                self.cancel_wait(gate)
-                raise
-        try:
-            yield Delay(duration)
-        finally:
-            self.release()
+        yield Hold(self, duration)
+
+    def _hold(self, proc: Process, hold: Hold) -> None:
+        """The kernel's handler for a yielded :class:`Hold`: start the
+        service now if a slot is free and nobody queues ahead, else park
+        the process itself (no gate, no wait registration) on the FIFO."""
+        proc._hold = hold
+        if self._in_use < self.capacity and not self._waiters:
+            self._grant()
+            proc._hold_entry = self.sim._schedule(
+                hold.dt, proc._hold_done, proc.name)
+        else:
+            self._waiters.append(proc)
 
     def utilization(self, horizon: Optional[float] = None) -> float:
         """Fraction of ``horizon`` (default: sim.now) the resource was busy."""
@@ -149,7 +124,7 @@ class Resource:
 
     def _grant(self) -> None:
         if self._in_use == 0:
-            self._busy_since = self.sim.now
+            self._busy_since = self.sim._now
         self._in_use += 1
         self.total_acquisitions += 1
 

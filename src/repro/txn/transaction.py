@@ -25,7 +25,7 @@ from typing import Any, Generator, List, Optional, Set, Tuple
 
 from ..concurrency import LockMode
 from ..errors import ReferenceProtocolError, TransactionStateError
-from ..sim import Delay, Wait
+from ..sim import Hold
 from ..storage import ObjectImage, Oid
 from ..wal.apply import apply_record, invert_record
 from ..wal.records import (
@@ -118,22 +118,7 @@ class Transaction:
         if engine.buffer is not None:
             yield from engine.fix_page(oid)
         if engine._charge_access:
-            cpu = engine.cpu
-            if not cpu.try_use():
-                gate = cpu.wait_gate()
-                try:
-                    yield Wait(gate)
-                except BaseException:
-                    cpu.cancel_wait(gate)
-                    raise
-            try:
-                # The engine pre-builds one Delay per configured cost —
-                # the kernel only reads ``dt``, so sharing the instance
-                # across every access is safe and skips an allocation on
-                # the hottest yield in the benchmarks.
-                yield engine._access_delay
-            finally:
-                cpu.release()
+            yield engine._access_hold
         # One cache lookup yields both the private image copy and the
         # store's shared children tuple (cheaper than re-scanning the
         # copy's ref slots per read).
@@ -170,18 +155,7 @@ class Transaction:
         if engine.buffer is not None:
             yield from engine.fix_page(oid)
         if engine._charge_access:
-            cpu = engine.cpu
-            if not cpu.try_use():
-                gate = cpu.wait_gate()
-                try:
-                    yield Wait(gate)
-                except BaseException:
-                    cpu.cancel_wait(gate)
-                    raise
-            try:
-                yield engine._access_delay
-            finally:
-                cpu.release()
+            yield engine._access_hold
         children = engine.store.children_tuple(oid)
         self.local_refs.update(children)
         self.local_refs.add(oid)
@@ -208,18 +182,7 @@ class Transaction:
         if engine.buffer is not None:
             yield from engine.fix_page(oid, dirty=True)
         if engine._charge_update:
-            cpu = engine.cpu
-            if not cpu.try_use():
-                gate = cpu.wait_gate()
-                try:
-                    yield Wait(gate)
-                except BaseException:
-                    cpu.cancel_wait(gate)
-                    raise
-            try:
-                yield engine._update_delay
-            finally:
-                cpu.release()
+            yield engine._update_hold
         store = engine.store
         before = store.get_payload(oid)[offset:offset + len(data)]
         if self._history is not None:
@@ -307,19 +270,8 @@ class Transaction:
         cost = (engine.config.cpu_update_extra_ms
                 if cpu_ms is None else cpu_ms)
         if cost > 0:
-            cpu = engine.cpu
-            if not cpu.try_use():
-                gate = cpu.wait_gate()
-                try:
-                    yield Wait(gate)
-                except BaseException:
-                    cpu.cancel_wait(gate)
-                    raise
-            try:
-                yield (engine._update_delay if cpu_ms is None
-                       else Delay(cost))
-            finally:
-                cpu.release()
+            yield (engine._update_hold if cpu_ms is None
+                   else Hold(engine.cpu, cost))
         store = engine.store
         old_child = store.get_ref(parent, slot)
         if old_child is not None:
