@@ -54,6 +54,24 @@ class LockMode(enum.Enum):
     locking an object; keeping the whole lattice here lets the
     hierarchical manager reuse every queue/upgrade/dispatch path below
     unchanged.
+
+    Each member carries the lattice as attributes, so no lock-table path
+    hashes a mode (``Enum.__hash__`` is Python code).  Masks are over
+    the members' ``bit``; ``rank`` is the position in weakest-first
+    order:
+
+    * ``compatible`` — granted modes a request in this mode coexists with;
+    * ``covers`` — modes this held mode satisfies re-entrantly;
+    * ``sup[other.rank]`` — the weakest mode covering both, what an
+      upgrade targets (sup(S, X) = X; sup(S, IX) = SIX — the SIX mode
+      exists precisely as this supremum);
+    * ``intent`` — the intention mode an acquisition in this mode needs
+      on every ancestor granule;
+    * ``implicit_below`` — the mode a coarse lock in this mode implicitly
+      holds on every descendant (``None`` for IS and IX), and
+      ``covers_below`` — the descendant modes it therefore satisfies
+      without a fine lock (SIX's IX half only licenses the holder's own
+      further fine X locks, so implicitly it is S below).
     """
 
     IS = "IS"
@@ -63,40 +81,33 @@ class LockMode(enum.Enum):
     X = "X"
 
 
-#: requested mode -> set of already-granted modes it is compatible with
-#: (the classic Gray compatibility matrix).
-_COMPATIBLE: Dict[LockMode, frozenset] = {
-    LockMode.IS: frozenset({LockMode.IS, LockMode.IX, LockMode.S,
-                            LockMode.SIX}),
-    LockMode.IX: frozenset({LockMode.IS, LockMode.IX}),
-    LockMode.S: frozenset({LockMode.IS, LockMode.S}),
-    LockMode.SIX: frozenset({LockMode.IS}),
-    LockMode.X: frozenset(),
-}
+_IS, _IX, _S, _SIX, _X = LockMode
 
-#: held mode -> modes it satisfies re-entrantly (no upgrade needed).
-_COVERS: Dict[LockMode, frozenset] = {
-    LockMode.IS: frozenset({LockMode.IS}),
-    LockMode.IX: frozenset({LockMode.IX, LockMode.IS}),
-    LockMode.S: frozenset({LockMode.S, LockMode.IS}),
-    LockMode.SIX: frozenset({LockMode.SIX, LockMode.S, LockMode.IX,
-                             LockMode.IS}),
-    LockMode.X: frozenset({LockMode.X, LockMode.SIX, LockMode.S,
-                           LockMode.IX, LockMode.IS}),
-}
 
-#: (held, requested) -> the weakest single mode covering both; what an
-#: upgrade targets.  sup(S, X) = X; sup(S, IX) = SIX — the SIX mode
-#: exists precisely as this supremum.
-_SUP: Dict[LockMode, Dict[LockMode, LockMode]] = {
-    a: {
-        b: next(m for m in (LockMode.IS, LockMode.IX, LockMode.S,
-                            LockMode.SIX, LockMode.X)
-                if a in _COVERS[m] and b in _COVERS[m])
-        for b in LockMode
-    }
-    for a in LockMode
-}
+def _build_lattice() -> None:
+    for rank, mode in enumerate(LockMode):  # declared weakest first
+        mode.rank, mode.bit = rank, 1 << rank
+    # mode, the granted modes a request in it is compatible with (Gray's
+    # matrix, CONCURRENCY.md), the modes it covers, its ancestor intent,
+    # the mode it implies below.
+    for mode, compatible, covers, intent, implicit_below in (
+            (_IS, (_IS, _IX, _S, _SIX), (_IS,), _IS, None),
+            (_IX, (_IS, _IX), (_IS, _IX), _IX, None),
+            (_S, (_IS, _S), (_IS, _S), _IS, _S),
+            (_SIX, (_IS,), (_IS, _IX, _S, _SIX), _IX, _S),
+            (_X, (), tuple(LockMode), _IX, _X)):
+        mode.compatible = sum(m.bit for m in compatible)
+        mode.covers = sum(m.bit for m in covers)
+        mode.intent, mode.implicit_below = intent, implicit_below
+    for a in LockMode:
+        below = a.implicit_below
+        a.covers_below = 0 if below is None else below.covers
+        a.sup = tuple(next(m for m in LockMode
+                           if m.covers & a.bit and m.covers & b.bit)
+                      for b in LockMode)
+
+
+_build_lattice()
 
 
 class LockTimeoutError(Exception):
@@ -233,13 +244,13 @@ class LockManager:
 
         held = entry.granted.get(tid)
         if held is not None:
-            if held is LockMode.X or held is mode or mode in _COVERS[held]:
+            if held.covers & mode.bit:
                 return True  # re-entrant; already strong enough
             # Upgrade to the supremum of held and requested (S+X → X,
             # S+IX → SIX, ...); granted synchronously when compatible with
             # every *other* holder — for the flat manager's only upgrade
             # (S → X) that is exactly the "sole holder" rule.
-            target = _SUP[held][mode]
+            target = held.sup[mode.rank]
             if self._grantable(entry, target, ignore_tid=tid):
                 entry.granted[tid] = target
                 if self.observer is not None:
@@ -265,7 +276,7 @@ class LockManager:
         returned ``False`` (the entry exists and is not grantable)."""
         entry = self._table[key]
         held = entry.granted.get(tid)
-        upgrade = held is not None and mode not in _COVERS[held]
+        upgrade = held is not None and not held.covers & mode.bit
 
         # Upgrades queue at the front (they already hold a lock and
         # would otherwise deadlock behind requests blocked on it).
@@ -276,7 +287,7 @@ class LockManager:
             self.stats.forced_timeouts += 1
             raise LockTimeoutError(tid, key, mode)
         gate = self.sim.event(name=f"lock:{key}:{tid}")
-        request = _Request(tid, _SUP[held][mode] if upgrade else mode,
+        request = _Request(tid, held.sup[mode.rank] if upgrade else mode,
                            gate, upgrade)
         if upgrade:
             entry.queue.appendleft(request)
@@ -385,8 +396,7 @@ class LockManager:
             return False
         if mode is None:
             return True
-        m = held.granted[tid]
-        return m is LockMode.X or m is mode or mode in _COVERS[m]
+        return held.granted[tid].covers & mode.bit != 0
 
     def held_keys(self, tid: int) -> Set[object]:
         return set(self._held_by.get(tid, set()))
@@ -494,25 +504,34 @@ class LockManager:
                    ignore_tid: Optional[int] = None) -> bool:
         # Allocation-free: this runs on every request (and again per
         # queued request on every release), so no throwaway mode list.
+        # Identity fast paths for the four modes the managers request
+        # (S/X fine locks, IS/IX intents); SIX only arises as an upgrade.
         granted = entry.granted
         if not granted:
             return True
-        if mode is LockMode.S:
-            # Fast path for the flat manager's dominant request mode: the
-            # extra identity checks are no-ops on a pure S/X table.
+        if mode is _S:
             for t, m in granted.items():
-                if t != ignore_tid and (m is LockMode.X or m is LockMode.IX
-                                        or m is LockMode.SIX):
+                if (m is _X or m is _IX or m is _SIX) and t != ignore_tid:
                     return False
             return True
-        if mode is LockMode.X:
+        if mode is _X:
             for t in granted:
                 if t != ignore_tid:
                     return False
             return True
-        compatible = _COMPATIBLE[mode]
+        if mode is _IS:
+            for t, m in granted.items():
+                if m is _X and t != ignore_tid:
+                    return False
+            return True
+        if mode is _IX:
+            for t, m in granted.items():
+                if m is not _IS and m is not _IX and t != ignore_tid:
+                    return False
+            return True
+        compatible = mode.compatible
         for t, m in granted.items():
-            if t != ignore_tid and m not in compatible:
+            if not m.bit & compatible and t != ignore_tid:
                 return False
         return True
 

@@ -296,8 +296,8 @@ class MissingAncestorIntent(Mutation):
         # transaction that holds nothing on an already-populated page,
         # so the resulting fine lock really is uncovered (and invisible
         # to any other transaction's escalation check).
-        def skipping(tid, oid, intent):
-            ancestors = original(tid, oid, intent)
+        def skipping(tid, oid, intent, path):
+            ancestors = original(tid, oid, intent, path)
             if not mutation.triggered:
                 page = ancestors[-1]
                 entry = locks._table.get(page)

@@ -50,43 +50,14 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Set, Tuple
 
-from ..concurrency.locks import (
-    _COMPATIBLE,
-    _COVERS,
-    _SUP,
-    LockManager,
-    LockMode,
-    _LockEntry,
-)
+from ..concurrency.locks import LockManager, LockMode, _LockEntry
 from ..storage.oid import Oid
 from .granules import PageGranule, PartitionGranule, descendant_of
 
-#: The intention mode an acquisition in ``mode`` requires on every
-#: ancestor granule (also: the partition intent a page-level mode needs).
-_INTENT: Dict[LockMode, LockMode] = {
-    LockMode.IS: LockMode.IS,
-    LockMode.S: LockMode.IS,
-    LockMode.IX: LockMode.IX,
-    LockMode.SIX: LockMode.IX,
-    LockMode.X: LockMode.IX,
-}
+_S, _X = LockMode.S, LockMode.X
 
-#: Coarse mode held on a granule -> the descendant modes it satisfies
-#: without a fine lock (SIX's IX half only licenses the holder's *own*
-#: further fine X locks, so implicitly it is S below).
-_COVERS_BELOW: Dict[LockMode, frozenset] = {
-    LockMode.S: frozenset({LockMode.S, LockMode.IS}),
-    LockMode.SIX: frozenset({LockMode.S, LockMode.IS}),
-    LockMode.X: frozenset(LockMode),
-}
-
-#: Coarse mode -> the mode it implicitly holds on every descendant
-#: (for conflict checks against other transactions' descendant locks).
-_IMPLICIT_BELOW: Dict[LockMode, LockMode] = {
-    LockMode.S: LockMode.S,
-    LockMode.SIX: LockMode.S,
-    LockMode.X: LockMode.X,
-}
+#: An object's ancestor granules, root first.
+Path = Tuple[PartitionGranule, PageGranule]
 
 
 class HierarchicalLockManager(LockManager):
@@ -102,9 +73,9 @@ class HierarchicalLockManager(LockManager):
         self.escalate_after = escalate_after
         self.partition_escalate_after = partition_escalate_after
         self.deescalate_on_conflict = deescalate_on_conflict
-        # Interned granule keys (one per page/partition ever touched).
-        self._page_granules: Dict[Tuple[int, int], PageGranule] = {}
-        self._part_granules: Dict[int, PartitionGranule] = {}
+        #: (partition, page) -> interned granule path, one per page ever
+        #: touched.
+        self._paths: Dict[Tuple[int, int], Path] = {}
         #: tid -> page granule -> {oid: mode} of live fine object locks.
         self._fine: Dict[int, Dict[PageGranule, Dict[Oid, LockMode]]] = {}
         #: tid -> granule -> {oid: mode} remembered under an escalated
@@ -121,7 +92,9 @@ class HierarchicalLockManager(LockManager):
         self._objects_held: Dict[int, Set[Oid]] = {}
 
     def _grant(self, entry, tid: int, mode: LockMode, key) -> None:
-        super()._grant(entry, tid, mode, key)
+        # Base calls on the request path name the class: no super()
+        # object per call, and still resolved at call time (traceable).
+        LockManager._grant(self, entry, tid, mode, key)
         if type(key) is Oid:
             objs = self._objects_held.get(tid)
             if objs is None:
@@ -130,131 +103,115 @@ class HierarchicalLockManager(LockManager):
 
     # -- granule interning -------------------------------------------------------------
 
-    def _page_g(self, partition: int, page: int) -> PageGranule:
-        key = (partition, page)
-        g = self._page_granules.get(key)
-        if g is None:
-            g = self._page_granules[key] = PageGranule(partition, page)
-        return g
+    def _path(self, oid: Oid) -> Path:
+        """``oid``'s partition and page granules, interned."""
+        key = (oid.partition, oid.page)
+        path = self._paths.get(key)
+        if path is None:
+            path = self._paths[key] = (PartitionGranule(oid.partition),
+                                       PageGranule(*key))
+        return path
 
-    def _part_g(self, partition: int) -> PartitionGranule:
-        g = self._part_granules.get(partition)
-        if g is None:
-            g = self._part_granules[partition] = PartitionGranule(partition)
-        return g
-
-    def _ancestors(self, tid: int, oid: Oid,
-                   intent: LockMode) -> Tuple[object, ...]:
+    def _ancestors(self, tid: int, oid: Oid, intent: LockMode,
+                   path: Path) -> Tuple[object, ...]:
         """The ancestor granules to lock (in ``intent``) before an object
-        lock, root first.  Seam for the planted missing-ancestor-intent
-        mutation; ``tid`` is unused here but lets a mutation scope its
-        damage."""
-        return (self._part_g(oid.partition),
-                self._page_g(oid.partition, oid.page))
+        lock, root first: a sub-sequence of ``path``.  Seam for the
+        planted missing-ancestor-intent mutation; the other arguments are
+        unused here but let a mutation scope its damage."""
+        return path
 
     # -- acquisition -------------------------------------------------------------------
 
     def try_acquire(self, tid: int, key, mode: LockMode) -> bool:
         if not isinstance(key, Oid):
             return super().try_acquire(tid, key, mode)
-        page = self._page_g(key.partition, key.page)
-        part = self._part_g(key.partition)
-        covering = self._covering(tid, page, part, mode)
-        if covering is not None:
-            self.stats.requests += 1
-            self._note_covered(tid, covering, key, mode)
-            return True
-        intent = _INTENT[mode]
-        for granule in self._ancestors(tid, key, intent):
-            if not self._acquire_granule(tid, granule, intent):
-                return False
-        if not super().try_acquire(tid, key, mode):
-            return False
-        self._note_fine(tid, page, key, mode)
-        self._maybe_escalate(tid, page, part)
-        return True
+        return next(self._plant(tid, key, mode), None) is None
 
     def acquire_wait(self, tid: int, key, mode: LockMode,
                      timeout_ms: Optional[float] = None):
         if not isinstance(key, Oid):
             yield from super().acquire_wait(tid, key, mode, timeout_ms)
             return
-        page = self._page_g(key.partition, key.page)
-        part = self._part_g(key.partition)
-        covering = self._covering(tid, page, part, mode)
-        if covering is not None:
-            self.stats.requests += 1
-            self._note_covered(tid, covering, key, mode)
-            return
-        intent = _INTENT[mode]
-        for granule in self._ancestors(tid, key, intent):
-            if not self._acquire_granule(tid, granule, intent):
-                yield from super().acquire_wait(tid, granule, intent,
-                                                timeout_ms)
-        if not super().try_acquire(tid, key, mode):
-            yield from super().acquire_wait(tid, key, mode, timeout_ms)
-        self._note_fine(tid, page, key, mode)
-        self._maybe_escalate(tid, page, part)
+        for blocked, blocked_mode in self._plant(tid, key, mode):
+            yield from super().acquire_wait(tid, blocked, blocked_mode,
+                                            timeout_ms)
 
-    def _acquire_granule(self, tid: int, granule, mode: LockMode) -> bool:
-        if super().try_acquire(tid, granule, mode):
-            return True
-        if self.deescalate_on_conflict and \
-                self._deescalate_blockers(tid, granule, mode):
-            return super().try_acquire(tid, granule, mode)
-        return False
+    def _plant(self, tid: int, key: Oid, mode: LockMode):
+        """The one planting pass behind both acquisition paths.
 
-    # -- coverage ----------------------------------------------------------------------
-
-    def _covering(self, tid: int, page: PageGranule,
-                  part: PartitionGranule, mode: LockMode):
-        """The coarse granule whose lock already satisfies ``mode`` on an
-        object below it, or ``None``."""
+        Reads ``tid``'s holding on the object's partition and page once
+        (the page again after a wait).
+        A coarse lock that already covers ``mode`` below answers the
+        request outright.  Otherwise each ancestor needs ``mode``'s
+        intent — counted like the base manager's re-entrant return when
+        held strongly enough, acquired (de-escalating blockers) when
+        missing or weaker — and then the object lock is taken, noted as a
+        fine lock, and may escalate its page.  A generator: it yields the
+        ``(key, mode)`` of each step that cannot be granted now, which
+        :meth:`try_acquire` reports as a refusal and :meth:`acquire_wait`
+        waits out before carrying on.
+        """
+        path = self._path(key)
+        part, page = path
         table = self._table
-        for granule in (page, part):
-            entry = table.get(granule)
-            if entry is not None:
-                held = entry.granted.get(tid)
-                if held is not None and \
-                        mode in _COVERS_BELOW.get(held, ()):
-                    return granule
-        return None
-
-    def _note_covered(self, tid: int, granule, oid: Oid,
-                      mode: LockMode) -> None:
-        bucket = self._covered.setdefault(tid, {}).setdefault(granule, {})
-        old = bucket.get(oid)
-        bucket[oid] = mode if old is None else _SUP[old][mode]
-
-    def _note_fine(self, tid: int, page: PageGranule, oid: Oid,
-                   mode: LockMode) -> None:
+        entry = table.get(part)
+        part_held = None if entry is None else entry.granted.get(tid)
+        entry = table.get(page)
+        page_held = None if entry is None else entry.granted.get(tid)
+        bit = mode.bit
+        if page_held is not None and page_held.covers_below & bit:
+            covering = page
+        elif part_held is not None and part_held.covers_below & bit:
+            covering = part
+        else:
+            covering = None
+        stats = self.stats
+        if covering is not None:
+            stats.requests += 1
+            cov = self._covered.get(tid)
+            if cov is None:
+                cov = self._covered[tid] = {}
+            bucket = cov.get(covering)
+            if bucket is None:
+                bucket = cov[covering] = {}
+            old = bucket.get(key)
+            bucket[key] = mode if old is None else old.sup[mode.rank]
+            return
+        intent = mode.intent
+        for granule in self._ancestors(tid, key, intent, path):
+            held = part_held if granule is part else page_held
+            if held is not None and held.covers & intent.bit:
+                stats.requests += 1  # the base manager's re-entrant return
+            elif not self._acquire_granule(tid, granule, intent):
+                yield granule, intent
+                # Others ran meanwhile and may have de-escalated this
+                # transaction's page lock.
+                entry = table.get(page)
+                page_held = None if entry is None else entry.granted.get(tid)
+        if not LockManager.try_acquire(self, tid, key, mode):
+            yield key, mode
         fine = self._fine.get(tid)
         if fine is None:
             fine = self._fine[tid] = {}
         page_map = fine.get(page)
         if page_map is None:
             page_map = fine[page] = {}
-        old = page_map.get(oid)
-        page_map[oid] = mode if old is None else _SUP[old][mode]
+        old = page_map.get(key)
+        page_map[key] = mode if old is None else old.sup[mode.rank]
+        if 0 < self.escalate_after <= len(page_map):
+            self._escalate(tid, page, page_map)
+        if self.partition_escalate_after > 0:
+            self._escalate_partition(tid, part)
+
+    def _acquire_granule(self, tid: int, granule, mode: LockMode) -> bool:
+        if LockManager.try_acquire(self, tid, granule, mode):
+            return True
+        if self.deescalate_on_conflict and \
+                self._deescalate_blockers(tid, granule, mode):
+            return LockManager.try_acquire(self, tid, granule, mode)
+        return False
 
     # -- escalation --------------------------------------------------------------------
-
-    def _maybe_escalate(self, tid: int, page: PageGranule,
-                        part: PartitionGranule) -> None:
-        if self.escalate_after > 0:
-            fine = self._fine.get(tid)
-            if fine:
-                page_map = fine.get(page)
-                if page_map is not None and \
-                        len(page_map) >= self.escalate_after:
-                    self._escalate(tid, page, page_map)
-        if self.partition_escalate_after > 0:
-            fine = self._fine.get(tid)
-            if fine:
-                total = sum(len(oids) for g, oids in fine.items()
-                            if g.partition == part.partition)
-                if total >= self.partition_escalate_after:
-                    self._escalate_partition(tid, part)
 
     def _escalation_safe(self, tid: int, granule,
                          target: LockMode) -> bool:
@@ -278,21 +235,22 @@ class HierarchicalLockManager(LockManager):
         held = self._table[page].granted.get(tid)
         if held is None:
             return  # no page lock to promote (planted-bug territory)
-        raw = LockMode.X if any(m is LockMode.X for m in page_map.values()) \
-            else LockMode.S
-        target = _SUP[held][raw]
+        raw = _X if _X in page_map.values() else _S
+        target = held.sup[raw.rank]
         if target is held:
             return  # already coarse enough
         if not self._escalation_safe(tid, page, target):
             self.stats.escalation_failures += 1
-            self._esc_failed.setdefault(tid, {})[page] = len(page_map)
+            if failed is None:
+                failed = self._esc_failed[tid] = {}
+            failed[page] = len(page_map)
             return
         self._promote(tid, page, target)
         self.stats.escalations += 1
         bucket = self._covered.setdefault(tid, {}).setdefault(page, {})
         for oid, m in page_map.items():
             old = bucket.get(oid)
-            bucket[oid] = m if old is None else _SUP[old][m]
+            bucket[oid] = m if old is None else old.sup[m.rank]
         objs = self._objects_held.get(tid)
         for oid in list(page_map):
             super().release(tid, oid)
@@ -304,7 +262,11 @@ class HierarchicalLockManager(LockManager):
 
     def _escalate_partition(self, tid: int,
                             part: PartitionGranule) -> None:
-        fine = self._fine.get(tid) or {}
+        fine = self._fine.get(tid)
+        if not fine or sum(len(oids) for g, oids in fine.items()
+                           if g.partition == part.partition) \
+                < self.partition_escalate_after:
+            return
         pages = [g for g in fine if g.partition == part.partition]
         merged: Dict[Oid, LockMode] = {}
         for g in pages:
@@ -315,7 +277,7 @@ class HierarchicalLockManager(LockManager):
         for g in cov_pages:
             for oid, m in cov[g].items():
                 old = merged.get(oid)
-                merged[oid] = m if old is None else _SUP[old][m]
+                merged[oid] = m if old is None else old.sup[m.rank]
         if not merged:
             return
         failed = self._esc_failed.get(tid)
@@ -324,9 +286,8 @@ class HierarchicalLockManager(LockManager):
         held = self._table[part].granted.get(tid)
         if held is None:
             return
-        raw = LockMode.X if any(m is LockMode.X for m in merged.values()) \
-            else LockMode.S
-        target = _SUP[held][raw]
+        raw = _X if _X in merged.values() else _S
+        target = held.sup[raw.rank]
         if target is held:
             return
         if not self._escalation_safe(tid, part, target):
@@ -338,7 +299,7 @@ class HierarchicalLockManager(LockManager):
         bucket = self._covered.setdefault(tid, {}).setdefault(part, {})
         for oid, m in merged.items():
             old = bucket.get(oid)
-            bucket[oid] = m if old is None else _SUP[old][m]
+            bucket[oid] = m if old is None else old.sup[m.rank]
         # Everything below the partition collapses into the coarse lock:
         # fine object locks, escalated page locks, and page intents.
         objs = self._objects_held.get(tid)
@@ -375,10 +336,10 @@ class HierarchicalLockManager(LockManager):
         entry = self._table.get(granule)
         if entry is None:
             return False
-        compatible = _COMPATIBLE[mode]
+        compatible = mode.compatible
         did = False
         for holder, held in list(entry.granted.items()):
-            if holder == requester or held in compatible:
+            if holder == requester or held.bit & compatible:
                 continue
             cov = self._covered.get(holder)
             if cov is None or granule not in cov:
@@ -394,20 +355,19 @@ class HierarchicalLockManager(LockManager):
         if fine is None:
             fine = self._fine[holder] = {}
         for oid, m in fines.items():
-            if not is_page:
+            if is_page:
+                page = granule
+            else:
                 # Partition de-escalation: re-plant the page intent the
                 # fine lock needs before the fine lock itself.
-                self._regrant(holder,
-                              self._page_g(oid.partition, oid.page),
-                              _INTENT[m])
+                page = self._path(oid)[1]
+                self._regrant(holder, page, m.intent)
             self._regrant(holder, oid, m)
-            page = granule if is_page else self._page_g(oid.partition,
-                                                        oid.page)
             page_map = fine.get(page)
             if page_map is None:
                 page_map = fine[page] = {}
             old = page_map.get(oid)
-            page_map[oid] = m if old is None else _SUP[old][m]
+            page_map[oid] = m if old is None else old.sup[m.rank]
         self.stats.deescalations += 1
         # Demote the coarse grant to whatever intent the holder's
         # remaining locks below still require (possibly nothing).
@@ -445,8 +405,8 @@ class HierarchicalLockManager(LockManager):
         held = entry.granted.get(holder)
         if held is None:
             self._grant(entry, holder, mode, key)
-        elif mode not in _COVERS[held]:
-            target = _SUP[held][mode]
+        elif not held.covers & mode.bit:
+            target = held.sup[mode.rank]
             entry.granted[holder] = target
             if self.observer is not None:
                 self.observer("grant", holder, key, target)
@@ -459,16 +419,16 @@ class HierarchicalLockManager(LockManager):
         for key in self._held_by.get(holder, ()):
             if key == granule or not descendant_of(key, granule):
                 continue
-            m = _INTENT[table[key].granted[holder]]
-            need = m if need is None else _SUP[need][m]
+            m = table[key].granted[holder].intent
+            need = m if need is None else need.sup[m.rank]
         # Remembered covers on a child granule (an escalated page under a
         # de-escalating partition keeps its coarse page lock).
         cov = self._covered.get(holder)
         if cov:
             for g in cov:
                 if g != granule and descendant_of(g, granule):
-                    m = _INTENT[table[g].granted[holder]]
-                    need = m if need is None else _SUP[need][m]
+                    m = table[g].granted[holder].intent
+                    need = m if need is None else need.sup[m.rank]
         return need
 
     # -- release -----------------------------------------------------------------------
@@ -477,7 +437,7 @@ class HierarchicalLockManager(LockManager):
         if isinstance(key, Oid):
             fine = self._fine.get(tid)
             if fine:
-                page = self._page_g(key.partition, key.page)
+                page = self._path(key)[1]
                 page_map = fine.get(page)
                 if page_map is not None and key in page_map:
                     del page_map[key]
@@ -538,13 +498,17 @@ class HierarchicalLockManager(LockManager):
             return True
         if not isinstance(key, Oid):
             return False
-        page = self._page_g(key.partition, key.page)
-        part = self._part_g(key.partition)
+        page_first = self._path(key)[::-1]
         if mode is not None:
-            return self._covering(tid, page, part, mode) is not None
+            for granule in page_first:
+                entry = self._table.get(granule)
+                held = None if entry is None else entry.granted.get(tid)
+                if held is not None and held.covers_below & mode.bit:
+                    return True
+            return False
         cov = self._covered.get(tid)
         if cov:
-            for granule in (page, part):
+            for granule in page_first:
                 oids = cov.get(granule)
                 if oids and key in oids:
                     return True
@@ -582,37 +546,36 @@ class HierarchicalLockManager(LockManager):
         """
         problems: List[str] = []
         if isinstance(key, Oid):
-            required = _INTENT[mode]
-            for anc in (self._page_g(key.partition, key.page),
-                        self._part_g(key.partition)):
+            required = mode.intent
+            for anc in self._path(key)[::-1]:
                 entry = self._table.get(anc)
                 held = entry.granted.get(tid) if entry is not None else None
-                if held is None or required not in _COVERS[held]:
+                if held is None or not held.covers & required.bit:
                     problems.append(
                         f"txn {tid} holds {mode.value} on {key} without "
                         f"{required.value} on {anc}")
         else:
-            implicit = _IMPLICIT_BELOW.get(mode)
+            implicit = mode.implicit_below
             if implicit is not None:
                 # A coarse grant must be compatible with every co-holder
                 # of the granule itself (this is what an escalation that
                 # skips re-validation breaks) ...
                 entry = self._table.get(key)
                 if entry is not None:
-                    allowed = _COMPATIBLE[mode]
+                    allowed = mode.compatible
                     for other_tid, m in entry.granted.items():
-                        if other_tid != tid and m not in allowed:
+                        if other_tid != tid and not m.bit & allowed:
                             problems.append(
                                 f"txn {tid} holds {mode.value} on {key} "
                                 f"alongside txn {other_tid}'s incompatible "
                                 f"{m.value}")
                 # ... and with every other transaction's lock below it.
-                compatible = _COMPATIBLE[implicit]
+                compatible = implicit.compatible
                 for other_key, entry in self._table.items():
                     if not descendant_of(other_key, key):
                         continue
                     for other_tid, m in entry.granted.items():
-                        if other_tid != tid and m not in compatible:
+                        if other_tid != tid and not m.bit & compatible:
                             problems.append(
                                 f"txn {tid} holds {mode.value} on {key} "
                                 f"over txn {other_tid}'s conflicting "
