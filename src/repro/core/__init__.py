@@ -1,5 +1,8 @@
 """The paper's contribution: on-line reorganization algorithms.
 
+Each is one lock footprint around the same relocation step, run by one
+skeleton (:class:`Reorganizer`, :mod:`repro.core.reorganizer`):
+
 * :class:`IncrementalReorganizer` — basic IRA (§3).
 * :class:`TwoLockReorganizer` — the at-most-two-distinct-locks extension
   (§4.2); also works when transactions use short-duration locks (§4.1).
@@ -21,9 +24,9 @@ from .checkpointing import (
     resume_reorganization,
 )
 from .gc import CopyingGarbageCollector, GcStats, MarkAndSweepCollector
-from .ira import IncrementalReorganizer, ReorgStats
+from .ira import IncrementalReorganizer
 from .ira_twolock import TwoLockReorganizer, references_equal
-from .offline import OfflineReorganizer, migrate_partition_quiescent
+from .offline import OfflineReorganizer
 from .plan import (
     ClusteringPlan,
     CompactionPlan,
@@ -32,6 +35,7 @@ from .plan import (
     RelocationPlan,
 )
 from .pqr import PartitionQuiesceReorganizer
+from .reorganizer import Reorganizer, ReorgStats
 from .selection import (
     PartitionSelector,
     fragmentation_score,
@@ -60,6 +64,7 @@ __all__ = [
     "ReorgState",
     "ReorgStateStore",
     "ReorgStats",
+    "Reorganizer",
     "TraversalResult",
     "TwoLockReorganizer",
     "WalReorgStateStore",
@@ -70,7 +75,6 @@ __all__ = [
     "fragmentation_score",
     "fuzzy_traversal",
     "garbage_estimate",
-    "migrate_partition_quiescent",
     "rebuild_trt",
     "references_equal",
     "resume_reorganization",

@@ -21,8 +21,9 @@ from typing import Any, Generator, Set
 
 from ..config import ReorgConfig
 from ..storage.oid import Oid
-from .ira import IncrementalReorganizer, ReorgStats
+from .ira import IncrementalReorganizer
 from .plan import EvacuationPlan
+from .reorganizer import Reorganizer, ReorgStats, sweep_unreachable
 from .traversal import find_objects_and_approx_parents
 
 
@@ -35,6 +36,7 @@ class GcStats:
     live_objects: int = 0
     reclaimed_objects: int = 0
     reclaimed_bytes: int = 0
+    trt_peak: int = 0
 
     @property
     def duration_ms(self) -> float:
@@ -75,48 +77,39 @@ class CopyingGarbageCollector:
         return self.reorganizer.stats.mapping
 
 
-class MarkAndSweepCollector:
-    """In-place partitioned mark-and-sweep [AFG95] on the same substrate."""
+class MarkAndSweepCollector(Reorganizer):
+    """In-place partitioned mark-and-sweep [AFG95]: the reorganizer
+    skeleton around no move at all.  IRA's safety protocol makes the TRT
+    complete, the traversal (with its L2 reseeding) marks every live
+    object, and the sweep frees the rest."""
 
     algorithm_name = "mark-sweep"
+    uses_trt = True
 
     def __init__(self, engine, partition_id: int):
-        self.engine = engine
-        self.partition_id = partition_id
+        super().__init__(engine, partition_id)
         self.stats = GcStats(algorithm=self.algorithm_name,
                              partition_id=partition_id)
+        self._allocated: Set[Oid] = set()
+        self._live: Set[Oid] = set()
 
-    def run(self) -> Generator[Any, Any, GcStats]:
-        engine = self.engine
-        self.stats.started_ms = engine.sim.now
-        trt = engine.activate_trt(self.partition_id)
-        try:
-            # Same safety protocol as IRA: make the TRT complete, then the
-            # traversal (with its L2 reseeding) marks every live object.
-            yield from engine.txns.wait_for_quiesce()
-            allocated: Set[Oid] = set(
-                engine.store.live_oids(self.partition_id))
-            result = yield from find_objects_and_approx_parents(
-                engine, self.partition_id, trt)
-            live = set(result.objects)
-            self.stats.live_objects = len(live)
-            garbage = sorted(oid for oid in allocated
-                             if oid not in live
-                             and oid not in trt.created_since_activation
-                             and engine.store.exists(oid))
-            for start in range(0, len(garbage), 32):
-                txn = engine.txns.begin(system=True, reorg_partition=self.partition_id)
-                chunk = garbage[start:start + 32]
-                yield from engine.cpu.use(
-                    engine.config.cpu_update_extra_ms * len(chunk))
-                for oid in chunk:
-                    self.stats.reclaimed_bytes += len(
-                        engine.store.read_raw(oid))
-                    yield from txn.delete_object(oid, cpu_ms=0)
-                    self.stats.reclaimed_objects += 1
-                yield from txn.commit()
-            engine.store.partition(self.partition_id).drop_empty_pages()
-        finally:
-            engine.deactivate_trt(self.partition_id)
-        self.stats.finished_ms = engine.sim.now
-        return self.stats
+    def _discover(self) -> Generator[Any, Any, None]:
+        self._allocated = set(self.engine.store.live_oids(self.partition_id))
+        result = yield from find_objects_and_approx_parents(
+            self.engine, self.partition_id, self.trt)
+        self._live = set(result.objects)
+        self.stats.live_objects = len(self._live)
+
+    def _migrate_all(self) -> Generator[Any, Any, None]:
+        store = self.engine.store
+
+        def note(oid: Oid) -> None:
+            self.stats.reclaimed_bytes += len(store.read_raw(oid))
+            self.stats.reclaimed_objects += 1
+        yield from sweep_unreachable(self.engine, self.partition_id,
+                                     self._allocated, self._live, self.trt,
+                                     note)
+
+    def _reclaim(self) -> Generator[Any, Any, None]:
+        self.engine.store.partition(self.partition_id).drop_empty_pages()
+        yield from ()

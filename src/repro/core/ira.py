@@ -27,15 +27,13 @@ for every active transaction that ever locked it (§4.1).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Dict, Generator, List, Optional, Set
+from typing import Any, Dict, Generator, List, Set
 
 from ..concurrency import LockMode, LockTimeoutError
-from ..config import ReorgConfig
 from ..errors import ReorganizationError
 from ..sim import Delay
 from ..storage.oid import Oid
-from .plan import RelocationPlan
+from .reorganizer import Reorganizer, sweep_unreachable
 from .traversal import (
     TraversalResult,
     find_objects_and_approx_parents,
@@ -43,57 +41,20 @@ from .traversal import (
 )
 
 
-@dataclass
-class ReorgStats:
-    """What a reorganization run did; returned by ``run()``."""
+class IncrementalReorganizer(Reorganizer):
+    """On-line reorganization of one partition (basic IRA, §3).
 
-    algorithm: str = "ira"
-    partition_id: int = -1
-    started_ms: float = 0.0
-    finished_ms: float = 0.0
-    objects_found: int = 0
-    objects_migrated: int = 0
-    garbage_collected: int = 0
-    parent_patches: int = 0
-    deadlock_retries: int = 0
-    #: Total simulated time spent sleeping between deadlock retries.
-    backoff_ms_total: float = 0.0
-    max_locks_held: int = 0
-    #: Lock acquisitions on objects outside the partition (the §7 metric
-    #: the ParentLocalityPlan ordering minimizes).
-    external_lock_acquisitions: int = 0
-    trt_peak: int = 0
-    checkpoints_taken: int = 0
-    #: old address -> new address for every migrated object.
-    mapping: Dict[Oid, Oid] = field(default_factory=dict)
-
-    @property
-    def duration_ms(self) -> float:
-        return self.finished_ms - self.started_ms
-
-
-class IncrementalReorganizer:
-    """On-line reorganization of one partition (basic IRA, §3)."""
+    Footprint: the object being moved and every one of its parents,
+    held by one system transaction per batch of objects (§4.3).  The
+    probe fires "exact_parents" (oid, parents), "migrated" (oid,
+    new_oid) and "lock" (tid, target).
+    """
 
     algorithm_name = "ira"
+    uses_trt = True
 
-    def __init__(self, engine, partition_id: int,
-                 plan: Optional[RelocationPlan] = None,
-                 reorg_config: Optional[ReorgConfig] = None,
-                 state_store=None, transform=None):
-        self.engine = engine
-        self.partition_id = partition_id
-        self.plan = plan or RelocationPlan()
-        self.cfg = reorg_config or ReorgConfig()
-        self.state_store = state_store
-        #: Optional ``(oid, image) -> image`` hook applied to each object
-        #: as it migrates — the schema-evolution use case of §1 (e.g.
-        #: widening every object's payload).  The transform must preserve
-        #: the reference slots; only the payload may change.
-        self.transform = transform
-        self.stats = ReorgStats(algorithm=self.algorithm_name,
-                                partition_id=partition_id)
-        self.trt = None
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
         # Working state (checkpointable, §4.4).
         self._parents: Dict[Oid, Set[Oid]] = {}
         self._order: List[Oid] = []
@@ -105,67 +66,25 @@ class IncrementalReorganizer:
         self._new_targets: Set[Oid] = set()
         self._migrated: Set[Oid] = set()
         self._allocated_at_traversal: Set[Oid] = set()
-        # Log position of the TRT's activation: where a resume replays from.
-        self._trt_lsn = 0
         # What the next checkpoint delta carries (§4.4): children whose
         # parent lists were touched and migrations committed since the
         # previous checkpoint.
         self._dirty_parents: Set[Oid] = set()
         self._unsaved_mapping: Dict[Oid, Oid] = {}
-        self._resumed = False
         # Seeded per-reorganizer: a string seed keeps runs reproducible
         # (tuple seeds would go through randomized hash()).
         self._retry_rng = self.cfg.deadlock_retry.rng(
-            f"backoff/0/{partition_id}")
-        #: Observation hook ``probe(event, **info)`` for repro.explore:
-        #: fired at "exact_parents" (oid, parents), "migrated"
-        #: (oid, new_oid) and "lock" (tid, target).  Must not mutate
-        #: reorganizer state.
-        self.probe = None
-        #: Pacing hook: a zero-arg callable returning a generator the
-        #: migration loop drives between batches.  The reorg governor
-        #: (:mod:`repro.serve.governor`) uses it to delay or pause the
-        #: worker when the serving layer's SLO is breached; ``None``
-        #: runs flat out.
-        self.pacer = None
+            f"backoff/0/{self.partition_id}")
 
-    def _probe(self, event: str, **info) -> None:
-        if self.probe is not None:
-            self.probe(event, **info)
+    # Bound here, not inherited: perf/adapter.py traces ``run`` on this
+    # class itself.
+    run = Reorganizer.run
 
     def _parents_to_patch(self, oid: Oid, parents: Set[Oid]) -> List[Oid]:
         """Seam: the ordered parent list whose slots get patched for one
         migration.  repro.explore's mutation tests override this to model
         a buggy reorganizer that skips a pointer rewrite."""
         return sorted(parents)
-
-    # -- top level (Fig. 1) -------------------------------------------------------
-
-    def run(self) -> Generator[Any, Any, ReorgStats]:
-        self.stats.started_ms = self.engine.sim.now
-        if self.trt is None:
-            self._trt_lsn = self.engine.log.last_lsn
-            self.trt = self.engine.activate_trt(self.partition_id)
-        try:
-            if not self._resumed:
-                # §4.5: wait for transactions active at start so that every
-                # relevant pointer update is guaranteed to be in the TRT.
-                yield from self.engine.txns.wait_for_quiesce()
-                self.plan.prepare(self.engine, self.partition_id)
-                yield from self._discover()
-            yield from self._migrate_all()
-            if self.cfg.collect_garbage:
-                yield from self._collect_garbage()
-            self.plan.finalize(self.engine, self.partition_id)
-            if self.state_store is not None:
-                # Tombstone the progress record: a crash after this point
-                # must not resume a finished reorganization.
-                self.state_store.clear()
-        finally:
-            self.engine.deactivate_trt(self.partition_id)
-        self.stats.trt_peak = self.trt.stats.peak_size
-        self.stats.finished_ms = self.engine.sim.now
-        return self.stats
 
     # -- step 1: discovery ---------------------------------------------------------
 
@@ -202,22 +121,31 @@ class IncrementalReorganizer:
     # -- step 2: migration loop ---------------------------------------------------------
 
     def _migrate_all(self) -> Generator[Any, Any, None]:
-        batch_size = max(1, self.cfg.migration_batch_size)
+        """Migrate every pending object one unit of work at a time, with
+        a checkpoint (§4.4) and the pacer between units; then collect
+        the garbage the traversal found (§4.6) if asked to."""
+        size = self._unit_size()
         pending = [oid for oid in self._order if oid not in self._migrated]
-        for start in range(0, len(pending), batch_size):
-            batch = [oid for oid in pending[start:start + batch_size]
-                     if oid not in self._migrated
-                     and self.engine.store.exists(oid)]
-            if not batch:
+        for start in range(0, len(pending), size):
+            unit = [oid for oid in pending[start:start + size]
+                    if oid not in self._migrated
+                    and self.engine.store.exists(oid)]
+            if not unit:
                 continue
-            yield from self._migrate_batch(batch)
+            yield from self._migrate_unit(unit)
             if self.state_store is not None and self.cfg.checkpoint_every:
-                if len(self._migrated) % self.cfg.checkpoint_every < batch_size:
+                if len(self._migrated) % self.cfg.checkpoint_every < size:
                     self._checkpoint_state()
             if self.pacer is not None:
                 yield from self.pacer()
+        if self.cfg.collect_garbage:
+            yield from self._collect_garbage()
 
-    def _migrate_batch(self, batch: List[Oid]) -> Generator[Any, Any, None]:
+    def _unit_size(self) -> int:
+        """Objects per unit of work: a batch per system transaction."""
+        return max(1, self.cfg.migration_batch_size)
+
+    def _migrate_unit(self, batch: List[Oid]) -> Generator[Any, Any, None]:
         """Migrate a group of objects in one system transaction (§4.3),
         retrying the whole batch after a deadlock-resolving timeout."""
         attempt = 0
@@ -359,35 +287,19 @@ class IncrementalReorganizer:
         yield from self._lock_for_reorg(txn, oid)
         if not engine.store.exists(oid):
             return oid  # deleted while we waited for the lock
-        image = engine.store.read_object(oid)
-        if self.transform is not None:
-            original_refs = [ref for _, ref in image.refs()]
-            image = self.transform(oid, image)
-            if [ref for _, ref in image.refs()] != original_refs:
-                raise ReorganizationError(
-                    f"transform changed the references of {oid}")
+        image = self._image(oid)
         # One consolidated CPU burst per migration: the copy plus the
         # per-parent patch work (a real reorganizer does not reschedule
         # between the micro-steps of one object's migration).
         burst = (cfg.cpu_migrate_ms + 2 * cfg.cpu_update_extra_ms
                  + cfg.cpu_ref_patch_ms * max(1, len(parents)))
         yield from engine.cpu.use(burst)
-        new_oid = yield from txn.create_object(
-            self.plan.target_partition(oid), image,
-            fresh_only=self.plan.fresh_only, cpu_ms=0)
-        # Patch every reference to the old address.  A self-reference lives
-        # in the *new* copy now; all other parents are write-locked.
-        for parent in self._parents_to_patch(oid, parents):
-            patch_target = new_oid if parent == oid else parent
-            for slot in engine.store.read_object(
-                    patch_target).slots_referencing(oid):
-                yield from txn.update_ref(patch_target, slot, new_oid,
-                                          cpu_ms=0)
-                self.stats.parent_patches += 1
-        # The ERT updates Fig. 5 lists are produced by the log analyzer
-        # from this transaction's OBJ_CREATE / REF_UPDATE / OBJ_DELETE
-        # records — no direct table surgery here.
-        yield from txn.delete_object(oid, cpu_ms=0)
+        new_oid = yield from self._copy(txn, oid, image)
+        # Every parent is write-locked.  The ERT updates Fig. 5 lists are
+        # produced by the log analyzer from this transaction's OBJ_CREATE /
+        # REF_UPDATE / OBJ_DELETE records — no direct table surgery here.
+        yield from self._relocate(txn, oid, new_oid,
+                                  self._parents_to_patch(oid, parents))
         self.stats.max_locks_held = max(
             self.stats.max_locks_held, engine.locks.object_lock_count(txn.tid))
         batch_mapping[oid] = new_oid
@@ -431,25 +343,12 @@ class IncrementalReorganizer:
     # -- garbage collection (§4.6) ------------------------------------------------------
 
     def _collect_garbage(self) -> Generator[Any, Any, None]:
-        """Free objects the traversal proved unreachable.
-
-        Lemma 3.1: every live object was traversed, so anything allocated
-        at traversal time and never visited is garbage.
-        """
-        found = set(self._order)
-        garbage = [oid for oid in sorted(self._allocated_at_traversal)
-                   if oid not in found
-                   and oid not in self.trt.created_since_activation
-                   and self.engine.store.exists(oid)]
-        for start in range(0, len(garbage), 32):
-            txn = self.engine.txns.begin(system=True, reorg_partition=self.partition_id)
-            chunk = garbage[start:start + 32]
-            yield from self.engine.cpu.use(
-                self.engine.config.cpu_update_extra_ms * len(chunk))
-            for oid in chunk:
-                yield from txn.delete_object(oid, cpu_ms=0)
-                self.stats.garbage_collected += 1
-            yield from txn.commit()
+        """Free the objects the traversal never reached."""
+        def note(_oid: Oid) -> None:
+            self.stats.garbage_collected += 1
+        yield from sweep_unreachable(
+            self.engine, self.partition_id, self._allocated_at_traversal,
+            set(self._order), self.trt, note)
 
     # -- §4.4: reorganizer state checkpointing --------------------------------------------
 

@@ -31,10 +31,9 @@ two addresses of an in-flight migration as equal.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Generator, List, Optional, Set
+from typing import Any, Dict, Generator, List, Optional, Tuple
 
 from ..concurrency import LockMode, LockTimeoutError
-from ..errors import ReorganizationError
 from ..storage.oid import Oid
 from ..wal import (
     ObjCreateRecord,
@@ -116,14 +115,12 @@ class TwoLockReorganizer(IncrementalReorganizer):
         #: Old -> new addresses of migrations currently in flight, exposed
         #: for the §4.2-aware reference comparison.
         self.in_flight: Dict[Oid, Oid] = {}
-        self.stats.algorithm = self.algorithm_name
+        #: The checkpointed mid-migration pair a resumed run finishes first.
+        self._resume_in_progress: Optional[Tuple[Oid, Oid]] = None
 
-    # The migration loop drives one object at a time; batching groups
-    # parent updates, not whole objects.
     def _migrate_all(self) -> Generator[Any, Any, None]:
-        in_progress = getattr(self, "_resume_in_progress", None)
-        if in_progress is not None:
-            oid, new_oid = in_progress
+        if self._resume_in_progress is not None:
+            oid, new_oid = self._resume_in_progress
             # §4.2 failure handling: the database may hold references to
             # both locations.  Lock both, finish patching, delete the old.
             if self.engine.store.exists(oid):
@@ -131,16 +128,16 @@ class TwoLockReorganizer(IncrementalReorganizer):
                     new_oid = None  # creation never committed: start over
                 yield from self._migrate_one(oid, resumed_new_oid=new_oid)
             self._resume_in_progress = None
-        pending = [oid for oid in self._order if oid not in self._migrated]
-        for oid in pending:
-            if oid in self._migrated or not self.engine.store.exists(oid):
-                continue
-            yield from self._migrate_one(oid)
-            if self.state_store is not None and self.cfg.checkpoint_every:
-                if len(self._migrated) % self.cfg.checkpoint_every == 0:
-                    self._checkpoint_state()
-            if self.pacer is not None:
-                yield from self.pacer()
+        yield from super()._migrate_all()
+
+    def _unit_size(self) -> int:
+        """One object at a time; batching groups parent updates, not
+        whole objects."""
+        return 1
+
+    def _migrate_unit(self, unit: List[Oid]) -> Generator[Any, Any, None]:
+        (oid,) = unit
+        yield from self._migrate_one(oid)
 
     def _migrate_one(self, oid: Oid,
                      resumed_new_oid: Optional[Oid] = None,
@@ -157,18 +154,10 @@ class TwoLockReorganizer(IncrementalReorganizer):
                 # Create the new copy in its own committed transaction so a
                 # crash never strands committed parent patches pointing at
                 # an uncreated object.
-                image = engine.store.read_object(oid)
-                if self.transform is not None:
-                    original_refs = [ref for _, ref in image.refs()]
-                    image = self.transform(oid, image)
-                    if [ref for _, ref in image.refs()] != original_refs:
-                        raise ReorganizationError(
-                            f"transform changed the references of {oid}")
+                image = self._image(oid)
                 yield from engine.cpu.use(engine.config.cpu_migrate_ms)
                 create_txn = engine.txns.begin(system=True, reorg_partition=self.partition_id)
-                new_oid = yield from create_txn.create_object(
-                    self.plan.target_partition(oid), image,
-                    fresh_only=self.plan.fresh_only, cpu_ms=0)
+                new_oid = yield from self._copy(create_txn, oid, image)
                 # Checkpoint BEFORE the create commits: the progress record
                 # precedes the commit record in the log, so the commit's
                 # flush makes them durable together — a crash can never
@@ -272,9 +261,7 @@ class TwoLockReorganizer(IncrementalReorganizer):
         if slots:
             yield from self.engine.cpu.use(
                 self.engine.config.cpu_ref_patch_ms * len(slots))
-        for slot in slots:
-            yield from txn.update_ref(holder, slot, new_child, cpu_ms=0)
-            self.stats.parent_patches += 1
+        yield from self._patch(txn, holder, old_child, new_child, slots)
 
     def _reconcile_copy(self, anchor, oid: Oid, new_oid: Oid
                         ) -> Generator[Any, Any, None]:

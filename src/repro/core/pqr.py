@@ -4,7 +4,7 @@ PQR quiesces the partition before reorganizing it: it write-locks every
 object *outside* the partition that references an object inside it (the
 ERT's parents), then keeps locking parents surfacing in the TRT until a
 fixpoint — after which no transaction can obtain a reference into the
-partition, and the off-line migration routine can run safely.
+partition, and the off-line migration can run safely.
 
 No locks are needed on the partition's own objects: any transaction would
 have to come in through an external parent (possibly a persistent root),
@@ -23,28 +23,27 @@ from typing import Any, Generator, Set
 from ..concurrency import LockMode
 from ..errors import ReorganizationError
 from ..storage.oid import Oid
-from .ira import ReorgStats
-from .offline import migrate_partition_quiescent
-from .plan import RelocationPlan
+from .offline import OfflineReorganizer
+from .reorganizer import Reorganizer
 
 
-class PartitionQuiesceReorganizer:
-    """The PQR baseline of §5.1."""
+class PartitionQuiesceReorganizer(OfflineReorganizer):
+    """The PQR baseline of §5.1: the off-line migration, behind write
+    locks on every external parent of the partition."""
 
     algorithm_name = "pqr"
+    uses_trt = True
 
-    def __init__(self, engine, partition_id: int,
-                 plan: RelocationPlan = None, reorg_config=None):
-        self.engine = engine
-        self.partition_id = partition_id
-        self.plan = plan or RelocationPlan()
-        self.stats = ReorgStats(algorithm=self.algorithm_name,
-                                partition_id=partition_id)
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
         self.quiesce_locks = 0
 
-    def run(self) -> Generator[Any, Any, ReorgStats]:
-        engine = self.engine
-        if not engine.config.strict_transactions:
+    # Bound here, not inherited: perf/adapter.py traces ``run`` on this
+    # class itself.
+    run = Reorganizer.run
+
+    def _precondition(self) -> None:
+        if not self.engine.config.strict_transactions:
             # Quiescing by locking external parents only works when
             # transactions hold their locks to completion: with short-
             # duration locks a transaction could retain a copied-out
@@ -54,24 +53,6 @@ class PartitionQuiesceReorganizer:
             raise ReorganizationError(
                 "PQR requires strict 2PL; the engine runs short-duration "
                 "locks")
-        self.stats.started_ms = engine.sim.now
-        trt = engine.activate_trt(self.partition_id)
-        try:
-            # §4.5: ensure the TRT sees every relevant pointer update.
-            yield from engine.txns.wait_for_quiesce()
-            self.plan.prepare(engine, self.partition_id)
-            txn = engine.txns.begin(system=True, reorg_partition=self.partition_id)
-            yield from self._quiesce_partition(txn, trt)
-            self.stats.max_locks_held = engine.locks.object_lock_count(txn.tid)
-            yield from migrate_partition_quiescent(
-                engine, txn, self.partition_id, self.plan, self.stats)
-            yield from txn.commit()
-            self.plan.finalize(engine, self.partition_id)
-        finally:
-            engine.deactivate_trt(self.partition_id)
-        self.stats.trt_peak = trt.stats.peak_size
-        self.stats.finished_ms = engine.sim.now
-        return self.stats
 
     def _quiesce_partition(self, txn, trt) -> Generator[Any, Any, None]:
         """Quiesce_Partition of §5.1: lock all ERT parents, then all TRT
@@ -88,3 +69,4 @@ class PartitionQuiesceReorganizer:
                     txn.tid, parent, LockMode.X, timeout_ms=float("inf"))
                 locked.add(parent)
                 self.quiesce_locks += 1
+        self.stats.max_locks_held = engine.locks.object_lock_count(txn.tid)

@@ -186,8 +186,6 @@ class Database:
             raise ValueError(
                 f"unknown algorithm {algorithm!r}; "
                 f"choose from {sorted(REORGANIZERS)}") from None
-        if algorithm == "offline":
-            return factory(self.engine, partition_id, plan=plan)
         return factory(self.engine, partition_id, plan=plan,
                        reorg_config=reorg_config, **kwargs)
 

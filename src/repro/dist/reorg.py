@@ -48,7 +48,6 @@ class DistReorganizer(IncrementalReorganizer):
                          state_store=state_store, transform=transform)
         self.node = node
         self.cluster = node.cluster
-        self.stats.algorithm = self.algorithm_name
         #: Remote parent slots patched through 2PC.
         self.remote_patches = 0
         #: Batches that needed a 2PC round.

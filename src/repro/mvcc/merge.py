@@ -34,63 +34,49 @@ from __future__ import annotations
 
 from typing import Any, Dict, Generator, List, Optional
 
-from ..config import MvccConfig, ReorgConfig
-from ..core.ira import ReorgStats
-from ..core.plan import RelocationPlan
+from ..config import MvccConfig
+from ..core.reorganizer import Reorganizer
 from ..errors import ReorganizationError
 from ..sim import Delay
 from ..storage.oid import Oid
 from ..wal.records import MergeInstallRecord
 
 
-class MergeReorganizer:
+class MergeReorganizer(Reorganizer):
     """Consolidate one partition's versions into relocated fresh bases.
 
-    Constructor signature matches the ``REORGANIZERS`` registry so the
-    serving fleet can drive merge workers exactly like IRA workers.
+    Footprint: no lock a reader takes.  Constructor signature matches
+    the ``REORGANIZERS`` registry so the serving fleet can drive merge
+    workers exactly like IRA workers.  The merge is a single atomic
+    system transaction; there is no mid-run progress worth carrying in
+    the WAL (a crash re-runs it from scratch), so a state store is only
+    ever cleared.  The probe fires "merged" (oid, new_oid).
     """
 
     algorithm_name = "mvcc-merge"
 
-    def __init__(self, engine, partition_id: int,
-                 plan: Optional[RelocationPlan] = None,
-                 reorg_config: Optional[ReorgConfig] = None,
-                 state_store=None,
+    def __init__(self, engine, partition_id: int, plan=None,
+                 reorg_config=None, state_store=None,
                  mvcc_config: Optional[MvccConfig] = None):
-        self.engine = engine
-        self.partition_id = partition_id
-        self.plan = plan or RelocationPlan()
-        self.cfg = reorg_config or ReorgConfig()
+        super().__init__(engine, partition_id, plan, reorg_config,
+                         state_store)
         self.mvcc_cfg = mvcc_config
-        # The merge is a single atomic system transaction; there is no
-        # mid-run progress worth carrying in the WAL (a crash re-runs it
-        # from scratch), so the fleet's state store is accepted for
-        # signature compatibility and only ever cleared.
-        self.state_store = state_store
-        self.stats = ReorgStats(algorithm=self.algorithm_name,
-                                partition_id=partition_id)
-        #: logical oid -> new base oid of the last completed run.
-        self.flips: Dict[Oid, Oid] = {}
-        #: Pacing hook (the reorg governor), as on the IRA arms.
-        self.pacer = None
-        #: Observation hook ``probe(event, **info)`` for repro.explore.
-        self.probe = None
 
-    def _probe(self, event: str, **info) -> None:
-        if self.probe is not None:
-            self.probe(event, **info)
+    # Bound here, not inherited: perf/adapter.py traces ``run`` on this
+    # class itself.
+    run = Reorganizer.run
 
-    def run(self) -> Generator[Any, Any, ReorgStats]:
-        engine = self.engine
-        tier = engine.mvcc
+    def _precondition(self) -> None:
+        tier = self.engine.mvcc
         if tier is None:
             raise ReorganizationError(
                 "merge reorganization needs an attached MVCC tier")
         if self.mvcc_cfg is None:
             self.mvcc_cfg = tier.cfg
-        self.stats.started_ms = engine.sim.now
-        self.plan.prepare(engine, self.partition_id)
 
+    def _migrate_all(self) -> Generator[Any, Any, None]:
+        engine = self.engine
+        tier = engine.mvcc
         # The consolidation cut: also an active snapshot, pinning the GC
         # watermark so nothing the merge is about to read gets pruned.
         cut_ts = tier.begin_snapshot()
@@ -100,7 +86,6 @@ class MergeReorganizer:
         order = self.plan.order(targets)
         self.stats.objects_found = len(order)
         batch_size = max(1, self.mvcc_cfg.merge_batch_size)
-
         txn = engine.txns.begin(system=True)
         flips: Dict[Oid, Oid] = {}
         frees: List[Oid] = []
@@ -109,9 +94,8 @@ class MergeReorganizer:
                 old_physical = tier.resolve_physical(loid)
                 image, _ = yield from tier.read(loid, cut_ts)
                 yield from engine.cpu.use(engine.config.cpu_migrate_ms)
-                new_oid = yield from txn.create_object(
-                    self.plan.target_partition(old_physical), image,
-                    fresh_only=True, cpu_ms=0)
+                new_oid = yield from self._copy(txn, old_physical, image,
+                                                fresh_only=True)
                 flips[loid] = new_oid
                 frees.append(old_physical)
                 self._probe("merged", oid=loid, new_oid=new_oid)
@@ -139,16 +123,12 @@ class MergeReorganizer:
         # The epoch flip: synchronous, between scheduler yields — no
         # reader ever resolves through a half-installed lineage.
         tier.install_merge(flips, cut_ts, frees)
-        self.flips = flips
         self.stats.objects_migrated = len(flips)
         # Relocation is invisible at the logical layer, so there is no
         # old->new mapping for layouts/tracers to chase (``mapping``
         # stays empty on purpose — that invariance IS the feature).
         tier.end_snapshot(cut_ts)
-        self.plan.finalize(engine, self.partition_id)
-        freed = yield from tier.sweep_frees()
+
+    def _reclaim(self) -> Generator[Any, Any, None]:
+        freed = yield from self.engine.mvcc.sweep_frees()
         self.stats.garbage_collected = freed
-        if self.state_store is not None:
-            self.state_store.clear()
-        self.stats.finished_ms = engine.sim.now
-        return self.stats
