@@ -6,7 +6,8 @@ allow references to be physical, an ability that to the best of our
 knowledge, no previous algorithm in the literature possesses."
 
 Creates garbage (unreachable linked structures), then compares the two
-collectors built on the reorganization machinery:
+collectors built on the reorganization machinery (both report
+``ReorgStats``; the bytes come from the partition's statistics):
 
 * the partitioned copying collector (live objects evacuated, the whole
   source region reclaimed, the database re-clustered as a side effect);
@@ -59,12 +60,14 @@ def main() -> None:
     garbage = grow_garbage(db, layout, partition_id=1)
     print(f"created {garbage} unreachable objects in partition 1")
 
+    bytes_before = db.partition_stats(1).live_bytes
     stats = db.collect_garbage(1, method="mark-sweep")
+    reclaimed_bytes = bytes_before - db.partition_stats(1).live_bytes
     print("\nmark-and-sweep collector:")
-    print(f"  live objects marked {stats.live_objects:6d}")
-    print(f"  objects reclaimed   {stats.reclaimed_objects:6d}")
-    print(f"  bytes reclaimed     {stats.reclaimed_bytes:6d}")
-    assert stats.reclaimed_objects == garbage
+    print(f"  live objects marked {stats.objects_found:6d}")
+    print(f"  objects reclaimed   {stats.garbage_collected:6d}")
+    print(f"  bytes reclaimed     {reclaimed_bytes:6d}")
+    assert stats.garbage_collected == garbage
     assert db.verify_integrity().ok
 
     # --- copying collector ------------------------------------------------
@@ -74,11 +77,11 @@ def main() -> None:
 
     stats = db.collect_garbage(1, method="copying", target_partition=10)
     print("\ncopying collector (live objects evacuated to partition 10):")
-    print(f"  live objects moved  {stats.live_objects:6d}")
-    print(f"  objects reclaimed   {stats.reclaimed_objects:6d}")
+    print(f"  live objects moved  {stats.objects_migrated:6d}")
+    print(f"  objects reclaimed   {stats.garbage_collected:6d}")
     print(f"  source pages freed  {pages_before:6d} -> "
           f"{db.store.partition(1).page_count}")
-    assert stats.reclaimed_objects == garbage
+    assert stats.garbage_collected == garbage
     assert db.partition_stats(1).live_objects == 0
     assert db.verify_integrity().ok
     print("\nintegrity check: OK — all physical references valid, "

@@ -30,9 +30,7 @@ from .config import (
 from .core import (
     ClusteringPlan,
     CompactionPlan,
-    CopyingGarbageCollector,
     EvacuationPlan,
-    GcStats,
     IncrementalReorganizer,
     MarkAndSweepCollector,
     OfflineReorganizer,
@@ -84,7 +82,6 @@ __all__ = [
     "GovernorConfig",
     "RandomPlacementPlan",
     "CompactionPlan",
-    "CopyingGarbageCollector",
     "CorruptionError",
     "CrashImage",
     "Database",
@@ -94,7 +91,6 @@ __all__ = [
     "ExperimentMetrics",
     "FaultInjector",
     "FaultPlan",
-    "GcStats",
     "GraphLayout",
     "IncrementalReorganizer",
     "IntegrityReport",

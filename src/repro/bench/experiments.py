@@ -580,8 +580,7 @@ CLUSTERING = Experiment(
           Arm("random", "ira", system=_DISK, options={
               "plan": lambda graph, seed: RandomPlacementPlan(seed=seed)}),
           Arm("cluster", "ira", system=_DISK, options={
-              "plan": lambda graph, seed:
-              AffinityClusteringPlan(graph, policy="dstc")})),
+              "plan": lambda graph, seed: AffinityClusteringPlan(graph)})),
     scales={
         "quick": _clustering_params(objects=340, mpl=8, pages=6,
                                     window_ms=20_000.0),

@@ -26,8 +26,8 @@ Commands
 ``cluster``
     Trace the workload on-line for a while, then print the affinity
     statistics (hot objects, co-access edges), the clustering advisor's
-    partition ranking, and the placement the chosen policy would build
-    for the recommended partition.
+    partition ranking, and the DSTC placement it would build for the
+    recommended partition.
 
 ``chaos``
     Crash-point sweep: crash a reorganization run at N distinct points
@@ -232,7 +232,7 @@ def _inspect_pages(db, partition_id: int) -> int:
 
 
 def cmd_cluster(args) -> int:
-    from .cluster import (ClusteringAdvisor, ClusterTracer, make_policy,
+    from .cluster import (ClusteringAdvisor, ClusterTracer, DSTCClusterer,
                           objects_per_page)
     workload = _workload(args)
     db, layout = Database.with_workload(workload)
@@ -272,17 +272,17 @@ def cmd_cluster(args) -> int:
         return 0
     pid = best.partition_id
     per_page = objects_per_page(engine, pid)
-    placement = make_policy(args.policy).build(
+    placement = DSTCClusterer().build(
         list(db.store.live_oids(pid)), graph, per_page)
     sizes = [len(cluster) for cluster in placement.clusters]
     print(f"\nrecommendation: reorganize partition {pid} "
           f"(score {best.score:.3f})")
-    print(f"  policy {args.policy!r}: {len(sizes)} clusters covering "
+    print(f"  DSTC placement: {len(sizes)} clusters covering "
           f"{placement.placed_count} hot objects "
           f"(target {per_page} objects/page"
           + (f", largest cluster {max(sizes)}" if sizes else "") + ")")
-    print(f"  run it: repro demo --algorithm ira  # with an "
-          f"AffinityClusteringPlan(graph, policy={args.policy!r})")
+    print("  run it: repro demo --algorithm ira  # with an "
+          "AffinityClusteringPlan(graph)")
     return 0
 
 
@@ -505,9 +505,6 @@ def build_parser() -> argparse.ArgumentParser:
     cluster.add_argument("--trace-ms", type=float, default=10_000.0,
                          help="simulated tracing horizon in ms "
                               "(default 10000)")
-    cluster.add_argument("--policy", default="dstc",
-                         choices=["dstc", "heat"],
-                         help="placement policy to preview (default dstc)")
     cluster.add_argument("--pair-window", type=int, default=3,
                          help="max in-transaction distance that counts as "
                               "a co-access (default 3)")

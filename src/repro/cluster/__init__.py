@@ -2,22 +2,15 @@
 
 The missing driving operation of the source paper's §2: observe the
 workload on-line (:mod:`tracing`), turn heat + co-access affinity into
-page-sharing placements (:mod:`policies`), feed them to the stock
-reorganizers through a relocation plan (:mod:`plan`), decide when and
-where it pays off (:mod:`advisor`); ``repro bench clustering``
-(:mod:`repro.bench.experiments`) measures that it does.
+page-sharing placements with the DSTC clusterer (:mod:`policies`), feed
+them to the stock reorganizers through a relocation plan (:mod:`plan`),
+decide when and where it pays off (:mod:`advisor`); ``repro bench
+clustering`` (:mod:`repro.bench.experiments`) measures that it does.
 """
 
 from .advisor import Advice, ClusteringAdvisor
 from .plan import AffinityClusteringPlan, RandomPlacementPlan
-from .policies import (
-    DSTCClusterer,
-    GreedyHeatPacker,
-    PLACEMENT_POLICIES,
-    Placement,
-    make_policy,
-    objects_per_page,
-)
+from .policies import DSTCClusterer, Placement, objects_per_page
 from .tracing import AffinityGraph, ClusterTracer
 
 __all__ = [
@@ -27,10 +20,7 @@ __all__ = [
     "ClusteringAdvisor",
     "ClusterTracer",
     "DSTCClusterer",
-    "GreedyHeatPacker",
-    "PLACEMENT_POLICIES",
     "Placement",
     "RandomPlacementPlan",
-    "make_policy",
     "objects_per_page",
 ]

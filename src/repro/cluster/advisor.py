@@ -1,20 +1,19 @@
 """The clustering advisor: when to reorganize, and which partition.
 
-The paper cites [CWZ94]-style partition selection as the driving
-utility's problem; ``repro.core.selection`` supplies the space-based
-policies (fragmentation, garbage).  This advisor adds the workload-based
-signal: a partition whose *hot, co-accessed* objects are scattered over
-many pages has a clustering payoff a purely space-based score cannot
-see.  The combined utility
+The paper leaves partition selection to the driving utility (§2, citing
+[CWZ94]).  This advisor blends the space-based signal — the partition's
+page fragmentation — with a workload-based one: a partition whose *hot,
+co-accessed* objects are scattered over many pages has a clustering
+payoff a purely space-based score cannot see.  The combined utility
 
-    score(p) = selection_weight * fragmentation(p)
-             + clustering_weight * scatter(p) * heat_share(p)
+    score(p) = fragmentation(p) + scatter(p) * heat_share(p)
 
 keeps both drivers in one number: ``scatter`` is the fraction of the
 partition's intra-partition affinity weight whose endpoints live on
 *different* pages (0 = perfectly clustered, 1 = fully scattered), and
 ``heat_share`` is the partition's share of all traced heat — a scattered
-but cold partition is not worth reorganizing.
+but cold partition is not worth reorganizing.  A partition is worth
+reorganizing when its score is positive.
 
 All ranking is deterministic: equal scores break toward the lower
 partition id, so repeated runs over identical statistics recommend the
@@ -26,7 +25,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, List, Optional
 
-from ..core.selection import fragmentation_score
 from .tracing import AffinityGraph
 
 
@@ -51,14 +49,8 @@ class Advice:
 class ClusteringAdvisor:
     """Ranks partitions by combined clustering + compaction payoff."""
 
-    def __init__(self, graph: AffinityGraph,
-                 clustering_weight: float = 1.0,
-                 selection_weight: float = 1.0,
-                 min_score: float = 0.0):
+    def __init__(self, graph: AffinityGraph):
         self.graph = graph
-        self.clustering_weight = clustering_weight
-        self.selection_weight = selection_weight
-        self.min_score = min_score
 
     def scatter(self, engine, partition_id: int) -> float:
         """Fraction of intra-partition affinity weight crossing pages."""
@@ -79,12 +71,11 @@ class ClusteringAdvisor:
         heat_share = (partition_heat.get(partition_id, 0.0) / total_heat
                       if total_heat else 0.0)
         scatter = self.scatter(engine, partition_id)
-        fragmentation = fragmentation_score(engine, partition_id)
+        fragmentation = engine.store.stats(partition_id).fragmentation
         affinity = sum(w for _, w in
                        self.graph.partition_edges(partition_id))
-        score = (self.selection_weight * fragmentation
-                 + self.clustering_weight * scatter * heat_share)
-        return Advice(partition_id=partition_id, score=score,
+        return Advice(partition_id=partition_id,
+                      score=fragmentation + scatter * heat_share,
                       scatter=scatter, heat_share=heat_share,
                       fragmentation=fragmentation,
                       affinity_weight=affinity)
@@ -100,10 +91,10 @@ class ClusteringAdvisor:
     def recommend(self, engine,
                   candidates: Optional[Iterable[int]] = None
                   ) -> Optional[Advice]:
-        """The most deserving partition, or ``None`` when nothing beats
-        ``min_score`` (no reason to reorganize)."""
+        """The most deserving partition, or ``None`` when no score is
+        positive (no reason to reorganize)."""
         ranked = self.rank(engine, candidates)
-        if not ranked or ranked[0].score <= self.min_score:
+        if not ranked or ranked[0].score <= 0.0:
             return None
         return ranked[0]
 
@@ -112,15 +103,14 @@ class ClusteringAdvisor:
         """The claim queue for a reorganizer fleet: up to ``count``
         partition ids in recommendation order.
 
-        Partitions beating ``min_score`` come first (highest payoff
+        Partitions with a positive score come first (highest payoff
         first); if fewer than ``count`` qualify the queue is padded with
         the remaining candidates in rank order, so a fleet told to
         reorganize N partitions always gets N deterministic claims even
         on a cold (untraced) advisor.
         """
         ranked = self.rank(engine, candidates)
-        qualified = [a.partition_id for a in ranked
-                     if a.score > self.min_score]
+        qualified = [a.partition_id for a in ranked if a.score > 0.0]
         if len(qualified) < count:
             qualified.extend(a.partition_id for a in ranked
                              if a.partition_id not in qualified)

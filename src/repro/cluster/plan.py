@@ -2,8 +2,8 @@
 
 The reorganizers stay policy-free (paper §2): a plan answers *where*
 migrated objects go.  :class:`AffinityClusteringPlan` closes the loop
-from on-line statistics to placement — at ``prepare`` time it asks a
-placement policy to turn the traced affinity graph into page-sharing
+from on-line statistics to placement — at ``prepare`` time it asks the
+DSTC clusterer to turn the traced affinity graph into page-sharing
 clusters, then drives the stock :class:`~repro.core.plan.ClusteringPlan`
 machinery with the resulting key, so IRA / the two-lock variant migrate
 hot, co-accessed objects onto shared fresh pages without knowing any of
@@ -21,7 +21,7 @@ from typing import List, Optional
 
 from ..core.plan import ClusteringPlan, RelocationPlan
 from ..storage.oid import Oid
-from .policies import make_policy, objects_per_page
+from .policies import DSTCClusterer, objects_per_page
 from .tracing import AffinityGraph
 
 
@@ -35,22 +35,18 @@ class AffinityClusteringPlan(ClusteringPlan):
     fresh pages (``fresh_only``) and drops the emptied ones.
     """
 
-    def __init__(self, graph: AffinityGraph, policy: str = "dstc",
-                 target_partition: Optional[int] = None,
-                 per_page: Optional[int] = None, **policy_kwargs):
+    def __init__(self, graph: AffinityGraph,
+                 target_partition: Optional[int] = None):
         super().__init__(cluster_key=self._placement_key,
                          target_partition=target_partition)
         self.graph = graph
-        self.policy_name = policy
-        self._policy = make_policy(policy, **policy_kwargs)
-        self._per_page = per_page
         self.placement = None
 
     def prepare(self, engine, partition_id: int) -> None:
         super().prepare(engine, partition_id)
-        per_page = self._per_page or objects_per_page(engine, partition_id)
-        oids = list(engine.store.live_oids(partition_id))
-        self.placement = self._policy.build(oids, self.graph, per_page)
+        self.placement = DSTCClusterer().build(
+            list(engine.store.live_oids(partition_id)), self.graph,
+            objects_per_page(engine, partition_id))
 
     def _placement_key(self, oid: Oid):
         if self.placement is None:

@@ -1,21 +1,15 @@
-"""Placement policies: from affinity statistics to page-sharing targets.
+"""Placement: from affinity statistics to page-sharing targets.
 
-Two policies from Darmont et al.'s comparison study of object-database
-clustering techniques:
+:class:`DSTCClusterer` is the dynamic, statistical, tunable family of
+Darmont et al.'s comparison study of object-database clustering
+techniques: seed a cluster at the hottest unplaced object, then greedily
+absorb the unplaced neighbor with the strongest total affinity to the
+cluster's current members, until the cluster fills a page.
 
-* :class:`GreedyHeatPacker` — the sequence-based family: rank objects by
-  decayed heat and pack them into page-sized runs in that order, so the
-  hottest objects of a partition share the fewest pages.
-* :class:`DSTCClusterer` — the dynamic, statistical, tunable family:
-  seed a cluster at the hottest unplaced object, then greedily absorb
-  the unplaced neighbor with the strongest total affinity to the
-  cluster's current members (above a tunable minimum weight), until the
-  cluster fills a page.
-
-Both emit a :class:`Placement`, whose ``cluster_key`` feeds directly
-into :class:`repro.core.plan.ClusteringPlan` — placed objects migrate
-cluster by cluster onto shared fresh pages; cold (untraced) objects
-follow in address order, packed after the hot set.
+It emits a :class:`Placement`, whose ``cluster_key`` feeds directly into
+:class:`repro.core.plan.ClusteringPlan` — placed objects migrate cluster
+by cluster onto shared fresh pages; cold (untraced) objects follow in
+address order, packed after the hot set.
 """
 
 from __future__ import annotations
@@ -39,15 +33,13 @@ _UNPLACED: PlacementKey = (1, 0, 0)
 class Placement:
     """Page-sharing targets: an ordered list of object clusters."""
 
-    policy: str
     per_page: int
     clusters: List[List[Oid]] = field(default_factory=list)
     _key_of: Dict[Oid, PlacementKey] = field(default_factory=dict)
 
     @classmethod
-    def build(cls, policy: str, per_page: int,
-              clusters: List[List[Oid]]) -> "Placement":
-        placement = cls(policy=policy, per_page=per_page, clusters=clusters)
+    def build(cls, per_page: int, clusters: List[List[Oid]]) -> "Placement":
+        placement = cls(per_page=per_page, clusters=clusters)
         for index, cluster in enumerate(clusters):
             for rank, oid in enumerate(cluster):
                 placement._key_of[oid] = (0, index, rank)
@@ -64,13 +56,13 @@ class Placement:
         return len(self._key_of)
 
     def __repr__(self) -> str:
-        return (f"<Placement {self.policy} clusters={len(self.clusters)} "
+        return (f"<Placement clusters={len(self.clusters)} "
                 f"placed={self.placed_count} per_page={self.per_page}>")
 
 
 def objects_per_page(engine, partition_id: int) -> int:
     """How many of this partition's objects fit on one page, from the
-    live-size average — the target cluster size for both policies."""
+    live-size average — the target cluster size."""
     stats = engine.store.stats(partition_id)
     if stats.live_objects == 0:
         return 1
@@ -80,34 +72,13 @@ def objects_per_page(engine, partition_id: int) -> int:
     return max(1, int(usable // avg))
 
 
-class GreedyHeatPacker:
-    """Heat-ranked sequence packing (the simple policy the Darmont
-    advocacy paper argues usually suffices)."""
-
-    name = "heat"
-
-    def build(self, oids: List[Oid], graph: AffinityGraph,
-              per_page: int) -> Placement:
-        hot = sorted((oid for oid in oids if graph.heat_of(oid) > 0.0),
-                     key=lambda oid: (-graph.heat_of(oid), oid))
-        clusters = [hot[start:start + per_page]
-                    for start in range(0, len(hot), per_page)]
-        return Placement.build(self.name, per_page, clusters)
-
-
 class DSTCClusterer:
     """Affinity-grown clusters in the DSTC style.
 
-    ``min_weight`` is the tunable admission threshold: a candidate joins
-    a cluster only if its total affinity to the cluster's members reaches
-    it.  Ties break deterministically — strongest affinity first, then
-    hotter, then lower OID.
+    Every candidate with affinity to a cluster's members may join it:
+    there is no admission threshold.  Ties break deterministically —
+    strongest affinity first, then hotter, then lower OID.
     """
-
-    name = "dstc"
-
-    def __init__(self, min_weight: float = 0.0):
-        self.min_weight = min_weight
 
     def build(self, oids: List[Oid], graph: AffinityGraph,
               per_page: int) -> Placement:
@@ -129,8 +100,6 @@ class DSTCClusterer:
             while len(cluster) < per_page and pull:
                 best = min(pull,
                            key=lambda o: (-pull[o], -graph.heat_of(o), o))
-                if pull[best] < self.min_weight:
-                    break
                 del pull[best]
                 unplaced.discard(best)
                 cluster.append(best)
@@ -138,21 +107,4 @@ class DSTCClusterer:
                     if other in unplaced:
                         pull[other] = pull.get(other, 0.0) + weight
             clusters.append(cluster)
-        return Placement.build(self.name, per_page, clusters)
-
-
-#: Policy registry for plans, the advisor and the CLI.
-PLACEMENT_POLICIES = {
-    GreedyHeatPacker.name: GreedyHeatPacker,
-    DSTCClusterer.name: DSTCClusterer,
-}
-
-
-def make_policy(name: str, **kwargs):
-    try:
-        factory = PLACEMENT_POLICIES[name]
-    except KeyError:
-        raise ValueError(
-            f"unknown placement policy {name!r}; "
-            f"choose from {sorted(PLACEMENT_POLICIES)}") from None
-    return factory(**kwargs)
+        return Placement.build(per_page, clusters)

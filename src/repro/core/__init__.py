@@ -8,8 +8,9 @@ skeleton (:class:`Reorganizer`, :mod:`repro.core.reorganizer`):
   (§4.2); also works when transactions use short-duration locks (§4.1).
 * :class:`PartitionQuiesceReorganizer` — the PQR baseline (§5.1).
 * :class:`OfflineReorganizer` — the quiescent-database baseline (§3.1).
-* :class:`CopyingGarbageCollector` / :class:`MarkAndSweepCollector` —
-  garbage collection built on the same machinery (§4.6).
+* :class:`MarkAndSweepCollector` — in-place garbage collection on the
+  same skeleton (§4.6); the copying collector is IRA itself, with an
+  :class:`EvacuationPlan` and ``ReorgConfig(collect_garbage=True)``.
 """
 
 from .checkpointing import (
@@ -23,7 +24,7 @@ from .checkpointing import (
     rebuild_trt,
     resume_reorganization,
 )
-from .gc import CopyingGarbageCollector, GcStats, MarkAndSweepCollector
+from .gc import MarkAndSweepCollector
 from .ira import IncrementalReorganizer
 from .ira_twolock import TwoLockReorganizer, references_equal
 from .offline import OfflineReorganizer
@@ -36,11 +37,6 @@ from .plan import (
 )
 from .pqr import PartitionQuiesceReorganizer
 from .reorganizer import Reorganizer, ReorgStats
-from .selection import (
-    PartitionSelector,
-    fragmentation_score,
-    garbage_estimate,
-)
 from .traversal import (
     TraversalResult,
     find_objects_and_approx_parents,
@@ -50,15 +46,12 @@ from .traversal import (
 __all__ = [
     "ClusteringPlan",
     "CompactionPlan",
-    "CopyingGarbageCollector",
     "EvacuationPlan",
-    "GcStats",
     "ParentLocalityPlan",
     "IncrementalReorganizer",
     "MarkAndSweepCollector",
     "OfflineReorganizer",
     "PartitionQuiesceReorganizer",
-    "PartitionSelector",
     "RelocationPlan",
     "ReorgDelta",
     "ReorgState",
@@ -72,9 +65,7 @@ __all__ = [
     "decode_reorg_state",
     "encode_reorg_state",
     "find_objects_and_approx_parents",
-    "fragmentation_score",
     "fuzzy_traversal",
-    "garbage_estimate",
     "rebuild_trt",
     "references_equal",
     "resume_reorganization",

@@ -52,6 +52,7 @@ class IncrementalReorganizer(Reorganizer):
 
     algorithm_name = "ira"
     uses_trt = True
+    collects_garbage = True
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
@@ -139,7 +140,10 @@ class IncrementalReorganizer(Reorganizer):
             if self.pacer is not None:
                 yield from self.pacer()
         if self.cfg.collect_garbage:
-            yield from self._collect_garbage()
+            # §4.6: free the objects the traversal never reached.
+            self.stats.garbage_collected += yield from sweep_unreachable(
+                self.engine, self.partition_id,
+                self._allocated_at_traversal, set(self._order), self.trt)
 
     def _unit_size(self) -> int:
         """Objects per unit of work: a batch per system transaction."""
@@ -339,16 +343,6 @@ class IncrementalReorganizer(Reorganizer):
             return oid
         oid = self._mapping.get(oid, oid)
         return batch_mapping.get(oid, oid)
-
-    # -- garbage collection (§4.6) ------------------------------------------------------
-
-    def _collect_garbage(self) -> Generator[Any, Any, None]:
-        """Free the objects the traversal never reached."""
-        def note(_oid: Oid) -> None:
-            self.stats.garbage_collected += 1
-        yield from sweep_unreachable(
-            self.engine, self.partition_id, self._allocated_at_traversal,
-            set(self._order), self.trt, note)
 
     # -- §4.4: reorganizer state checkpointing --------------------------------------------
 

@@ -74,6 +74,9 @@ class Reorganizer:
     #: Whether transactions run while the footprint traverses, so it
     #: needs the partition's TRT (IRA, PQR, mark-and-sweep).
     uses_trt = False
+    #: Whether the footprint can honour ``ReorgConfig.collect_garbage``
+    #: (IRA, two-lock IRA, mark-and-sweep).
+    collects_garbage = False
 
     def __init__(self, engine, partition_id: int,
                  plan: Optional[RelocationPlan] = None,
@@ -115,6 +118,9 @@ class Reorganizer:
 
     def run(self) -> Generator[Any, Any, ReorgStats]:
         engine = self.engine
+        if self.cfg.collect_garbage and not self.collects_garbage:
+            raise ReorganizationError(
+                f"{self.algorithm_name} cannot collect garbage")
         self._precondition()
         self.stats.started_ms = engine.sim.now
         if self.uses_trt and self.trt is None:
@@ -209,14 +215,13 @@ class Reorganizer:
 
 
 def sweep_unreachable(engine, partition_id: int, allocated: Iterable[Oid],
-                      live: Set[Oid], trt, note: Callable[[Oid], None]
-                      ) -> Generator[Any, Any, None]:
+                      live: Set[Oid], trt) -> Generator[Any, Any, int]:
     """Free what a traversal proved unreachable (§4.6), 32 objects per
-    system transaction.
+    system transaction; returns how many were freed.
 
     Lemma 3.1: every live object was traversed, so anything allocated at
     traversal time, never visited and not created since the TRT was
-    activated is garbage.  ``note(oid)`` runs before each free.
+    activated is garbage.
     """
     garbage = sorted(oid for oid in allocated
                      if oid not in live
@@ -228,6 +233,6 @@ def sweep_unreachable(engine, partition_id: int, allocated: Iterable[Oid],
         yield from engine.cpu.use(
             engine.config.cpu_update_extra_ms * len(chunk))
         for oid in chunk:
-            note(oid)
             yield from txn.delete_object(oid, cpu_ms=0)
         yield from txn.commit()
+    return len(garbage)

@@ -14,9 +14,8 @@ from typing import Any, Callable, Dict, Generator, Optional, Tuple
 
 from .config import ReorgConfig, SystemConfig, WorkloadConfig
 from .core import (
-    CopyingGarbageCollector,
     CompactionPlan,
-    GcStats,
+    EvacuationPlan,
     IncrementalReorganizer,
     MarkAndSweepCollector,
     OfflineReorganizer,
@@ -194,18 +193,23 @@ class Database:
         return self.reorganize(partition_id, plan=CompactionPlan())
 
     def collect_garbage(self, partition_id: int, method: str = "copying",
-                        target_partition: Optional[int] = None) -> GcStats:
-        """On-line garbage collection (§4.6)."""
+                        target_partition: Optional[int] = None
+                        ) -> ReorgStats:
+        """On-line garbage collection (§4.6): ``"copying"`` evacuates the
+        live objects to ``target_partition`` with IRA and frees the rest,
+        ``"mark-sweep"`` frees the unreachable objects in place.  Live
+        objects are counted in ``objects_found``, freed ones in
+        ``garbage_collected``."""
         if method == "copying":
             if target_partition is None:
                 target_partition = max(self.store.partition_ids()) + 1
-            collector = CopyingGarbageCollector(self.engine, partition_id,
-                                                target_partition)
-        elif method == "mark-sweep":
-            collector = MarkAndSweepCollector(self.engine, partition_id)
-        else:
+            return self.reorganize(
+                partition_id, plan=EvacuationPlan(target_partition),
+                reorg_config=ReorgConfig(collect_garbage=True))
+        if method != "mark-sweep":
             raise ValueError(f"unknown GC method {method!r}")
-        return self.run(collector.run(), name=f"gc-{method}")
+        collector = MarkAndSweepCollector(self.engine, partition_id)
+        return self.run(collector.run(), name="gc-mark-sweep")
 
     # -- durability ------------------------------------------------------------------------
 

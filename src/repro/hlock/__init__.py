@@ -8,8 +8,7 @@ configurable auto-escalation — as a drop-in replacement for the flat
 """
 
 from ..concurrency.locks import LockManager
-from .granules import (PageGranule, PartitionGranule, descendant_of,
-                       page_granule_of, partition_granule_of)
+from .granules import PageGranule, PartitionGranule, descendant_of
 from .manager import HierarchicalLockManager
 
 LOCK_MANAGERS = ("flat", "hier")
@@ -49,6 +48,4 @@ __all__ = [
     "PartitionGranule",
     "build_lock_manager",
     "descendant_of",
-    "page_granule_of",
-    "partition_granule_of",
 ]

@@ -44,14 +44,6 @@ class PageGranule(NamedTuple):
     __str__ = __repr__
 
 
-def page_granule_of(oid: Oid) -> PageGranule:
-    return PageGranule(oid.partition, oid.page)
-
-
-def partition_granule_of(oid: Oid) -> PartitionGranule:
-    return PartitionGranule(oid.partition)
-
-
 def descendant_of(key, coarse) -> bool:
     """True iff lock-table key ``key`` lies strictly below ``coarse`` in
     the granule tree."""

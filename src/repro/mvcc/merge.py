@@ -10,8 +10,8 @@ transaction touches:
 2. for every logical object anchored in the partition, materialize the
    newest version at or below the cut and copy it into a freshly-placed
    base object, in plan order — the same ``RelocationPlan`` /
-   ``repro.cluster`` placement policies IRA uses, so clustered-IRA's
-   locality gains carry over;
+   ``repro.cluster`` placement IRA uses, so clustered-IRA's locality
+   gains carry over;
 3. log one ``MERGE_INSTALL`` record inside the system transaction and
    commit — the durable flip point;
 4. re-anchor the lineage map in one synchronous step (the epoch flip):
@@ -138,5 +138,6 @@ class MergeReorganizer(Reorganizer):
         tier.end_snapshot(cut_ts)
 
     def _reclaim(self) -> Generator[Any, Any, None]:
-        freed = yield from self.engine.mvcc.sweep_frees()
-        self.stats.garbage_collected = freed
+        # The superseded bases are relocation sources, not garbage:
+        # ``garbage_collected`` stays 0.
+        yield from self.engine.mvcc.sweep_frees()

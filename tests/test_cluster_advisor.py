@@ -61,22 +61,24 @@ def test_rank_ties_break_toward_lower_partition_id():
 
 
 def test_recommend_none_below_min_score():
+    """An empty, untraced partition scores 0: nothing to reorganize."""
     db, _ = loaded_db()
-    advisor = ClusteringAdvisor(AffinityGraph(), min_score=10.0)
-    assert advisor.recommend(db.engine, candidates=[1, 2]) is None
+    db.create_partition(9)
+    advisor = ClusteringAdvisor(AffinityGraph())
+    assert advisor.advice_for(db.engine, 9).score == 0.0
+    assert advisor.recommend(db.engine, candidates=[9]) is None
+    assert advisor.recommend(db.engine, candidates=[1, 9]).partition_id == 1
 
 
-def test_weights_tune_the_blend():
+def test_score_blends_fragmentation_and_scatter():
     db, _ = loaded_db()
     graph = AffinityGraph()
     members = sorted(db.store.live_oids(1))
     graph.observe([members[0], members[-1]], pair_window=1)
-    space_only = ClusteringAdvisor(graph, clustering_weight=0.0)
-    cluster_only = ClusteringAdvisor(graph, selection_weight=0.0)
-    a = space_only.advice_for(db.engine, 1)
-    b = cluster_only.advice_for(db.engine, 1)
-    assert a.score == a.fragmentation
-    assert b.score == b.scatter * b.heat_share
+    advice = ClusteringAdvisor(graph).advice_for(db.engine, 1)
+    assert advice.fragmentation > 0.0 and advice.scatter == 1.0
+    assert advice.score == (advice.fragmentation
+                            + advice.scatter * advice.heat_share)
 
 
 def test_reorganizing_the_recommendation_lowers_its_score():

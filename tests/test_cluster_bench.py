@@ -71,7 +71,8 @@ def test_cli_cluster_traces_and_recommends(capsys):
     assert "top 8 hot objects" in out
     assert "advisor ranking" in out
     assert "recommendation: reorganize partition" in out
-    assert "policy 'dstc'" in out
+    assert "DSTC placement:" in out
+    assert "policy" not in out
 
 
 def test_cli_inspect_pages_shows_co_residency(capsys):

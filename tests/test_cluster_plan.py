@@ -79,7 +79,7 @@ def test_affinity_plan_hot_objects_lead_the_layout():
     """Placed (hot) objects migrate first, so they pack the lowest fresh
     pages; cold objects follow in address order."""
     db, graph, _ = traced_db()
-    stats = reorganize(db, 1, AffinityClusteringPlan(graph, policy="heat"))
+    stats = reorganize(db, 1, AffinityClusteringPlan(graph))
     hot = {oid for oid in graph.heat if oid.partition == 1}
     hottest_new_pages = {stats.mapping[oid].page for oid in hot}
     cold_pages = {new.page for old, new in stats.mapping.items()

@@ -1,14 +1,10 @@
-"""Tests for repro.cluster.policies: heat packing and DSTC clustering."""
-
-import pytest
+"""Tests for repro.cluster.policies: DSTC clustering and placements."""
 
 from repro import Database, WorkloadConfig
 from repro.cluster import (
     AffinityGraph,
     DSTCClusterer,
-    GreedyHeatPacker,
     Placement,
-    make_policy,
     objects_per_page,
 )
 from repro.storage import Oid
@@ -20,7 +16,7 @@ def oids(n, partition=1):
 
 def test_placement_keys_order_clusters_then_ranks():
     a, b, c = oids(3)
-    placement = Placement.build("x", 2, [[b, a], [c]])
+    placement = Placement.build(2, [[b, a], [c]])
     assert placement.cluster_key(b) == (0, 0, 0)
     assert placement.cluster_key(a) == (0, 0, 1)
     assert placement.cluster_key(c) == (0, 1, 0)
@@ -28,16 +24,6 @@ def test_placement_keys_order_clusters_then_ranks():
     assert placement.cluster_key(unplaced) > placement.cluster_key(c)
     assert placement.placed(a) and not placement.placed(unplaced)
     assert placement.placed_count == 3
-
-
-def test_heat_packer_ranks_by_heat_then_chunks():
-    a, b, c, d, e = oids(5)
-    graph = AffinityGraph()
-    for oid, count in ((a, 1), (b, 3), (c, 2), (d, 5)):
-        graph.observe([oid] * count, pair_window=1)
-    placement = GreedyHeatPacker().build([a, b, c, d, e], graph, per_page=2)
-    assert placement.clusters == [[d, b], [c, a]]   # e is cold: unplaced
-    assert not placement.placed(e)
 
 
 def test_dstc_grows_by_affinity_not_heat():
@@ -52,14 +38,12 @@ def test_dstc_grows_by_affinity_not_heat():
     assert placement.clusters == [[c, d], [a, b]]
 
 
-def test_dstc_min_weight_gates_admission():
+def test_dstc_admits_weak_affinity():
     a, b, c = oids(3)
     graph = AffinityGraph()
     graph.observe([a, b, c], pair_window=2)         # a-c weight only 0.5
-    loose = DSTCClusterer(min_weight=0.0).build([a, b, c], graph, 3)
-    assert loose.clusters == [[a, b, c]]
-    strict = DSTCClusterer(min_weight=2.0).build([a, b, c], graph, 3)
-    assert all(len(cluster) == 1 for cluster in strict.clusters)
+    placement = DSTCClusterer().build([a, b, c], graph, 3)
+    assert placement.clusters == [[a, b, c]]
 
 
 def test_dstc_respects_page_capacity():
@@ -75,18 +59,10 @@ def test_policies_are_deterministic_across_runs():
     graph = AffinityGraph()
     for start in range(0, 30, 3):
         graph.observe(members[start:start + 3], pair_window=2)
-    for policy in (GreedyHeatPacker(), DSTCClusterer()):
-        first = policy.build(list(members), graph, per_page=4)
-        second = policy.build(list(reversed(members)), graph, per_page=4)
-        assert first.clusters == second.clusters
-
-
-def test_make_policy_registry():
-    assert isinstance(make_policy("heat"), GreedyHeatPacker)
-    dstc = make_policy("dstc", min_weight=1.5)
-    assert isinstance(dstc, DSTCClusterer) and dstc.min_weight == 1.5
-    with pytest.raises(ValueError, match="unknown placement policy"):
-        make_policy("nope")
+    first = DSTCClusterer().build(list(members), graph, per_page=4)
+    second = DSTCClusterer().build(list(reversed(members)), graph,
+                                   per_page=4)
+    assert first.clusters == second.clusters
 
 
 def test_objects_per_page_tracks_real_capacity():

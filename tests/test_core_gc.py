@@ -2,7 +2,10 @@
 
 import pytest
 
-from repro import Database, WorkloadConfig
+from repro import (CompactionPlan, Database, ReorgConfig,
+                   ReorganizationError, WorkloadConfig)
+from repro.database import REORGANIZERS
+from repro.mvcc import MvccTier
 from repro.storage import ObjectImage
 
 
@@ -45,25 +48,27 @@ class TestMarkAndSweep:
         db, layout = db_layout
         root, chain = hang_chain(db, layout, 1, 12)
         cut_chain(db, root, chain[-1])
+        before = db.partition_stats(1).live_bytes
         stats = db.collect_garbage(1, method="mark-sweep")
-        assert stats.reclaimed_objects == 12
-        assert stats.live_objects == 170
-        assert stats.reclaimed_bytes > 0
+        assert stats.garbage_collected == 12
+        assert stats.objects_found == 170
+        assert stats.objects_migrated == 0
+        assert db.partition_stats(1).live_bytes < before
         assert db.partition_stats(1).live_objects == 170
         assert db.verify_integrity().ok
 
     def test_no_garbage_reclaims_nothing(self, db_layout):
         db, _ = db_layout
         stats = db.collect_garbage(1, method="mark-sweep")
-        assert stats.reclaimed_objects == 0
-        assert stats.live_objects == 170
+        assert stats.garbage_collected == 0
+        assert stats.objects_found == 170
 
     def test_live_chain_not_collected(self, db_layout):
         db, layout = db_layout
         root, chain = hang_chain(db, layout, 1, 6)
         # Do NOT cut it — still reachable.
         stats = db.collect_garbage(1, method="mark-sweep")
-        assert stats.reclaimed_objects == 0
+        assert stats.garbage_collected == 0
         for oid in chain:
             assert db.store.exists(oid)
 
@@ -80,26 +85,67 @@ class TestCopyingCollector:
         root, chain = hang_chain(db, layout, 1, 9)
         cut_chain(db, root, chain[-1])
         stats = db.collect_garbage(1, method="copying", target_partition=7)
-        assert stats.reclaimed_objects == 9
-        assert stats.live_objects == 170
+        assert stats.garbage_collected == 9
+        assert stats.objects_migrated == 170
         assert db.partition_stats(1).live_objects == 0
         assert db.partition_stats(7).live_objects == 170
         assert db.verify_integrity().ok
 
     def test_reclaims_whole_source_region(self, db_layout):
         db, _ = db_layout
-        stats = db.collect_garbage(1, method="copying", target_partition=7)
+        before = db.partition_stats(1).capacity_bytes
+        db.collect_garbage(1, method="copying", target_partition=7)
         assert db.store.partition(1).page_count == 0
-        assert stats.reclaimed_bytes > 0
+        assert db.partition_stats(1).capacity_bytes < before
 
     def test_mapping_available(self, db_layout):
-        db, layout = db_layout
-        from repro.core import CopyingGarbageCollector
-        collector = CopyingGarbageCollector(db.engine, 1,
-                                            target_partition=7)
-        db.run(collector.run())
-        assert len(collector.mapping) == 170
-        assert all(new.partition == 7 for new in collector.mapping.values())
+        db, _ = db_layout
+        stats = db.collect_garbage(1, method="copying", target_partition=7)
+        assert len(stats.mapping) == 170
+        assert all(new.partition == 7 for new in stats.mapping.values())
+
+
+@pytest.mark.parametrize("algorithm", sorted(REORGANIZERS))
+def test_collect_garbage_collects_or_refuses(db_layout, algorithm):
+    """IRA and two-lock IRA collect the cut chain; the footprints that
+    cannot collect refuse before the run starts: no start time, no TRT,
+    no transaction (so no lock), nothing logged."""
+    db, layout = db_layout
+    root, chain = hang_chain(db, layout, 1, 9)
+    cut_chain(db, root, chain[-1])
+    if algorithm == "mvcc-merge":
+        MvccTier.attach(db.engine)
+    reorganizer = db.reorganizer(
+        1, algorithm, plan=CompactionPlan(),
+        reorg_config=ReorgConfig(collect_garbage=True))
+    if algorithm in ("ira", "ira-2lock"):
+        stats = db.run(reorganizer.run())
+        assert stats.garbage_collected == 9
+        assert db.partition_stats(1).live_objects == 170
+        assert db.verify_integrity().ok
+        return
+    log_end = db.engine.log.last_lsn
+    begun = db.engine.txns.started
+    with pytest.raises(ReorganizationError, match="cannot collect garbage"):
+        db.run(reorganizer.run())
+    assert reorganizer.stats.started_ms == 0.0
+    assert reorganizer.trt is None
+    assert db.engine.txns.started == begun
+    assert db.engine.log.last_lsn == log_end
+    assert db.partition_stats(1).live_objects == 179
+
+
+def test_merge_reports_no_garbage(db_layout):
+    """The merge frees the superseded bases — relocation sources, not
+    unreachable objects — so it collects nothing."""
+    db, layout = db_layout
+    root, chain = hang_chain(db, layout, 1, 9)
+    cut_chain(db, root, chain[-1])
+    MvccTier.attach(db.engine)
+    stats = db.reorganize(1, algorithm="mvcc-merge")
+    assert stats.objects_migrated == 179
+    assert stats.garbage_collected == 0
+    assert db.partition_stats(1).live_objects == 179
 
 
 def test_unknown_gc_method_rejected(db_layout):
@@ -117,21 +163,9 @@ def test_gc_under_concurrent_load(db_layout):
     from repro.workload import WorkloadDriver
     from repro.core import MarkAndSweepCollector
 
-    class _GcAsReorg:
-        """Adapt the collector to the driver's reorganizer protocol."""
-        algorithm_name = "mark-sweep"
-
-        def __init__(self, collector):
-            self._collector = collector
-
-        def run(self):
-            stats = yield from self._collector.run()
-            stats.mapping = {}
-            return stats
-
     collector = MarkAndSweepCollector(db.engine, 1)
     driver = WorkloadDriver(db.engine, layout,
                             ExperimentConfig(workload=layout.config))
-    metrics = driver.run(reorganizer=_GcAsReorg(collector))
-    assert collector.stats.reclaimed_objects == 10
+    driver.run(reorganizer=collector)
+    assert collector.stats.garbage_collected == 10
     assert db.verify_integrity().ok

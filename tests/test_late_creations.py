@@ -79,7 +79,7 @@ def test_late_creation_survives_mark_and_sweep(db_layout):
     db.sim.run()
 
     assert db.store.exists(created[0])
-    assert gc_proc.result.reclaimed_objects == 0
+    assert gc_proc.result.garbage_collected == 0
     assert db.verify_integrity().ok
 
 
