@@ -40,9 +40,9 @@ from typing import Dict, List, Optional, Tuple
 from ..config import DistConfig, ReorgConfig, SystemConfig
 from ..engine import StorageEngine
 from ..sim import ProcessKilled, Simulator
-from ..storage.objects import ObjectImage
+from ..storage.objects import ObjectImage, payload_offset
 from ..storage.oid import Oid
-from ..workload.graphgen import random_bytes
+from ..workload.graphgen import planned_oids, random_bytes
 from .net import Interconnect
 from .node import DistNode, data_partition, hub_partition
 from .reorg import resume_reorg, start_reorg
@@ -112,15 +112,16 @@ class DistCluster:
         per_node: Dict[int, List[Oid]] = {}
         for node in self.nodes:
             store = node.engine.store
-            oids = []
-            for _ in range(cfg.objects_per_partition):
-                image = ObjectImage.new(
-                    2, payload=random_bytes(rng, cfg.payload_bytes))
-                oids.append(store.allocate_object(node.data_partition,
-                                                  image))
+            oids = planned_oids(node.data_partition, store.page_size,
+                                payload_offset(2) + cfg.payload_bytes,
+                                cfg.objects_per_partition)
             # Circular chain: every object has exactly one local parent.
-            for j, oid in enumerate(oids):
-                store.set_ref(oid, 0, oids[(j + 1) % len(oids)])
+            images = [ObjectImage.new(
+                2, payload=random_bytes(rng, cfg.payload_bytes),
+                refs=[oids[(j + 1) % len(oids)]]).encode()
+                for j in range(len(oids))]
+            placed = store.partition(node.data_partition).allocate_many(images)
+            assert placed == oids
             per_node[node.node_id] = oids
 
         for node in self.nodes:
@@ -153,10 +154,9 @@ class DistCluster:
             group = targets[start:start + cfg.hub_fanout]
             image = ObjectImage.new(
                 cfg.hub_fanout,
-                payload=random_bytes(rng, cfg.payload_bytes))
+                payload=random_bytes(rng, cfg.payload_bytes), refs=group)
             hub_oid = store.allocate_object(hub_node.hub_partition, image)
-            for slot, child in enumerate(group):
-                store.set_ref(hub_oid, slot, child)
+            for child in group:
                 ert.add(child, hub_oid)
 
     # -- reorganization ----------------------------------------------------------

@@ -62,6 +62,9 @@ class ExtendibleHashIndex:
         self._global_depth = 1
         bucket0, bucket1 = _Bucket(1), _Bucket(1)
         self._directory: List[_Bucket] = [bucket0, bucket1]
+        # Each bucket by its keys' low ``local_depth`` bits — its first
+        # directory slot, so sorted they give the directory walk's order.
+        self._buckets: Dict[int, _Bucket] = {0: bucket0, 1: bucket1}
         self._size = 0  # number of (key, value) pairs
 
     # -- public API ------------------------------------------------------------
@@ -146,12 +149,9 @@ class ExtendibleHashIndex:
     def _bucket_for(self, key: Hashable) -> _Bucket:
         return self._directory[self._dir_index(key)]
 
-    def _unique_buckets(self) -> Iterator[_Bucket]:
-        seen: Set[int] = set()
-        for bucket in self._directory:
-            if id(bucket) not in seen:
-                seen.add(id(bucket))
-                yield bucket
+    def _unique_buckets(self) -> List[_Bucket]:
+        buckets = self._buckets
+        return [buckets[pattern] for pattern in sorted(buckets)]
 
     def _split(self, bucket: _Bucket) -> None:
         if bucket.local_depth == self._global_depth:
@@ -171,6 +171,8 @@ class ExtendibleHashIndex:
             & (distinguishing_bit - 1)
         for index in range(first, len(directory), distinguishing_bit):
             directory[index] = high if index & distinguishing_bit else low
+        self._buckets[first] = low
+        self._buckets[first | distinguishing_bit] = high
 
     def _double_directory(self) -> None:
         self._directory = self._directory + list(self._directory)

@@ -24,8 +24,8 @@ from __future__ import annotations
 
 import struct
 import zlib
-from itertools import chain, count
-from typing import Dict, Iterator, List, Optional, Tuple
+from itertools import chain, count, islice
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .errors import (
     NoSuchObjectError,
@@ -98,7 +98,7 @@ class Page:
     """
 
     __slots__ = ("size", "page_lsn", "_buf", "_mv", "_free_ptr", "_slots",
-                 "_live_bytes", "_crc", "_tail", "_version")
+                 "_live_bytes", "_crc", "_tail", "_version", "_holes")
 
     def __init__(self, size: int):
         if size <= PAGE_HEADER_BYTES + SLOT_ENTRY_BYTES:
@@ -114,6 +114,7 @@ class Page:
         self._free_ptr = 0               # next byte offset for appends
         self._slots: List[Tuple[int, int]] = []   # slot -> (offset, length)
         self._live_bytes = 0
+        self._holes = False    # may the slot directory have a free entry?
         # Mutation stamp (see ``_VERSION_COUNTER``); bumped by every
         # operation that changes record bytes or the slot directory.
         self._version = _next_version()
@@ -143,31 +144,47 @@ class Page:
     @property
     def free_space(self) -> int:
         """Bytes available for new records (assuming one new slot entry)."""
-        return max(0, self.size - self.used_bytes - SLOT_ENTRY_BYTES)
+        return max(0, self.size - PAGE_HEADER_BYTES - self._live_bytes
+                   - (len(self._slots) + 1) * SLOT_ENTRY_BYTES)
 
     @property
     def is_empty(self) -> bool:
         return self._live_bytes == 0
 
-    def fits(self, nbytes: int) -> bool:
-        return nbytes <= self.free_space
-
     # -- record operations -----------------------------------------------------
 
     def insert(self, data: bytes) -> int:
         """Store ``data`` in a free slot; returns the slot number."""
-        if not self.fits(len(data)):
+        placed = self.insert_many((data,))
+        if not placed:
             raise PageFullError(
                 f"{len(data)} bytes do not fit ({self.free_space} free)")
-        slot = self._find_free_slot()
-        self._place(slot, data)
-        return slot
+        return placed[0]
+
+    def insert_many(self, datas: Sequence[bytes], start: int = 0
+                    ) -> List[int]:
+        """Store ``datas[start:]`` as ``insert`` would, up to the first
+        record that does not fit or is smaller than the one before it (a
+        lower page may fit it); returns the slots used.  One checksum."""
+        placed: List[int] = []
+        floor = 0
+        for data in islice(datas, start, None):
+            if not floor <= len(data) <= self.free_space:
+                break
+            floor = len(data)
+            slot = self._find_free_slot()
+            self._put(slot, data)
+            placed.append(slot)
+        if placed:
+            self._stamp()
+        return placed
 
     def insert_at(self, slot: int, data: bytes) -> None:
         """Store ``data`` at a specific slot number (recovery redo path)."""
         while len(self._slots) <= slot:
             self._slots.append((_FREE, 0))
             self._tail = None
+            self._holes = True
         offset, _ = self._slots[slot]
         if offset != _FREE:
             raise StorageError(f"slot {slot} already occupied")
@@ -238,9 +255,8 @@ class Page:
         self._buf[offset:offset + length] = b"\x00" * length
         self._slots[slot] = (_FREE, 0)
         self._live_bytes -= length
-        self._tail = None
-        self._version = _next_version()
-        self._crc = self._content_crc()
+        self._holes = True
+        self._stamp()
 
     def slots(self) -> Iterator[int]:
         """Yield every occupied slot number."""
@@ -344,6 +360,7 @@ class Page:
         page._free_ptr = state["free_ptr"]  # type: ignore[assignment]
         page._slots = list(state["slots"])  # type: ignore[arg-type]
         page._live_bytes = state["live_bytes"]  # type: ignore[assignment]
+        page._holes = True
         page._tail = None
         page._crc = page._content_crc()
         return page
@@ -351,27 +368,35 @@ class Page:
     # -- internals ------------------------------------------------------------
 
     def _find_free_slot(self) -> int:
-        for slot, (offset, _) in enumerate(self._slots):
-            if offset == _FREE:
-                return slot
+        if self._holes:
+            for slot, (offset, _) in enumerate(self._slots):
+                if offset == _FREE:
+                    return slot
+            self._holes = False
         self._slots.append((_FREE, 0))
         return len(self._slots) - 1
 
     def _place(self, slot: int, data: bytes) -> None:
-        self._tail = None
-        if self._free_ptr + len(data) > self._data_limit():
+        self._put(slot, data)
+        self._stamp()
+
+    def _put(self, slot: int, data: bytes) -> None:
+        """Write a record into ``slot``, compacting first if it would run
+        into the header/directory reserve; the caller ``_stamp``s."""
+        if self._free_ptr + len(data) > self.size - PAGE_HEADER_BYTES \
+                - len(self._slots) * SLOT_ENTRY_BYTES:
             self._compact()
         offset = self._free_ptr
         self._buf[offset:offset + len(data)] = data
         self._free_ptr += len(data)
         self._slots[slot] = (offset, len(data))
         self._live_bytes += len(data)
+
+    def _stamp(self) -> None:
+        """Close a mutation that may have touched the slot directory."""
+        self._tail = None
         self._version = _next_version()
         self._crc = self._content_crc()
-
-    def _data_limit(self) -> int:
-        """First byte reserved for header/directory accounting."""
-        return self.size - PAGE_HEADER_BYTES - len(self._slots) * SLOT_ENTRY_BYTES
 
     def _compact(self) -> None:
         """Squeeze out holes left by deleted/moved records."""

@@ -8,12 +8,12 @@ compaction examples report.
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .errors import NoSuchObjectError, PageChecksumError, PartitionFullError
 from .freespace import FreeSpaceMap
 from .oid import Oid
-from .page import Page
+from .page import PAGE_HEADER_BYTES, SLOT_ENTRY_BYTES, Page
 
 
 class PartitionStats:
@@ -113,17 +113,32 @@ class Partition:
 
     def allocate(self, data: bytes, fresh_only: bool = False) -> Oid:
         """Store ``data`` somewhere in the partition; returns its address."""
+        return self.allocate_many((data,), fresh_only)[0]
+
+    def allocate_many(self, datas: Sequence[bytes],
+                      fresh_only: bool = False) -> List[Oid]:
+        """Store each record where successive ``allocate`` calls would
+        (first fit by page number); returns their addresses.  A page takes
+        a run of records at a time (``Page.insert_many``): while each is no
+        smaller than the last, every lower page is still too full for it.
+        """
         min_page = self.relocation_floor if fresh_only else 0
-        page_no = self._fsm.find_page(len(data), min_page=min_page)
-        if page_no is None:
-            page_no = self._grow()
-            if not self._pages[page_no].fits(len(data)):
-                raise PartitionFullError(
-                    f"object of {len(data)}B larger than a fresh page")
-        page = self._pages[page_no]
-        slot = page.insert(data)
-        self._fsm.update(page_no, page.free_space)
-        return Oid(self.partition_id, page_no, slot)
+        oids: List[Oid] = []
+        while len(oids) < len(datas):
+            size = len(datas[len(oids)])
+            page_no = self._fsm.find_page(size, min_page=min_page)
+            if page_no is None:
+                if size > self.page_size - PAGE_HEADER_BYTES \
+                        - SLOT_ENTRY_BYTES:
+                    raise PartitionFullError(
+                        f"object of {size}B larger than a fresh page")
+                page_no = self._grow()
+            page = self._pages[page_no]
+            slots = page.insert_many(datas, len(oids))
+            self._fsm.update(page_no, page.free_space)
+            oids.extend([Oid(self.partition_id, page_no, slot)
+                         for slot in slots])
+        return oids
 
     def allocate_at(self, oid: Oid, data: bytes) -> None:
         """Recreate a record at an exact address (recovery redo path)."""

@@ -18,16 +18,20 @@ Reference-slot layout of a tree node (fixed at creation):
 * slots ``0 .. branching-1`` — tree children,
 * slot ``branching``         — the glue edge,
 * one spare slot             — room for workload reference inserts.
+
+The load learns every address by a dry-run placement first
+(:func:`planned_oids`), then places each object once, with its final
+references: one ``allocate_many`` per partition, one checksum per page.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Dict, List
+from typing import Dict, List, Optional
 
 from ..config import WorkloadConfig
-from ..storage import ObjectImage
+from ..storage import ObjectImage, Partition, payload_offset
 from ..storage.oid import Oid
 
 #: The root stubs (and nothing else) live in this partition.
@@ -88,6 +92,15 @@ def node_ref_capacity(config: WorkloadConfig) -> int:
     return config.branching + 2
 
 
+def planned_oids(partition_id: int, page_size: int, record_bytes: int,
+                 count: int) -> List[Oid]:
+    """Where ``count`` records of ``record_bytes`` land in a fresh
+    partition: placement depends only on sizes, so zero-filled records
+    on a scratch partition tell a loader every address in advance."""
+    return Partition(partition_id, page_size).allocate_many(
+        [bytes(record_bytes)] * count)
+
+
 def build_database(engine, config: WorkloadConfig) -> GraphLayout:
     """Create partitions, objects, references, ERTs, and a checkpoint.
 
@@ -97,43 +110,35 @@ def build_database(engine, config: WorkloadConfig) -> GraphLayout:
     """
     rng = random.Random(config.seed)
     layout = GraphLayout(config=config)
+    store = engine.store
     engine.create_partition(ROOT_PARTITION)
     for pid in range(1, config.num_partitions + 1):
         engine.create_partition(pid)
 
-    # Pass 1: allocate every tree node with empty reference slots.
-    # nodes[pid][cluster][i] is node i of the cluster in BFS order
-    # (node i's children are nodes 4i+1 .. 4i+4).
-    nodes: Dict[int, List[List[Oid]]] = {}
+    # Addresses first: nodes[pid][cluster][i] is node i of the cluster in
+    # BFS order (node i's children are nodes 4i+1 .. 4i+4).
     capacity = node_ref_capacity(config)
+    cluster_size = config.cluster_size
+    nodes: Dict[int, List[List[Oid]]] = {}
     for pid in range(1, config.num_partitions + 1):
-        clusters: List[List[Oid]] = []
-        for _ in range(config.clusters_per_partition):
-            cluster: List[Oid] = []
-            for _ in range(config.cluster_size):
-                payload = random_bytes(rng, config.payload_bytes)
-                image = ObjectImage.new(capacity, payload=payload)
-                cluster.append(engine.store.allocate_object(pid, image))
-            clusters.append(cluster)
-        nodes[pid] = clusters
-        layout.cluster_roots[pid] = [cluster[0] for cluster in clusters]
+        oids = planned_oids(pid, store.page_size,
+                            payload_offset(capacity) + config.payload_bytes,
+                            config.clusters_per_partition * cluster_size)
+        nodes[pid] = [oids[start:start + cluster_size]
+                      for start in range(0, len(oids), cluster_size)]
+        layout.cluster_roots[pid] = [cluster[0] for cluster in nodes[pid]]
+    payloads = iter([random_bytes(rng, config.payload_bytes)
+                     for clusters in nodes.values()
+                     for cluster in clusters for _ in cluster])
 
-    # Pass 2: tree edges.
-    for pid, clusters in nodes.items():
-        for cluster in clusters:
-            for index, oid in enumerate(cluster):
-                for child_slot in range(config.branching):
-                    child_index = config.branching * index + child_slot + 1
-                    if child_index >= config.cluster_size:
-                        break
-                    _set_ref(engine, oid, child_slot, cluster[child_index])
-
-    # Pass 3: glue edges — from each node to a node in another cluster,
-    # in another partition with probability GLUEFACTOR.
+    # Then each node once: tree children, then the glue edge — to a node
+    # in another cluster, in another partition with probability GLUEFACTOR.
     partition_ids = list(nodes)
+    branching = config.branching
     for pid, clusters in nodes.items():
+        images: List[bytes] = []
         for cluster_index, cluster in enumerate(clusters):
-            for oid in cluster:
+            for index, oid in enumerate(cluster):
                 target_pid = pid
                 if len(partition_ids) > 1 and \
                         rng.random() < config.glue_factor:
@@ -146,26 +151,25 @@ def build_database(engine, config: WorkloadConfig) -> GraphLayout:
                         target_cluster_index = rng.randrange(choices)
                 target_cluster = nodes[target_pid][target_cluster_index]
                 target = target_cluster[rng.randrange(len(target_cluster))]
-                _set_ref(engine, oid, glue_slot(config), target)
+                if target_pid != pid:
+                    engine.ert_for(target_pid).add(target, oid)
+                first = branching * index + 1
+                refs: List[Optional[Oid]] = cluster[first:first + branching]
+                refs += [None] * (branching - len(refs)) + [target, None]
+                images.append(ObjectImage(refs, next(payloads)).encode())
+        placed = store.partition(pid).allocate_many(images)
+        assert placed == [oid for cluster in clusters for oid in cluster]
 
-    # Pass 4: root stubs — the persistent roots, one per cluster, living
-    # in the root partition.
-    for pid in range(1, config.num_partitions + 1):
-        stubs: List[Oid] = []
-        for root in layout.cluster_roots[pid]:
-            image = ObjectImage.new(1, refs=[root])
-            stub = engine.store.allocate_object(ROOT_PARTITION, image)
-            stubs.append(stub)
+    # Root stubs — the persistent roots, one per cluster, living in the
+    # root partition.
+    stubs = iter(store.partition(ROOT_PARTITION).allocate_many(
+        [ObjectImage.new(1, refs=[root]).encode()
+         for pid in partition_ids for root in layout.cluster_roots[pid]]))
+    for pid, roots in layout.cluster_roots.items():
+        layout.root_stubs[pid] = [next(stubs) for _ in roots]
+        for root, stub in zip(roots, layout.root_stubs[pid]):
             engine.ert_for(pid).add(root, stub)
-        layout.root_stubs[pid] = stubs
 
     engine.unlogged_base = True  # the bulk load above wrote no WAL records
     engine.take_checkpoint()
     return layout
-
-
-def _set_ref(engine, parent: Oid, slot: int, child: Oid) -> None:
-    """Raw bulk-load reference write; maintains the ERT directly."""
-    engine.store.set_ref(parent, slot, child)
-    if child.partition != parent.partition:
-        engine.ert_for(child.partition).add(child, parent)

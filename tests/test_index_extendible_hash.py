@@ -200,3 +200,34 @@ def test_strided_split_matches_the_scan_on_packed_oid_keys():
     # split hurt.
     assert strided.global_depth == scanning.global_depth == 17
     assert directory_contents(strided) == directory_contents(scanning)
+
+
+def walked_buckets(idx):
+    """Every bucket once, in the order a walk over the directory meets it."""
+    seen, order = set(), []
+    for bucket in idx._directory:
+        if id(bucket) not in seen:
+            seen.add(id(bucket))
+            order.append(bucket)
+    return order
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(min_value=1, max_value=8),
+       st.lists(st.tuples(st.sampled_from(["insert", "insert", "remove_key"]),
+                          st.integers(min_value=0, max_value=2_000),
+                          st.integers(min_value=0, max_value=2)),
+                max_size=400))
+def test_iteration_visits_buckets_in_directory_order(capacity, ops):
+    idx = ExtendibleHashIndex(bucket_capacity=capacity)
+    for op, key, value in ops:
+        if op == "insert":
+            idx.insert(key, value)
+        else:
+            idx.remove_key(key)
+    walk = walked_buckets(idx)
+    assert list(idx.keys()) == [key for bucket in walk
+                                for key in bucket.entries]
+    assert list(idx.items()) == [(key, value) for bucket in walk
+                                 for key, values in bucket.entries.items()
+                                 for value in values]

@@ -57,6 +57,20 @@ def test_object_larger_than_page_rejected():
         part.allocate(b"x" * 500)
 
 
+def test_refused_oversize_allocations_leave_the_partition_as_it_was():
+    part = Partition(1, page_size=4096, max_pages=2)
+    before = repr(part.stats())
+    for _ in range(3):
+        with pytest.raises(PartitionFullError):
+            part.allocate(b"x" * 5000)
+    assert part.page_count == 0
+    assert repr(part.stats()) == before
+    assert len(part._fsm) == 0
+    # The refusals spent none of the two-page budget.
+    oids = [part.allocate(b"y" * 2000) for _ in range(3)]
+    assert [oid.page for oid in oids] == [0, 0, 1]
+
+
 def test_foreign_oid_rejected():
     part = Partition(1, page_size=256)
     with pytest.raises(NoSuchObjectError):
