@@ -50,7 +50,7 @@ from .cluster import (
 )
 from .database import Database
 from .engine import CrashImage, IntegrityReport, StorageEngine
-from .faults import FaultInjector, FaultPlan, chaos_sweep, corruption_sweep
+from .faults import FaultInjector, FaultPlan, chaos_sweep
 from .errors import (
     EngineError,
     ReferenceProtocolError,
@@ -124,7 +124,6 @@ __all__ = [
     "WorkloadDriver",
     "build_database",
     "chaos_sweep",
-    "corruption_sweep",
     "deep_verify",
     "__version__",
 ]

@@ -286,41 +286,39 @@ def cmd_cluster(args) -> int:
     return 0
 
 
+def _print_failing(results, label) -> None:
+    """The failure report of ``chaos``, ``chaos --dist`` and ``explore``:
+    each failing result, named by ``label(result)``, with its failing
+    verdicts."""
+    for result in results:
+        if not result.ok:
+            print(f"  FAILED {label(result)}:")
+            for verdict in result.verdicts:
+                if not verdict.ok:
+                    print(f"    {verdict.describe()}")
+
+
 def _cmd_chaos_dist(args) -> int:
     from .dist import run_dist_chaos
 
     def show(name, result):
-        status = "ok" if result.ok else "FAIL"
-        print(f"  {name:<32} {status}  crashes={result.crashes} "
-              f"sim={result.sim_ms:.0f}ms")
-        for problem in result.problems:
-            print(f"      {problem}")
+        print(f"  {name:<32} {'ok' if result.ok else 'FAIL'}  "
+              f"crashes={result.crashes} sim={result.sim_ms:.0f}ms")
 
-    report = run_dist_chaos(quick=args.quick, progress=show)
-    print(f"\n  scenarios {len(report.results)}  passed {report.passed}")
-    for result in report.failures():
-        flags = []
-        if not result.fired:
-            flags.append("fault never fired")
-        if not result.completed:
-            flags.append("did not quiesce")
-        if not result.signature_ok:
-            flags.append("graph signature changed")
-        if not result.twin_identical:
-            flags.append("state differs from unkilled twin")
-        print(f"  FAILED {result.scenario}: "
-              f"{'; '.join(flags) or 'integrity problems'}")
-    return 0 if report.ok else 1
+    results = run_dist_chaos(quick=args.quick, progress=show)
+    passed = sum(1 for result in results if result.ok)
+    print(f"\n  scenarios {len(results)}  passed {passed}")
+    _print_failing(results, lambda result: result.scenario)
+    return 0 if passed == len(results) else 1
 
 
 def cmd_chaos(args) -> int:
-    from .faults import (CORRUPTION_KINDS, chaos_sweep, corruption_sweep,
-                         run_chaos_point)
+    from .faults import CORRUPTION_KINDS, chaos_sweep, run_chaos_point
     if args.dist:
         return _cmd_chaos_dist(args)
     workload = _workload(args)
     reorg_config = ReorgConfig(checkpoint_every=args.checkpoint_every)
-    kinds = None
+    kinds = ()
     if args.corruption != "none":
         kinds = (CORRUPTION_KINDS if args.corruption == "all"
                  else (args.corruption,))
@@ -330,23 +328,19 @@ def cmd_chaos(args) -> int:
                                  reorg_config=reorg_config, seed=args.seed,
                                  corruption=kinds[0] if kinds else None)
         print(result.describe())
-        return 0 if result.ok and not result.silent_corruption else 1
-    if kinds is not None:
-        report = corruption_sweep(points=args.points,
-                                  algorithm=args.algorithm,
-                                  workload=workload,
-                                  reorg_config=reorg_config,
-                                  seed=args.seed, kinds=kinds,
-                                  progress=lambda line: print(f"  {line}"))
+        points = [result]
+        ok = result.ok and not result.silent_corruption
     else:
         report = chaos_sweep(points=args.points, algorithm=args.algorithm,
                              workload=workload, reorg_config=reorg_config,
-                             seed=args.seed,
+                             seed=args.seed, kinds=kinds,
                              progress=lambda line: print(f"  {line}"))
-    print()
-    for key, value in report.summary().items():
-        print(f"  {key:>21}: {value}")
-    ok = report.all_ok and (kinds is None or report.no_silent_corruption)
+        print()
+        for key, value in report.summary().items():
+            print(f"  {key:>21}: {value}")
+        points = report.points
+        ok = report.all_ok and (not kinds or report.no_silent_corruption)
+    _print_failing(points, lambda point: f"crash@{point.crash_at_ms:.1f}ms")
     return 0 if ok else 1
 
 
@@ -419,23 +413,16 @@ def cmd_explore(args) -> int:
         return 0 if result.ok else 1
 
     workload = _workload(args)
-    # Each mutation targets one algorithm's (and lock manager's) seam;
-    # follow it unless the user explicitly picked one.
-    algorithm = args.algorithm or (
-        MUTATIONS[args.mutation].algorithm if args.mutation else "ira")
-    locks = args.locks or (
-        MUTATIONS[args.mutation].locks if args.mutation else "flat")
     report = explore(seeds=args.seeds, depth=args.depth, workload=workload,
-                     algorithm=algorithm, mutation_name=args.mutation,
-                     locks=locks, strict=not args.relaxed,
+                     algorithm=args.algorithm, mutation_name=args.mutation,
+                     locks=args.locks, strict=not args.relaxed,
                      out_dir=args.out,
                      progress=lambda line: print(f"  {line}"))
     print(f"\n  distinct schedules   {report.distinct} "
           f"({report.schedules_run} runs)")
     print(f"  baseline choices     {report.baseline_choice_points}")
     print(f"  oracle violations    {len(report.failures)}")
-    for result in report.failures:
-        print(f"    {result.trace_hash}: {', '.join(result.failing())}")
+    _print_failing(report.failures, lambda result: result.trace_hash)
     for path in report.artifacts:
         print(f"  artifact             {path}")
     if args.mutation is not None:

@@ -24,7 +24,8 @@ class LatchManager:
         self.acquisitions = 0
 
     def latch(self, key) -> Generator[Any, Any, None]:
-        """Acquire the latch on ``key`` (generator; blocking)."""
+        """Acquire the latch on ``key`` (generator; blocking); release it
+        with :meth:`unlatch` in a ``try``/``finally``."""
         mutex = self._latches.get(key)
         if mutex is None:
             mutex = Mutex(self.sim, name=f"latch:{key}")
@@ -44,14 +45,3 @@ class LatchManager:
         mutex = self._latches.get(key)
         return mutex is not None and mutex.locked
 
-    def latched(self, key):
-        """Context-manager-like generator pair is not expressible with
-        ``yield from`` cleanly; callers use try/finally::
-
-            yield from latches.latch(oid)
-            try:
-                ...
-            finally:
-                latches.unlatch(oid)
-        """
-        raise NotImplementedError("use latch()/unlatch() with try/finally")

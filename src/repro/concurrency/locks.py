@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import enum
 from collections import deque
-from typing import Callable, Deque, Dict, Iterable, Optional, Set
+from typing import Callable, Deque, Dict, Optional, Set
 
 from ..sim import Event, Simulator, Wait, WaitTimeout
 
@@ -438,10 +438,6 @@ class LockManager:
         nothing calls this: every locker still holds its lock.
         """
         return set(self._history.get(key, ()))
-
-    def waiting_on(self, tid: int):
-        """The key ``tid`` is currently blocked on, or ``None``."""
-        return self._waiting.get(tid)
 
     # -- waits-for deadlock detection ----------------------------------------------
 

@@ -10,8 +10,8 @@ boundary.  See DIST.md for the sharding model, the protocol walkthrough
 and the failure matrix.
 """
 
-from .chaos import (ChaosReport, ChaosResult, arm_fault_plan,
-                    default_scenarios, run_dist_chaos)
+from .chaos import (ChaosResult, arm_fault_plan, default_scenarios,
+                    run_dist_chaos)
 from .cluster import DistCluster
 from .detector import FailureDetector
 from .net import Interconnect
@@ -21,12 +21,11 @@ from .rpc import RpcEndpoint
 from .twopc import (COORDINATOR_STAGES, PARTICIPANT_STAGES,
                     TwoPhaseManager)
 from .verify import (cluster_deep_verify, cluster_digests,
-                     cluster_graph_signature, node_state_digest,
-                     reconcile_remote_ert, unresolved_in_doubt)
+                     node_state_digest, reconcile_remote_ert,
+                     unresolved_in_doubt)
 
 __all__ = [
     "COORDINATOR_STAGES",
-    "ChaosReport",
     "ChaosResult",
     "DistCluster",
     "DistNode",
@@ -39,7 +38,6 @@ __all__ = [
     "arm_fault_plan",
     "cluster_deep_verify",
     "cluster_digests",
-    "cluster_graph_signature",
     "data_partition",
     "default_scenarios",
     "hub_partition",

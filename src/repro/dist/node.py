@@ -13,15 +13,13 @@ decision waiters) while the rest of the cluster keeps running.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Generator, List, Optional
+from typing import Any, Generator, Optional
 
-from ..storage.oid import Oid
 from ..storage.scrub import Scrubber
 from .detector import FailureDetector
 from .rpc import RPC_RETRY, RpcEndpoint
 from .twopc import TwoPhaseManager
 
-OBJ_READ = "obj.read"
 _SINGLE_TRY = RPC_RETRY.copy(max_retries=0)
 
 #: node id -> (data partition, hub partition); see DistConfig.
@@ -73,7 +71,6 @@ class DistNode:
             self.cluster.sim, heartbeat_ms=cfg.heartbeat_ms,
             suspect_after_ms=cfg.suspect_after_ms)
         self.detector.start()
-        self.rpc.serve(OBJ_READ, self._handle_obj_read)
         # Omniscient verification hooks: the integrity oracle may consult
         # the directory directly — it checks state, it is not a runtime
         # communication path (those go through RPC above).
@@ -104,24 +101,6 @@ class DistNode:
             deadline_ms=self.cluster.config.rpc_deadline_ms,
             policy=policy, rng=self._rpc_rng)
         return reply
-
-    def read_remote(self, oid: Oid) -> Generator[Any, Any, dict]:
-        """Read an object on its owner node; raises
-        :class:`~repro.errors.NodeUnreachableError` when the owner is
-        gone — the typed fail-fast the serving layer retries or sheds."""
-        owner = self.cluster.owner(oid.partition)
-        reply = yield from self.call(owner, OBJ_READ, {"oid": oid.pack()})
-        return reply
-
-    def _handle_obj_read(self, payload: dict) -> dict:
-        oid = Oid.unpack(payload["oid"])
-        if not self.engine.store.exists(oid):
-            # Transient during a migration window or a genuinely bad ref;
-            # the caller distinguishes by retrying.
-            return {"ok": False}
-        image = self.engine.store.read_object(oid)
-        return {"ok": True, "payload": bytes(image.payload),
-                "children": [c.pack() for c in image.children()]}
 
     def __repr__(self) -> str:
         state = "down" if self.down else "up"

@@ -1,6 +1,8 @@
 """Cluster-wide integrity: digests, oracles and post-crash ERT repair.
 
-Three pillars back the chaos gates:
+Two pillars back the chaos gates (the third, transparency across
+nodes, is :func:`repro.verify.graph_signature` over every node's
+engine):
 
 * :func:`node_state_digest` — a canonical fingerprint of one node's
   durable-equivalent state (every live object's address, payload and
@@ -8,10 +10,6 @@ Three pillars back the chaos gates:
   and the log itself are deliberately excluded: a crashed-and-recovered
   node legitimately differs there, while the *state* must land
   byte-identical to an unkilled twin.
-* :func:`cluster_graph_signature` — the transparency oracle across
-  nodes: payload-level structure of the whole object graph, insensitive
-  to physical addresses, so reorganization (local or cross-node) must
-  leave it unchanged.
 * :func:`unresolved_in_doubt` — the zero-orphan gate: any participant
   branch that logged ``TPC_PREPARE`` must eventually log ``END``
   (settled commit or abort); a prepared tid with no END is an orphaned
@@ -29,7 +27,7 @@ are recoverable from the local log alone, and the remap is idempotent.
 from __future__ import annotations
 
 import hashlib
-from typing import Dict, Iterable, List, Tuple
+from typing import Dict, List
 
 from ..core.checkpointing import committed_migrations_from_log
 from ..verify import deep_verify
@@ -59,24 +57,6 @@ def node_state_digest(engine) -> str:
 def cluster_digests(cluster) -> Dict[int, str]:
     return {node.node_id: node_state_digest(node.engine)
             for node in cluster.nodes}
-
-
-def cluster_graph_signature(cluster) -> Tuple:
-    """Payload-level structure of the global graph — the transparency
-    oracle: identical before and after any amount of reorganization."""
-    payloads = {}
-    for node in cluster.nodes:
-        store = node.engine.store
-        for oid in store.all_live_oids():
-            payloads[oid] = store.read_object(oid).payload
-    entries = []
-    for node in cluster.nodes:
-        store = node.engine.store
-        for oid in store.all_live_oids():
-            children = sorted(payloads.get(child, b"<dangling>")
-                              for child in store.children_of(oid))
-            entries.append((payloads[oid], tuple(children)))
-    return tuple(sorted(entries))
 
 
 def unresolved_in_doubt(engine) -> Dict[int, str]:

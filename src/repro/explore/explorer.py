@@ -29,6 +29,7 @@ from ..config import MvccConfig, SystemConfig, WorkloadConfig
 from ..core import CompactionPlan
 from ..database import Database
 from ..mvcc import MvccTier
+from ..verify import Judged
 from ..workload.metrics import ExperimentMetrics
 from .history import HistoryRecorder
 from .minimize import minimize_decisions
@@ -82,7 +83,7 @@ def default_workload(seed: int = 131) -> WorkloadConfig:
 
 
 @dataclass
-class ScheduleResult:
+class ScheduleResult(Judged):
     """One explored schedule's identity and verdicts."""
 
     trace: Dict[int, tuple]
@@ -92,37 +93,38 @@ class ScheduleResult:
     verdicts: List[OracleVerdict]
     sim_end_ms: float
     committed: int
+    #: What the schedule ran under, as :func:`run_schedule` resolved it.
+    algorithm: str
+    locks: str
     mutation: Optional[str] = None
     mutation_triggered: bool = False
-
-    @property
-    def ok(self) -> bool:
-        return all(v.ok for v in self.verdicts)
-
-    def failing(self) -> List[str]:
-        return [v.name for v in self.verdicts if not v.ok]
 
 
 def run_schedule(policy: TracingPolicy,
                  workload: Optional[WorkloadConfig] = None,
-                 algorithm: str = "ira",
+                 algorithm: Optional[str] = None,
                  mutation: Optional[Mutation] = None,
-                 locks: str = "flat",
+                 locks: Optional[str] = None,
                  strict: bool = True,
                  horizon_ms: float = DEFAULT_HORIZON_MS) -> ScheduleResult:
     """Run one schedule under ``policy`` and judge it with every oracle.
 
-    ``locks`` selects the lock manager ("flat" or "hier"); ``strict``
-    selects strict vs. relaxed (§4.1) two-phase locking for the user
-    transactions.  Relaxed runs skip the serializability oracle —
-    short-duration read locks give up that guarantee by design — but
-    keep every state oracle (transparency, recovery, deep verify).
+    ``algorithm`` defaults to the mutation's target algorithm, else
+    ``ira``.  ``locks`` selects the lock manager ("flat" or "hier",
+    default the mutation's, else flat); ``strict`` selects strict vs.
+    relaxed (§4.1) two-phase locking for the user transactions.  Relaxed
+    runs skip the serializability oracle — short-duration read locks
+    give up that guarantee by design — but keep every state oracle
+    (transparency, recovery, deep verify).
     """
     workload = workload or default_workload()
-    if mutation is not None and locks == "flat":
-        # A mutation lives in one manager's seams; a hier-locks bug
-        # cannot even install against the flat manager.
-        locks = mutation.locks
+    # The one place a mutation picks its algorithm and lock manager (the
+    # base class holds the unmutated defaults, ira and flat).  A bug
+    # lives in one manager's seams: a hier-locks bug cannot even install
+    # against the flat manager.
+    target = mutation or Mutation
+    algorithm = algorithm or target.algorithm
+    locks = "hier" if target.locks == "hier" else locks or target.locks
     arm = _arm(algorithm, locks, strict)
     db, layout = Database.with_workload(workload,
                                         system=SystemConfig(**arm.system))
@@ -215,6 +217,8 @@ def run_schedule(policy: TracingPolicy,
         verdicts=verdicts,
         sim_end_ms=sim.now,
         committed=committed,
+        algorithm=algorithm,
+        locks=locks,
         mutation=mutation.name if mutation is not None else None,
         mutation_triggered=(mutation.triggered
                             if mutation is not None else False),
@@ -249,9 +253,9 @@ class ExploreReport:
 
 def explore(seeds: int = 50, depth: int = 2,
             workload: Optional[WorkloadConfig] = None,
-            algorithm: str = "ira",
+            algorithm: Optional[str] = None,
             mutation_name: Optional[str] = None,
-            locks: str = "flat",
+            locks: Optional[str] = None,
             strict: bool = True,
             out_dir: Optional[str] = None,
             minimize_budget: int = 24,
@@ -264,20 +268,22 @@ def explore(seeds: int = 50, depth: int = 2,
     budget), and seeded random walks fill the rest.  Duplicate executed
     traces (by hash) are not counted.  With ``out_dir`` set, every
     failure is serialized as a replayable artifact — minimized first
-    when it has deviations to shrink.
+    when it has deviations to shrink.  ``algorithm`` and ``locks`` left
+    unset follow the mutation (:func:`run_schedule` decides).
     """
     workload = workload or default_workload()
-    if mutation_name and MUTATIONS[mutation_name].locks == "hier":
-        # A bug planted in the hierarchical manager needs that manager.
-        locks = "hier"
     say = progress or (lambda message: None)
     report = ExploreReport()
     seen: Dict[str, ScheduleResult] = {}
 
-    def run_one(policy: TracingPolicy, kind: str) -> Optional[ScheduleResult]:
+    def rerun(policy: TracingPolicy) -> ScheduleResult:
+        """One schedule of this exploration, with a fresh mutation."""
         mutation = MUTATIONS[mutation_name]() if mutation_name else None
-        result = run_schedule(policy, workload=workload, algorithm=algorithm,
-                              mutation=mutation, locks=locks, strict=strict)
+        return run_schedule(policy, workload=workload, algorithm=algorithm,
+                            mutation=mutation, locks=locks, strict=strict)
+
+    def run_one(policy: TracingPolicy, kind: str) -> Optional[ScheduleResult]:
+        result = rerun(policy)
         report.schedules_run += 1
         if result.trace_hash in seen:
             return None
@@ -288,9 +294,8 @@ def explore(seeds: int = 50, depth: int = 2,
             say(f"[{kind}] schedule {result.trace_hash} FAILED: "
                 f"{', '.join(result.failing())}")
             if out_dir is not None:
-                path = _emit_artifact(out_dir, result, workload, algorithm,
-                                      mutation_name, locks, strict,
-                                      minimize_budget, say)
+                path = _emit_artifact(out_dir, result, rerun, workload,
+                                      strict, minimize_budget, say)
                 if path not in report.artifacts:
                     report.artifacts.append(path)
         return result
@@ -326,9 +331,8 @@ def explore(seeds: int = 50, depth: int = 2,
 # -- failure artifacts --------------------------------------------------------
 
 def _emit_artifact(out_dir: str, result: ScheduleResult,
-                   workload: WorkloadConfig, algorithm: str,
-                   mutation_name: Optional[str],
-                   locks: str, strict: bool,
+                   rerun: Callable[[TracingPolicy], ScheduleResult],
+                   workload: WorkloadConfig, strict: bool,
                    minimize_budget: int,
                    say: Callable[[str], None]) -> str:
     decisions = dict(result.trace)
@@ -336,11 +340,7 @@ def _emit_artifact(out_dir: str, result: ScheduleResult,
     signature = set(result.failing())
     if decisions and minimize_budget > 0:
         def still_fails(subset: Dict[int, tuple]) -> bool:
-            mutation = MUTATIONS[mutation_name]() if mutation_name else None
-            rerun = run_schedule(ReplayPolicy(subset), workload=workload,
-                                 algorithm=algorithm, mutation=mutation,
-                                 locks=locks, strict=strict)
-            return signature <= set(rerun.failing())
+            return signature <= set(rerun(ReplayPolicy(subset)).failing())
 
         decisions, complete = minimize_decisions(decisions, still_fails,
                                                  budget=minimize_budget)
@@ -350,18 +350,15 @@ def _emit_artifact(out_dir: str, result: ScheduleResult,
         if decisions != dict(result.trace):
             # The artifact must describe the run its decisions produce,
             # so a replay reproduces the recorded failure exactly.
-            mutation = MUTATIONS[mutation_name]() if mutation_name else None
-            result = run_schedule(ReplayPolicy(decisions),
-                                  workload=workload, algorithm=algorithm,
-                                  mutation=mutation,
-                                  locks=locks, strict=strict)
+            result = rerun(ReplayPolicy(decisions))
 
     import os
     os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir, f"failure-{result.trace_hash}.json")
     with open(path, "w") as handle:
-        json.dump(build_artifact(decisions, result, workload, algorithm,
-                                 mutation_name, locks, strict, minimized),
+        json.dump(build_artifact(decisions, result, workload,
+                                 result.algorithm, result.mutation,
+                                 result.locks, strict, minimized),
                   handle, indent=2, sort_keys=True)
     say(f"wrote {path}")
     return path
@@ -404,5 +401,5 @@ def replay_artifact(path: str) -> ScheduleResult:
     policy = ReplayPolicy(decode_decisions(data["decisions"]))
     return run_schedule(policy, workload=workload,
                         algorithm=data["algorithm"], mutation=mutation,
-                        locks=data.get("locks", "flat"),
+                        locks=data.get("locks"),
                         strict=data.get("strict", True))

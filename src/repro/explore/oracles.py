@@ -63,7 +63,7 @@ from typing import Callable, Dict, List, Optional
 
 from ..sim import Simulator
 from ..storage.oid import Oid
-from ..verify import deep_verify
+from ..verify import OracleVerdict, deep_verify, graph_signature
 from ..wal import (
     ObjCreateRecord,
     ObjDeleteRecord,
@@ -72,21 +72,6 @@ from ..wal import (
     TransactionTable,
 )
 from .history import HistoryRecorder, check_serializability
-
-
-@dataclass
-class OracleVerdict:
-    """One oracle's answer for one explored schedule."""
-
-    name: str
-    ok: bool
-    at_ms: float
-    details: List[str] = field(default_factory=list)
-
-    def describe(self) -> str:
-        status = "ok" if self.ok else "VIOLATION"
-        extra = f" ({self.details[0]})" if self.details and not self.ok else ""
-        return f"{self.name:>22}: {status}{extra}"
 
 
 # -- graph isomorphism (extracted from tests/test_graph_isomorphism.py) -------
@@ -422,7 +407,6 @@ def check_mvcc_integrity(engine) -> List[str]:
 def check_recovery_idempotence(engine) -> List[str]:
     """Flush, recover, recover again; all three states must agree."""
     from ..engine import CrashImage, StorageEngine
-    from ..faults.chaos import graph_signature
 
     engine.log.flush_now()
     live_sig = graph_signature(engine)

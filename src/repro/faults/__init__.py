@@ -8,9 +8,10 @@
 * :mod:`repro.faults.chaos` — the crash-point sweep harness asserting
   integrity, graph isomorphism and no-re-migration after every
   crash/recover/resume cycle, plus the silent-corruption dimension
-  (:func:`~repro.faults.chaos.corruption_sweep`): torn checkpoint page
-  writes, durable bit flips and torn log tails, with zero-silent-
-  corruption accounting.
+  (``kinds`` of :func:`~repro.faults.chaos.chaos_sweep`): torn
+  checkpoint page writes, durable bit flips and torn log tails, with
+  zero-silent-corruption accounting.  Every gate answers as a
+  :class:`~repro.verify.OracleVerdict`.
 """
 
 from .chaos import (
@@ -18,9 +19,7 @@ from .chaos import (
     ChaosPointResult,
     ChaosReport,
     chaos_sweep,
-    corruption_sweep,
     count_remigrations,
-    graph_signature,
     probe_run_window,
     run_chaos_point,
 )
@@ -36,9 +35,7 @@ __all__ = [
     "FaultPlan",
     "InjectorStats",
     "chaos_sweep",
-    "corruption_sweep",
     "count_remigrations",
-    "graph_signature",
     "probe_run_window",
     "run_chaos_point",
 ]

@@ -19,8 +19,14 @@ The isomorphism check compares *recovered-before-resume* against
 concurrent user transactions commit payload pokes and glue-edge re-points
 right up to the crash, and in-flight ones are undone by recovery.
 
-The sweep also has a **silent-corruption dimension**
-(:func:`corruption_sweep`): each point additionally injects one silent
+Every gate answers as one :class:`~repro.verify.OracleVerdict` on the
+point's ``verdicts`` list, the vocabulary the schedule explorer's
+oracles use: ``crashed``, ``recovered``, ``corruption_accounted``,
+``integrity_after_recovery``, ``integrity_after_resume``,
+``isomorphic``, ``objects_conserved`` and ``no_remigration``.
+
+The sweep also has a **silent-corruption dimension** (``kinds`` of
+:func:`chaos_sweep`): each point additionally injects one silent
 corruption — a torn checkpoint page write, a flipped bit in the latest
 durable snapshot, or a torn log tail — under a mid-run checkpointer, and
 the accounting demands that *every* injected corruption is either
@@ -28,7 +34,8 @@ detected-and-repaired (then the healed state must equal a
 corruption-free twin run's recovery, byte-for-graph) or refused loudly
 with a typed :class:`~repro.storage.errors.CorruptionError`.  Nothing in
 between: a point where injected corruption goes unnoticed is a
-``silent_corruption`` failure.
+``silent_corruption`` failure.  A corruption point adds the verdicts
+``corruption_injected``, ``healed_matches_clean`` and ``deep_verify``.
 """
 
 from __future__ import annotations
@@ -38,12 +45,12 @@ from typing import Dict, List, Optional, Set, Tuple
 
 from ..config import ExperimentConfig, ReorgConfig, WorkloadConfig
 from ..core import CompactionPlan, WalReorgStateStore, resume_reorganization
-from ..core.ira_twolock import reconciled_copy_image
 from ..database import Database
 from ..sim import Delay
 from ..storage.errors import CorruptionError
 from ..storage.oid import Oid
-from ..verify import corrupt_snapshot_pages, deep_verify
+from ..verify import (Judged, OracleVerdict, corrupt_snapshot_pages,
+                      deep_verify, graph_signature)
 from ..wal import ObjDeleteRecord, TransactionTable
 from ..workload import WorkloadDriver
 from ..workload.metrics import ExperimentMetrics
@@ -58,7 +65,7 @@ DEFAULT_WORKLOAD = WorkloadConfig(num_partitions=2,
 DEFAULT_REORG = ReorgConfig(checkpoint_every=20)
 REORG_PARTITION = 1
 
-#: Corruption kinds :func:`corruption_sweep` cycles across its points.
+#: Corruption kinds a corruption sweep cycles across its points.
 #: (Live-memory bit flips are exercised by dedicated scrubber tests, not
 #: the sweep: flipping a live object's bytes perturbs the concurrent
 #: workload itself, which would invalidate the twin-run comparison.)
@@ -90,54 +97,6 @@ def _corruption_plan(kind: str, crash_at_ms: float, gap_ms: float,
         f"unknown corruption kind {kind!r}; choose from {CORRUPTION_KINDS}")
 
 
-def _corruption_checkpoint_interval(kind: str,
-                                    gap_ms: float) -> Optional[float]:
-    """Mid-run checkpointer cadence a corruption kind needs (page-image
-    corruption needs checkpoints to corrupt and older ones to repair
-    from; a torn log tail needs none)."""
-    if kind in ("torn_page", "bit_flip"):
-        return gap_ms * _CKPT_FRACTION
-    return None
-
-
-def graph_signature(engine,
-                    collapse: Optional[Tuple[Oid, Oid]] = None) -> Tuple:
-    """Address-free canonical form of the object graph.
-
-    Each object contributes ``(payload, sorted child payloads)``; the
-    multiset of contributions is invariant under relocation (the load
-    generator gives every object a distinct payload, so this determines
-    the graph up to isomorphism).
-
-    ``collapse`` names the ``(old, new)`` pair of a two-lock migration
-    interrupted between the copy's commit and the old location's delete:
-    the object is durably in both places (§4.2's mixed state) and the
-    resume collapses the pair back to one.  The signature then counts
-    the object once — with the merged image the resumed run will install
-    (:func:`~repro.core.ira_twolock.reconciled_copy_image`, the old
-    location's committed state plus any updates that reached the copy
-    directly) — and resolves references to either address to it.
-    """
-    store = engine.store
-    payload = {oid: store.read_object(oid).payload
-               for oid in store.all_live_oids()}
-    skip = survivor = merged_children = None
-    if collapse is not None:
-        old, new = collapse
-        merged = reconciled_copy_image(engine, old.partition, old, new)
-        skip, survivor = new, old
-        payload[old] = payload[new] = merged.payload
-        merged_children = merged.children()
-    entries = []
-    for oid, body in payload.items():
-        if oid == skip:
-            continue
-        kids = merged_children if oid == survivor else store.children_of(oid)
-        children = sorted(payload.get(c, b"<dangling>") for c in kids)
-        entries.append((body, tuple(children)))
-    return tuple(sorted(entries))
-
-
 def count_remigrations(engine, partition_id: int, from_lsn: int,
                        already_migrated_new: Set[Oid]) -> int:
     """How many already-migrated objects the post-``from_lsn`` log shows
@@ -158,16 +117,11 @@ def count_remigrations(engine, partition_id: int, from_lsn: int,
 
 
 @dataclass
-class ChaosPointResult:
-    """Outcome of one crash/recover/resume cycle."""
+class ChaosPointResult(Judged):
+    """Outcome of one crash/recover/resume cycle: what happened, and one
+    verdict per gate it was judged by."""
 
     crash_at_ms: float
-    crashed: bool = False
-    recovered: bool = False
-    integrity_after_recovery: bool = False
-    integrity_after_resume: bool = False
-    isomorphic: bool = False
-    objects_conserved: bool = False
     #: A WAL progress record was found and the run continued from it.
     resumed: bool = False
     #: The reorganization had already finished when the crash hit
@@ -179,7 +133,7 @@ class ChaosPointResult:
     #: Corruption dimension (set only by corruption points).
     corruption: Optional[str] = None
     corruptions_injected: int = 0
-    #: Detection or repair accounted for every injected corruption.
+    #: Detection or repair caught at least one injected corruption.
     corruption_detected: bool = False
     pages_repaired: int = 0
     pages_rebuilt: int = 0
@@ -187,15 +141,15 @@ class ChaosPointResult:
     #: Recovery refused loudly with a typed :class:`CorruptionError`
     #: instead of healing — acceptable, never silent.
     loud_failure: Optional[str] = None
-    #: The healed recovery state matched the corruption-free twin run's.
-    healed_matches_clean: bool = False
     #: Recovered-state graph signature (twin comparison handle).
     recovered_signature: Optional[Tuple] = field(default=None, repr=False)
-    problems: List[str] = field(default_factory=list)
+    verdicts: List[OracleVerdict] = field(default_factory=list)
 
-    @property
-    def ok(self) -> bool:
-        return not self.problems
+    def judge(self, name: str, ok: bool, *details: str) -> bool:
+        """Record one gate's verdict; returns whether it passed."""
+        self.verdicts.append(
+            OracleVerdict.gate(name, ok, self.crash_at_ms, *details))
+        return ok
 
     @property
     def silent_corruption(self) -> bool:
@@ -206,7 +160,7 @@ class ChaosPointResult:
                 and not self.corruption_detected)
 
     def describe(self) -> str:
-        status = "ok" if self.ok else "FAIL " + "; ".join(self.problems)
+        status = "ok" if self.ok else "FAIL " + ", ".join(self.failing())
         mode = ("resumed" if self.resumed
                 else "done-pre-crash" if self.completed_before_crash
                 else "fresh-restart")
@@ -251,10 +205,6 @@ class ChaosReport:
         return [p for p in self.points if p.corruption is not None]
 
     @property
-    def silent_corruptions(self) -> List[ChaosPointResult]:
-        return [p for p in self.corruption_points if p.silent_corruption]
-
-    @property
     def no_silent_corruption(self) -> bool:
         """Every injected corruption was repaired-and-verified or failed
         loudly with a typed error — the sweep's hard gate."""
@@ -284,7 +234,8 @@ class ChaosReport:
                                            if p.log_tail_truncated),
                 "loud_failures": sum(1 for p in corruption
                                      if p.loud_failure),
-                "silent_corruptions": len(self.silent_corruptions),
+                "silent_corruptions": sum(1 for p in corruption
+                                          if p.silent_corruption),
                 "no_silent_corruption": self.no_silent_corruption,
             })
         return data
@@ -292,12 +243,12 @@ class ChaosReport:
 
 def _launch(algorithm: str, workload: WorkloadConfig,
             reorg_config: ReorgConfig,
-            fault_plan: Optional[FaultPlan],
             corruption: Optional[str] = None,
             corruption_timing: Optional[str] = None,
             crash_at_ms: Optional[float] = None,
             seed: int = 0):
-    """Fresh database + reorganizer + MPL threads (+ optional injector).
+    """Fresh database + reorganizer + MPL threads (+ an injector that
+    crashes at ``crash_at_ms``, when given).
 
     ``corruption`` finalizes a gap-relative corruption plan (the sim
     clock is already past the bulk load here, so "98% of the way to the
@@ -308,20 +259,22 @@ def _launch(algorithm: str, workload: WorkloadConfig,
     """
     db, layout = Database.with_workload(workload)
     engine = db.engine
-    plan = fault_plan
+    plan = None
     if corruption is not None:
         plan = _corruption_plan(corruption, crash_at_ms,
                                 crash_at_ms - db.sim.now, seed)
-    timing = corruption_timing or corruption
-    if timing is not None:
-        interval = _corruption_checkpoint_interval(
-            timing, crash_at_ms - db.sim.now)
-        if interval:
-            def checkpointer():
-                while True:
-                    yield Delay(interval)
-                    engine.take_checkpoint()
-            db.sim.spawn(checkpointer(), name="checkpointer")
+    elif crash_at_ms is not None:
+        plan = FaultPlan.crash_at(crash_at_ms, seed=seed)
+    if (corruption_timing or corruption) in ("torn_page", "bit_flip"):
+        # Page-image corruption needs checkpoints to corrupt and older
+        # ones to repair from; a torn log tail needs none.
+        interval = (crash_at_ms - db.sim.now) * _CKPT_FRACTION
+
+        def checkpointer():
+            while True:
+                yield Delay(interval)
+                engine.take_checkpoint()
+        db.sim.spawn(checkpointer(), name="checkpointer")
     store = WalReorgStateStore(engine, REORG_PARTITION)
     reorg = db.reorganizer(REORG_PARTITION, algorithm,
                            plan=CompactionPlan(),
@@ -348,8 +301,7 @@ def probe_run_window(algorithm: str = "ira",
     mid-reorganization."""
     workload = workload or DEFAULT_WORKLOAD
     reorg_config = reorg_config or DEFAULT_REORG
-    db, reorg, reorg_proc, _ = _launch(algorithm, workload, reorg_config,
-                                       fault_plan=None)
+    db, reorg, reorg_proc, _ = _launch(algorithm, workload, reorg_config)
     # The closed-loop load never drains, so advance in 1 s simulated
     # slices and stop at the first one that sees the reorganizer done.
     deadline = db.sim.now + 10 * 60 * 1000.0
@@ -383,17 +335,14 @@ def run_chaos_point(crash_at_ms: float, algorithm: str = "ira",
     reorg_config = reorg_config or DEFAULT_REORG
     result = ChaosPointResult(crash_at_ms=crash_at_ms, corruption=corruption)
 
-    plan = (None if corruption is not None
-            else FaultPlan.crash_at(crash_at_ms, seed=seed))
     db, reorg, reorg_proc, injector = _launch(
-        algorithm, workload, reorg_config, plan,
+        algorithm, workload, reorg_config,
         corruption=corruption, corruption_timing=_twin_timing,
         crash_at_ms=crash_at_ms, seed=seed)
     db.sim.run(until=crash_at_ms + 1.0)
-    if not injector.crashed:
-        result.problems.append("crash trigger never fired")
+    if not result.judge("crashed", injector.crashed,
+                        "crash trigger never fired"):
         return result
-    result.crashed = True
     result.migrated_before_crash = reorg.stats.objects_migrated
     result.corruptions_injected = injector.stats.corruptions_injected
     injected_pages = {(pid, page_no)
@@ -401,23 +350,24 @@ def run_chaos_point(crash_at_ms: float, algorithm: str = "ira",
                       if page_no >= 0}
     injected_tail = any(kind == "torn_log_tail"
                         for kind, _, _ in injector.stats.corruptions)
-    if corruption is not None and result.corruptions_injected == 0:
-        result.problems.append(
-            f"corruption point injected nothing ({corruption})")
+    if corruption is not None:
+        result.judge("corruption_injected", result.corruptions_injected > 0,
+                     f"corruption point injected nothing ({corruption})")
 
     try:
         recovered = Database.recover(injector.crash_image)
     except CorruptionError as exc:
         result.loud_failure = f"{type(exc).__name__}: {exc}"
-        if result.corruptions_injected == 0:
-            # A loud refusal is only acceptable as the answer to an
-            # injected corruption; on a clean image it is a plain bug.
-            result.problems.append(
-                f"recovery failed loudly without injected corruption: "
-                f"{result.loud_failure}")
+        # A loud refusal accounts for an injected corruption; on a clean
+        # image it is a plain bug.
+        accounted = result.corruptions_injected > 0
+        result.judge("corruption_accounted" if accounted else "recovered",
+                     accounted,
+                     f"recovery failed loudly without injected corruption: "
+                     f"{result.loud_failure}")
         return result
     engine = recovered.engine
-    result.recovered = True
+    result.judge("recovered", True)
 
     stats = engine.recovery_stats
     result.pages_repaired = stats.pages_repaired
@@ -426,11 +376,12 @@ def run_chaos_point(crash_at_ms: float, algorithm: str = "ira",
     repaired = set(stats.repaired_pages)
     leftover = {(pid, page_no)
                 for _sid, pid, page_no in corrupt_snapshot_pages(engine)}
+    problems: List[str] = []
     if corruption is None:
         # A corruption-free run must neither detect nor repair anything:
         # any hit here is corruption leaking in from a bug, not a fault.
         if stats.pages_corrupt or stats.log_tail_truncated or leftover:
-            result.problems.append(
+            problems.append(
                 f"corruption detected in a corruption-free run: "
                 f"repaired={sorted(repaired)} leftover={sorted(leftover)} "
                 f"tail_truncated={stats.log_tail_truncated}")
@@ -440,25 +391,24 @@ def run_chaos_point(crash_at_ms: float, algorithm: str = "ira",
         # snapshot — and nothing beyond the injected set may be corrupt.
         unexpected = (leftover | repaired) - injected_pages
         if unexpected:
-            result.problems.append(
+            problems.append(
                 f"corrupt/repaired pages beyond the injected set: "
                 f"{sorted(unexpected)}")
         undetected = injected_pages - (repaired | leftover)
         if undetected:
-            result.problems.append(
+            problems.append(
                 f"injected page corruption went undetected: "
                 f"{sorted(undetected)}")
         if injected_tail and not stats.log_tail_truncated:
-            result.problems.append("injected torn log tail not truncated")
+            problems.append("injected torn log tail not truncated")
         result.corruption_detected = (
             bool(injected_pages & (repaired | leftover))
             or (injected_tail and stats.log_tail_truncated))
+    result.judge("corruption_accounted", not problems, *problems)
 
     report = engine.verify_integrity()
-    result.integrity_after_recovery = report.ok
-    if not report.ok:
-        result.problems.append(
-            f"integrity after recovery: {report.problems()[:3]}")
+    if not result.judge("integrity_after_recovery", report.ok,
+                        f"integrity after recovery: {report.problems()[:3]}"):
         return result
 
     store = WalReorgStateStore(engine, REORG_PARTITION)
@@ -489,13 +439,11 @@ def run_chaos_point(crash_at_ms: float, algorithm: str = "ira",
                                reorg_config=reorg_config, seed=seed,
                                _twin_timing=corruption,
                                _recovery_only=True)
-        result.healed_matches_clean = (
-            twin.recovered_signature is not None
-            and twin.recovered_signature == reference_signature)
-        if not result.healed_matches_clean:
-            result.problems.append(
-                "healed state diverges from corruption-free twin recovery"
-                + (f" (twin: {twin.problems})" if twin.problems else ""))
+        result.judge("healed_matches_clean",
+                     twin.recovered_signature == reference_signature,
+                     "healed state diverges from corruption-free twin "
+                     "recovery" + (f" (twin failed: {twin.failing()})"
+                                   if not twin.ok else ""))
     reference_counts = {pid: engine.store.stats(pid).live_objects
                         for pid in engine.store.partition_ids()}
     if mixed_pair is not None:
@@ -525,25 +473,19 @@ def run_chaos_point(crash_at_ms: float, algorithm: str = "ira",
         result.migrated_by_resume = stats.objects_migrated
 
     report = engine.verify_integrity()
-    result.integrity_after_resume = report.ok
-    if not report.ok:
-        result.problems.append(
-            f"integrity after resume: {report.problems()[:3]}")
-    result.isomorphic = graph_signature(engine) == reference_signature
-    if not result.isomorphic:
-        result.problems.append("graph changed across resume")
+    result.judge("integrity_after_resume", report.ok,
+                 f"integrity after resume: {report.problems()[:3]}")
+    result.judge("isomorphic", graph_signature(engine) == reference_signature,
+                 "graph changed across resume")
     counts = {pid: engine.store.stats(pid).live_objects
               for pid in engine.store.partition_ids()}
-    result.objects_conserved = counts == reference_counts
-    if not result.objects_conserved:
-        result.problems.append(
-            f"object counts changed: {reference_counts} -> {counts}")
+    result.judge("objects_conserved", counts == reference_counts,
+                 f"object counts changed: {reference_counts} -> {counts}")
     if result.resumed:
         result.remigrations = count_remigrations(
             engine, REORG_PARTITION, resume_lsn, premigrated_new)
-        if result.remigrations:
-            result.problems.append(
-                f"{result.remigrations} objects re-migrated after resume")
+    result.judge("no_remigration", not result.remigrations,
+                 f"{result.remigrations} objects re-migrated after resume")
     if corruption is not None:
         # Belt and braces: after the resumed reorganization finishes,
         # every surface must still verify (superseded snapshots may
@@ -552,20 +494,30 @@ def run_chaos_point(crash_at_ms: float, algorithm: str = "ira",
         vreport = deep_verify(engine)
         residual = (vreport.live_page_problems + vreport.log_problems
                     + vreport.logical_problems)
-        if residual:
-            result.problems.append(
-                f"deep verify after resume: {residual[:3]}")
+        result.judge("deep_verify", not residual,
+                     f"deep verify after resume: {residual[:3]}")
     return result
 
 
-def _sweep(points: int, algorithm: str,
-           workload: Optional[WorkloadConfig],
-           reorg_config: Optional[ReorgConfig], seed: int,
-           kinds: Tuple[str, ...], progress) -> ChaosReport:
-    """Crash at ``points`` distinct times spread across the reorg window;
-    with ``kinds``, each point also injects one silent corruption (kinds
-    cycle across points) under its own seed, so the corrupted
-    page/bit/cut differs from point to point."""
+def chaos_sweep(points: int = 50, algorithm: str = "ira",
+                workload: Optional[WorkloadConfig] = None,
+                reorg_config: Optional[ReorgConfig] = None,
+                seed: int = 0,
+                progress=None,
+                kinds: Tuple[str, ...] = ()) -> ChaosReport:
+    """Crash at ``points`` distinct times spread across the reorg window.
+
+    With ``kinds`` (e.g. :data:`CORRUPTION_KINDS`), every point also
+    injects one silent corruption — kinds cycle across points — under a
+    mid-run checkpointer where the kind needs one, and under its own
+    seed, so the corrupted page/bit/cut differs from point to point.
+    ``report.no_silent_corruption`` is then the gate: every injection
+    detected-and-healed (healed state equal to a corruption-free twin's
+    recovery) or refused with a typed error.
+
+    ``progress`` (optional callable, e.g. ``print``) receives each
+    point's one-line description as it completes.
+    """
     if points < 1:
         raise ValueError("need at least one crash point")
     workload = workload or DEFAULT_WORKLOAD
@@ -584,39 +536,3 @@ def _sweep(points: int, algorithm: str,
         if progress is not None:
             progress(result.describe())
     return report
-
-
-def chaos_sweep(points: int = 50, algorithm: str = "ira",
-                workload: Optional[WorkloadConfig] = None,
-                reorg_config: Optional[ReorgConfig] = None,
-                seed: int = 0,
-                progress=None) -> ChaosReport:
-    """Crash at ``points`` distinct times spread across the reorg window.
-
-    ``progress`` (optional callable, e.g. ``print``) receives each
-    point's one-line description as it completes.
-    """
-    return _sweep(points, algorithm, workload, reorg_config, seed, (),
-                  progress)
-
-
-def corruption_sweep(points: int = 51, algorithm: str = "ira",
-                     workload: Optional[WorkloadConfig] = None,
-                     reorg_config: Optional[ReorgConfig] = None,
-                     seed: int = 0,
-                     kinds: Tuple[str, ...] = CORRUPTION_KINDS,
-                     progress=None) -> ChaosReport:
-    """The chaos sweep's corruption dimension.
-
-    Every point runs the full crash/recover/resume cycle of
-    :func:`run_chaos_point` with one silent corruption injected (kinds
-    cycle across points), under a mid-run checkpointer where the kind
-    needs one.  The per-point seed varies so the corrupted page/bit/cut
-    differs from point to point.  ``report.no_silent_corruption`` is the
-    gate: every injection detected-and-healed (healed state equal to a
-    corruption-free twin's recovery) or refused with a typed error.
-    """
-    if not kinds:
-        raise ValueError("need at least one corruption kind")
-    return _sweep(points, algorithm, workload, reorg_config, seed, kinds,
-                  progress)

@@ -486,10 +486,6 @@ class MvccTier:
 
     # -- verification ------------------------------------------------------------
 
-    def chain(self, loid: Oid) -> List[VersionEntry]:
-        """The live version chain (oldest first) — test/oracle access."""
-        return list(self._chains[loid])
-
     def verify(self) -> List[str]:
         """Structural invariants; returns human-readable violations."""
         problems: List[str] = []
@@ -524,7 +520,7 @@ class MvccTier:
         """Address-free reachability signature of the newest committed
         state: a multiset of ``(payload, sorted child payloads)`` with
         references resolved logically — the MVCC analogue of
-        :func:`repro.faults.chaos.graph_signature`, invariant under
+        :func:`repro.verify.graph_signature`, invariant under
         merge relocation by construction."""
         payloads = {loid: self.latest_image(loid).payload
                     for loid in self.logical_ids}

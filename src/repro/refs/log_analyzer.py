@@ -21,7 +21,7 @@ reference" (§4.5), exactly as the paper requires.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Set
+from typing import Callable, Dict
 
 from ..storage import ObjectImage
 from ..storage.oid import Oid
@@ -75,9 +75,6 @@ class LogAnalyzer:
 
     def trt(self, partition_id: int) -> TemporaryReferenceTable:
         return self._active_trts[partition_id]
-
-    def has_active_trt(self, partition_id: int) -> bool:
-        return partition_id in self._active_trts
 
     # -- record processing -----------------------------------------------------------
 

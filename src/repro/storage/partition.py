@@ -157,10 +157,6 @@ class Partition:
     def read(self, oid: Oid) -> bytes:
         return self._page_of(oid).read(oid.slot)
 
-    def read_view(self, oid: Oid) -> memoryview:
-        """Zero-copy record view (see :meth:`Page.read_view`)."""
-        return self._page_of(oid).read_view(oid.slot)
-
     def read_bytes(self, oid: Oid, start: int, length: int) -> bytes:
         return self._page_of(oid).read_bytes(oid.slot, start, length)
 

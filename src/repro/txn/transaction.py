@@ -21,7 +21,7 @@ every object access also charges simulated CPU per the cost model.
 from __future__ import annotations
 
 import enum
-from typing import Any, Generator, List, Optional, Set, Tuple
+from typing import Any, Generator, Optional, Set, Tuple
 
 from ..concurrency import LockMode
 from ..errors import ReferenceProtocolError, TransactionStateError
@@ -412,9 +412,6 @@ class Transaction:
             self._tracer.on_abort(self.tid)
 
     # -- helpers -----------------------------------------------------------------------
-
-    def held_locks(self) -> Set[Oid]:
-        return self.engine.locks.held_keys(self.tid)
 
     def _cpu(self, duration: float) -> Generator[Any, Any, None]:
         if duration > 0:

@@ -14,16 +14,103 @@ system and returns a structured report:
 
 The ``repro verify`` CLI wraps this and exits non-zero on any finding,
 so chaos sweeps and CI can treat integrity as a hard gate.
+
+The module also holds what every harness judges with:
+:class:`OracleVerdict`, the one answer shape of an explored schedule's
+oracles, a chaos point's gates and a distributed scenario's gates; and
+:func:`graph_signature`, the address-free graph form they compare.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional, Tuple
 
+from .core.ira_twolock import reconciled_copy_image
 from .storage import LogCorruptionError
 from .storage.errors import StorageError
+from .storage.oid import Oid
 from .storage.page import snapshot_checksum_ok
+
+
+@dataclass
+class OracleVerdict:
+    """One gate's answer for one judged run (``at_ms``: the simulated
+    time it was judged at)."""
+
+    name: str
+    ok: bool
+    at_ms: float
+    details: List[str] = field(default_factory=list)
+
+    @classmethod
+    def gate(cls, name: str, ok: bool, at_ms: float,
+             *details: str) -> "OracleVerdict":
+        """A pass/fail verdict that keeps ``details`` (why it failed)
+        only when it fails."""
+        return cls(name, ok, at_ms, [] if ok else list(details))
+
+    def describe(self) -> str:
+        status = "ok" if self.ok else "VIOLATION"
+        extra = f" ({self.details[0]})" if self.details and not self.ok else ""
+        return f"{self.name:>22}: {status}{extra}"
+
+
+class Judged:
+    """A judged run's answer: ``ok`` and ``failing()`` over its
+    ``verdicts`` list (a schedule, a chaos point, a dist scenario)."""
+
+    verdicts: List[OracleVerdict]
+
+    @property
+    def ok(self) -> bool:
+        return all(v.ok for v in self.verdicts)
+
+    def failing(self) -> List[str]:
+        return [v.name for v in self.verdicts if not v.ok]
+
+
+def graph_signature(*engines,
+                    collapse: Optional[Tuple[Oid, Oid]] = None) -> Tuple:
+    """Address-free canonical form of the object graph held by
+    ``engines`` (one engine, or every node of a cluster).
+
+    Each object contributes ``(payload, sorted child payloads)``; the
+    multiset of contributions is invariant under relocation, local or
+    cross-node (the load generator gives every object a distinct
+    payload, so this determines the graph up to isomorphism).
+
+    ``collapse`` names the ``(old, new)`` pair of a two-lock migration
+    interrupted between the copy's commit and the old location's delete:
+    the object is durably in both places (§4.2's mixed state) and the
+    resume collapses the pair back to one.  The signature then counts
+    the object once — with the merged image the resumed run will install
+    (:func:`~repro.core.ira_twolock.reconciled_copy_image`, the old
+    location's committed state plus any updates that reached the copy
+    directly) — and resolves references to either address to it.
+    """
+    owner = {}
+    payload = {}
+    for engine in engines:
+        for oid in engine.store.all_live_oids():
+            owner[oid] = engine
+            payload[oid] = engine.store.read_object(oid).payload
+    skip = survivor = merged_children = None
+    if collapse is not None:
+        old, new = collapse
+        merged = reconciled_copy_image(owner[old], old.partition, old, new)
+        skip, survivor = new, old
+        payload[old] = payload[new] = merged.payload
+        merged_children = merged.children()
+    entries = []
+    for oid, body in payload.items():
+        if oid == skip:
+            continue
+        kids = (merged_children if oid == survivor
+                else owner[oid].store.children_of(oid))
+        children = sorted(payload.get(c, b"<dangling>") for c in kids)
+        entries.append((body, tuple(children)))
+    return tuple(sorted(entries))
 
 
 @dataclass

@@ -55,13 +55,6 @@ class SnapshotStore:
         """The newest snapshot id, or ``None`` when empty."""
         return max(self._snapshots) if self._snapshots else None
 
-    def prune(self, keep_id: Optional[int]) -> int:
-        """Drop all snapshots except ``keep_id``; returns how many dropped."""
-        doomed = [sid for sid in self._snapshots if sid != keep_id]
-        for sid in doomed:
-            del self._snapshots[sid]
-        return len(doomed)
-
     def copy(self) -> "SnapshotStore":
         """A by-value copy: same ids, private payloads."""
         clone = SnapshotStore()

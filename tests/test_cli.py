@@ -91,6 +91,18 @@ def test_chaos_single_corruption_point(capsys):
     assert "torn_log_tail" in capsys.readouterr().out
 
 
+def test_chaos_dist_quick_prints_one_line_per_scenario(capsys):
+    from repro.dist import default_scenarios
+    names = [name for name, _ in default_scenarios(quick=True)]
+    code = main(["chaos", "--dist", "--quick"])
+    out = capsys.readouterr().out
+    assert code == 0, out
+    lines = [line.split() for line in out.splitlines()]
+    assert [words[0] for words in lines if len(words) > 1
+            and words[0] in names and words[1] == "ok"] == names
+    assert f"scenarios {len(names)}  passed {len(names)}" in out
+
+
 # -- the bench exit status -------------------------------------------------------
 #
 # One rule: the run equals the committed figure, verdict included.  With

@@ -23,8 +23,9 @@ from repro.core import (
 )
 from repro.core.checkpointing import ReorgDelta, decode_reorg_delta
 from repro.errors import ReorganizationError
-from repro.faults.chaos import count_remigrations, graph_signature
+from repro.faults.chaos import count_remigrations
 from repro.storage.oid import Oid
+from repro.verify import graph_signature
 from repro.wal import ReorgProgressRecord, scan_frames
 from repro.wal.records import decode_record
 from repro.workload import WorkloadDriver

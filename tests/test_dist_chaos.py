@@ -2,6 +2,7 @@
 
 from repro.config import DistConfig
 from repro.dist import default_scenarios, run_dist_chaos
+from repro.faults import FaultPlan
 
 
 def _config() -> DistConfig:
@@ -21,6 +22,9 @@ def test_default_scenarios_cover_every_protocol_stage():
     assert any(name.startswith("node-kill/") for name in names)
     assert any(name.startswith("link-cut/") for name in names)
     assert any(name.startswith("msg-loss/") for name in names)
+    # Every fault but the 2PC stage crash is a FaultPlan value.
+    for name, fault in full:
+        assert isinstance(fault, FaultPlan) != name.startswith("tpc-crash/")
     assert len(default_scenarios(quick=True)) < len(full)
 
 
@@ -31,13 +35,17 @@ def test_chaos_subset_passes_every_gate():
              "node-kill/n1@60",
              "link-cut/0-1@50",
              "msg-loss/0.3@40")
-    scenarios = [(name, arm) for name, arm in default_scenarios()
+    scenarios = [(name, fault) for name, fault in default_scenarios()
                  if name in picks]
     assert len(scenarios) == len(picks)
-    report = run_dist_chaos(config=_config(), scenarios=scenarios)
-    assert report.ok, [r.to_dict() for r in report.failures()]
-    assert report.passed == len(picks)
-    crash_results = [r for r in report.results
+    results = run_dist_chaos(config=_config(), scenarios=scenarios)
+    assert len(results) == len(picks)
+    for result in results:
+        assert result.ok, (result.scenario, result.verdicts)
+        assert [v.name for v in result.verdicts] == [
+            "fired", "completed", "deep_verify", "transparency",
+            "twin_identical"]
+    crash_results = [r for r in results
                      if r.scenario.startswith(("tpc-crash", "node-kill"))]
     assert all(r.crashes >= 1 for r in crash_results)
 
@@ -48,8 +56,7 @@ def test_chaos_report_flags_a_failing_scenario():
         # never commit, so the run must report not-completed, not hang.
         cluster.net.set_loss(1.0)
 
-    report = run_dist_chaos(config=_config(),
-                            scenarios=[("sabotage/all-loss", sabotage)])
-    assert not report.ok
-    result = report.results[0]
-    assert not result.completed and not result.ok
+    [result] = run_dist_chaos(config=_config(),
+                              scenarios=[("sabotage/all-loss", sabotage)])
+    assert not result.ok
+    assert "completed" in result.failing()

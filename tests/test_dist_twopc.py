@@ -11,16 +11,22 @@ import pytest
 
 from repro.config import WorkloadConfig
 from repro.database import Database
-from repro.dist import (DistCluster, cluster_digests,
-                        cluster_graph_signature)
+from repro.dist import DistCluster, cluster_digests
 from repro.dist.chaos import RESTART_DELAY_MS, arm_fault_plan
 from repro.faults import FaultPlan
 from repro.storage.oid import Oid
+from repro.verify import graph_signature
 
 
 # Cluster setup lives in conftest.py: ``small_dist_config`` builds the
 # 3-node configuration, ``run_clean_cluster`` reorganizes a cluster to
 # a quiesced, deep-verified end state.
+
+
+def cluster_graph_signature(cluster):
+    """The transparency oracle across nodes: one signature over every
+    node's engine."""
+    return graph_signature(*(node.engine for node in cluster.nodes))
 
 # -- happy path ---------------------------------------------------------------
 

@@ -17,6 +17,7 @@ from repro.explore import (
     check_recovery_idempotence,
     check_serializability,
     conflict_graph,
+    explore,
     run_schedule,
 )
 from repro.explore.explorer import default_workload
@@ -107,6 +108,16 @@ def test_mutation_is_caught_by_its_oracle(name):
         f"{name} triggered ({mutation.detail}) but "
         f"{mutation.expected_oracle} stayed green; "
         f"failing={result.failing()}")
+
+
+@pytest.mark.parametrize("name", sorted(MUTATIONS))
+def test_explore_follows_the_mutations_target(name):
+    # No algorithm or lock manager given: run_schedule follows the
+    # mutation's own, as the CLI does.
+    report = explore(seeds=1, depth=1, mutation_name=name)
+    assert any(MUTATIONS[name].expected_oracle in result.failing()
+               for result in report.failures), (
+        f"{name}: failing={[r.failing() for r in report.failures]}")
 
 
 def test_third_lock_mutation_only_breaks_the_footprint():

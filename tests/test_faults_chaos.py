@@ -9,15 +9,29 @@ from repro import CompactionPlan, Database, ReorgConfig, WorkloadConfig
 from repro.faults import (
     CORRUPTION_KINDS,
     chaos_sweep,
-    corruption_sweep,
-    graph_signature,
     probe_run_window,
     run_chaos_point,
 )
+from repro.verify import graph_signature
 
 SMOKE_WORKLOAD = WorkloadConfig(num_partitions=2, objects_per_partition=170,
                                 mpl=2, seed=13)
 SMOKE_REORG = ReorgConfig(checkpoint_every=10)
+
+#: The verdicts of a chaos point that runs to the end, in order.
+POINT_VERDICTS = ["crashed", "recovered", "corruption_accounted",
+                  "integrity_after_recovery", "integrity_after_resume",
+                  "isomorphic", "objects_conserved", "no_remigration"]
+#: A corruption point's, in order: three gates join the clean set.
+CORRUPTION_VERDICTS = ["crashed", "corruption_injected", "recovered",
+                       "corruption_accounted", "integrity_after_recovery",
+                       "healed_matches_clean", "integrity_after_resume",
+                       "isomorphic", "objects_conserved", "no_remigration",
+                       "deep_verify"]
+
+
+def _names(point):
+    return [verdict.name for verdict in point.verdicts]
 
 
 def test_probe_window_is_deterministic():
@@ -40,6 +54,7 @@ def test_chaos_smoke_sweep_ira():
                          reorg_config=SMOKE_REORG, seed=13)
     assert len(report.points) == 3
     assert report.all_ok, [p.describe() for p in report.failures]
+    assert all(_names(p) == POINT_VERDICTS for p in report.points)
     # At least one point must prove the §4.4 payoff: real pre-crash
     # progress kept, nothing migrated twice.
     assert report.resume_demonstrated
@@ -51,7 +66,8 @@ def test_chaos_point_two_lock_variant():
                              workload=SMOKE_WORKLOAD,
                              reorg_config=SMOKE_REORG, seed=13)
     assert result.ok, result.describe()
-    assert result.crashed and result.recovered
+    verdicts = {verdict.name: verdict.ok for verdict in result.verdicts}
+    assert verdicts["crashed"] and verdicts["recovered"]
 
 
 def test_crash_without_checkpoints_restarts_fresh():
@@ -70,12 +86,13 @@ def test_crash_without_checkpoints_restarts_fresh():
 def test_corruption_smoke_sweep():
     # One point per corruption kind; the full 50-point acceptance sweep
     # runs from the CLI (``python -m repro chaos --corruption all``).
-    report = corruption_sweep(points=3, algorithm="ira",
-                              workload=SMOKE_WORKLOAD,
-                              reorg_config=SMOKE_REORG, seed=13)
+    report = chaos_sweep(points=3, algorithm="ira", workload=SMOKE_WORKLOAD,
+                         reorg_config=SMOKE_REORG, seed=13,
+                         kinds=CORRUPTION_KINDS)
     assert len(report.points) == 3
     assert {p.corruption for p in report.points} == set(CORRUPTION_KINDS)
     assert report.all_ok, [p.describe() for p in report.failures]
+    assert all(_names(p) == CORRUPTION_VERDICTS for p in report.points)
     assert report.no_silent_corruption
     assert all(p.corruptions_injected > 0 for p in report.points)
     summary = report.summary()

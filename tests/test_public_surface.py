@@ -32,8 +32,7 @@ SURFACE = {
         "ServeMetrics", "ServingLayer", "StorageEngine", "SystemConfig",
         "TransactionStateError", "TwoLockReorganizer", "VerifyReport",
         "WalReorgStateStore", "WorkloadConfig", "WorkloadDriver",
-        "__version__", "build_database", "chaos_sweep", "corruption_sweep",
-        "deep_verify"},
+        "__version__", "build_database", "chaos_sweep", "deep_verify"},
     "repro.core": {
         "ClusteringPlan", "CompactionPlan", "EvacuationPlan",
         "IncrementalReorganizer", "MarkAndSweepCollector",

@@ -11,7 +11,7 @@ oracle stays clean.
 import pytest
 
 from repro.config import FleetConfig
-from repro.faults.chaos import graph_signature
+from repro.verify import graph_signature
 from repro.serve import LeaseTable, ReorgFleet
 from repro.sim import Delay, Simulator
 
