@@ -432,10 +432,9 @@ def trace_reorganize_measure(experiment: Experiment, arm: Arm, scale, x,
 
     # The tracer rides along in every arm (it is free and provably
     # inert); only a traced placement consumes the statistics.
-    tracer = ClusterTracer()
-    engine.tracer = tracer
+    tracer = engine.subscribe(ClusterTracer())
     driver(101).run(horizon_ms=scale.window_ms)
-    engine.tracer = None
+    engine.unsubscribe(tracer)
 
     overrides: Dict[str, object] = {}
     if arm.algorithm is not None:

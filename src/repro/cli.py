@@ -237,8 +237,7 @@ def cmd_cluster(args) -> int:
     workload = _workload(args)
     db, layout = Database.with_workload(workload)
     engine = db.engine
-    tracer = ClusterTracer(pair_window=args.pair_window)
-    engine.tracer = tracer
+    tracer = engine.subscribe(ClusterTracer(pair_window=args.pair_window))
     print(f"tracing {workload.mpl} threads over "
           f"{workload.num_partitions} x "
           f"{workload.objects_per_partition} objects for "
@@ -246,7 +245,7 @@ def cmd_cluster(args) -> int:
     driver = WorkloadDriver(engine, layout,
                             ExperimentConfig(workload=workload))
     driver.run(horizon_ms=args.trace_ms)
-    engine.tracer = None
+    engine.unsubscribe(tracer)
     graph = tracer.graph
     print(f"traced {tracer.commits} commits: {graph.accesses} accesses, "
           f"{graph.pairs} co-access pairs ({len(graph.heat)} objects and "

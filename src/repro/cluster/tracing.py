@@ -10,17 +10,20 @@ the transaction layer that maintains
 * a bounded **affinity edge map**: within-transaction co-access pairs,
   weighted by how close together the two accesses were.
 
-The tracer is deliberately inert with respect to the simulation: it never
-yields, never touches a random stream, never schedules an event, and is
-only consulted behind ``if tracer is not None`` checks — so a run with
-tracing enabled is byte-identical to the same run with tracing disabled
-(``tests/test_cluster_identity.py`` pins this).
+The tracer is an engine probe, and so deliberately inert with respect to
+the simulation: it never yields, never touches a random stream, never
+schedules an event, and an engine with nothing subscribed pays one
+truthiness check per access — so a run with tracing enabled is
+byte-identical to the same run with tracing disabled
+(``tests/test_cluster_identity.py`` pins this).  It follows objects as
+they move: every reorganization that completes remaps its statistics.
 """
 
 from __future__ import annotations
 
 from typing import Dict, Iterable, List, Sequence, Tuple
 
+from ..engine import Probe
 from ..storage.oid import Oid
 
 #: An affinity edge is an unordered OID pair, stored (low, high).
@@ -30,9 +33,11 @@ Edge = Tuple[Oid, Oid]
 class AffinityGraph:
     """Decayed heat counters plus a bounded co-access edge map."""
 
-    def __init__(self, max_objects: int = 16384, max_edges: int = 65536):
-        self.max_objects = max_objects
-        self.max_edges = max_edges
+    #: Past these sizes the lightest quarter of the entries is pruned.
+    MAX_OBJECTS = 16384
+    MAX_EDGES = 65536
+
+    def __init__(self):
         self.heat: Dict[Oid, float] = {}
         self.edges: Dict[Edge, float] = {}
         #: Totals over the tracer's lifetime (not decayed) — cheap
@@ -63,10 +68,10 @@ class AffinityGraph:
                 edge = (oid, other) if oid < other else (other, oid)
                 edges[edge] = edges.get(edge, 0.0) + 1.0 / (j - i)
                 self.pairs += 1
-        if len(heat) > self.max_objects:
-            self._prune(heat, self.max_objects * 3 // 4)
-        if len(edges) > self.max_edges:
-            self._prune(edges, self.max_edges * 3 // 4)
+        if len(heat) > self.MAX_OBJECTS:
+            self._prune(heat, self.MAX_OBJECTS * 3 // 4)
+        if len(edges) > self.MAX_EDGES:
+            self._prune(edges, self.MAX_EDGES * 3 // 4)
 
     def decay(self, factor: float) -> None:
         """Multiply every counter by ``factor``, dropping dust below
@@ -150,53 +155,59 @@ class AffinityGraph:
                 f"edges={len(self.edges)} accesses={self.accesses}>")
 
 
-class ClusterTracer:
-    """The engine-side hook: buffers per-transaction access sequences and
-    folds them into the :class:`AffinityGraph` at commit.
+class ClusterTracer(Probe):
+    """The engine-side probe: buffers per-transaction access sequences
+    and folds them into the :class:`AffinityGraph` at commit.
 
-    Install with ``engine.tracer = ClusterTracer(...)`` *before* the
+    Subscribe with ``engine.subscribe(ClusterTracer())`` *before* the
     traced transactions begin (each :class:`~repro.txn.Transaction`
-    snapshots the tracer at construction, like the history recorder).
-    System transactions — the reorganizer's own — are never traced: the
-    reorganizer touching every object of a partition is maintenance, not
-    workload heat.  Aborted transactions are discarded whole; a retried
-    walk counts once, when it finally commits.
+    reads the subscribers when it begins).  System transactions — the
+    reorganizer's own — are never traced: the reorganizer touching every
+    object of a partition is maintenance, not workload heat.  Aborted
+    transactions are discarded whole; a retried walk counts once, when
+    it finally commits.  A reorganization that finishes remaps the
+    statistics to the addresses its objects moved to.
     """
 
-    def __init__(self, pair_window: int = 3, decay: float = 0.5,
-                 decay_every: int = 512, max_objects: int = 16384,
-                 max_edges: int = 65536):
+    #: Every ``DECAY_EVERY`` commits all counters are multiplied by
+    #: ``DECAY``: old traffic fades.
+    DECAY = 0.5
+    DECAY_EVERY = 512
+
+    def __init__(self, pair_window: int = 3):
         if pair_window < 1:
             raise ValueError("pair_window must be >= 1")
         self.pair_window = pair_window
-        self.decay_factor = decay
-        self.decay_every = decay_every
-        self.graph = AffinityGraph(max_objects=max_objects,
-                                   max_edges=max_edges)
+        self.graph = AffinityGraph()
         self.commits = 0
         self.aborts = 0
         self._open: Dict[int, List[Oid]] = {}
 
-    # -- transaction-layer callbacks (hot path: keep them tiny) ------------
+    # -- probe events (hot path: keep them tiny) ---------------------------
 
-    def note(self, tid: int, oid: Oid) -> None:
-        seq = self._open.get(tid)
+    def access(self, txn, action: str, oid: Oid) -> None:
+        if txn.system:
+            return
+        seq = self._open.get(txn.tid)
         if seq is None:
-            seq = self._open[tid] = []
+            seq = self._open[txn.tid] = []
         seq.append(oid)
 
-    def on_commit(self, tid: int) -> None:
-        sequence = self._open.pop(tid, None)
-        if not sequence:
+    def txn_end(self, txn) -> None:
+        sequence = self._open.pop(txn.tid, None)
+        if sequence is None:
+            return
+        if txn.status.value != "committed":
+            self.aborts += 1
             return
         self.graph.observe(sequence, self.pair_window)
         self.commits += 1
-        if self.decay_every and self.commits % self.decay_every == 0:
-            self.graph.decay(self.decay_factor)
+        if self.commits % self.DECAY_EVERY == 0:
+            self.graph.decay(self.DECAY)
 
-    def on_abort(self, tid: int) -> None:
-        if self._open.pop(tid, None) is not None:
-            self.aborts += 1
+    def reorg(self, reorganizer, event: str, info: dict) -> None:
+        if event == "finished":
+            self.graph.remap(reorganizer.stats.mapping)
 
     def __repr__(self) -> str:
         return (f"<ClusterTracer commits={self.commits} "

@@ -213,12 +213,9 @@ class LockManager:
         self._history: Dict[object, Set[int]] = {}
         self._tid_history: Dict[int, Set[object]] = {}
         self.fault_hook: Optional[TimeoutFaultHook] = None
-        #: Observer hook: called with ("grant", tid, key, mode) after every
-        #: grant or upgrade, and ("release", tid, key, None) after every
-        #: release.  Used by repro.explore's lock-footprint oracle; must not
-        #: touch lock state.
-        self.observer: Optional[Callable[[str, int, object,
-                                          Optional[LockMode]], None]] = None
+        #: The engine's subscribers (``StorageEngine.subscribe`` sets
+        #: both), shown every grant or upgrade and every release.
+        self.probes: tuple = ()
         self.stats = LockStats()
 
     # -- acquisition ---------------------------------------------------------
@@ -253,8 +250,8 @@ class LockManager:
             target = held.sup[mode.rank]
             if self._grantable(entry, target, ignore_tid=tid):
                 entry.granted[tid] = target
-                if self.observer is not None:
-                    self.observer("grant", tid, key, target)
+                for probe in self.probes:
+                    probe.lock("grant", tid, key, target)
                 return True
             return False
         if not entry.queue and self._grantable(entry, mode):
@@ -352,21 +349,22 @@ class LockManager:
         held = self._held_by.get(tid)
         if held is not None:
             held.discard(key)
-        if self.observer is not None:
-            self.observer("release", tid, key, None)
+        for probe in self.probes:
+            probe.lock("release", tid, key, None)
         self._dispatch(entry, key)
 
     def release_all(self, tid: int) -> Set[object]:
         """Release everything ``tid`` holds (strict 2PL at txn end)."""
         keys = self._held_by.pop(tid, set())
         table = self._table
-        observer = self.observer
+        probes = self.probes
         for key in keys:
             entry = table.get(key)
             if entry is not None and tid in entry.granted:
                 del entry.granted[tid]
-                if observer is not None:
-                    observer("release", tid, key, None)
+                if probes:
+                    for probe in probes:
+                        probe.lock("release", tid, key, None)
                 if entry.queue:
                     self._dispatch(entry, key)
                 elif not entry.granted:
@@ -549,8 +547,9 @@ class LockManager:
             if keys is None:
                 keys = self._tid_history[tid] = set()
             keys.add(key)
-        if self.observer is not None:
-            self.observer("grant", tid, key, mode)
+        if self.probes:
+            for probe in self.probes:
+                probe.lock("grant", tid, key, mode)
 
     def _dispatch(self, entry: _LockEntry, key) -> None:
         """Grant queued requests from the front while compatible (FIFO)."""
@@ -562,9 +561,8 @@ class LockManager:
                     entry.queue.popleft()
                     self._waiting.pop(request.tid, None)
                     entry.granted[request.tid] = request.mode
-                    if self.observer is not None:
-                        self.observer("grant", request.tid, key,
-                                      request.mode)
+                    for probe in self.probes:
+                        probe.lock("grant", request.tid, key, request.mode)
                     request.event.succeed()
                     continue
                 break

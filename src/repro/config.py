@@ -369,9 +369,6 @@ class MvccConfig(_Config):
     #: Run epoch GC (prune chains + free superseded bases below the
     #: oldest active snapshot) every N commits (0 = only explicit calls).
     gc_every_commits: int = 32
-    #: Keep the full commit log for the snapshot-isolation oracle (the
-    #: explorer turns this on; benches leave it off to bound memory).
-    record_history: bool = False
 
 
 @dataclass

@@ -99,10 +99,6 @@ class Reorganizer:
         # Log position of the TRT's activation: where a resume replays from.
         self._trt_lsn = 0
         self._resumed = False
-        #: Observation hook ``probe(event, **info)`` for repro.explore;
-        #: each algorithm names the events it fires.  Must not mutate
-        #: reorganizer state.
-        self.probe = None
         #: Pacing hook: a zero-arg callable returning a generator the
         #: migration loop drives between units of work.  The reorg
         #: governor (:mod:`repro.serve.governor`) uses it to delay or
@@ -111,8 +107,8 @@ class Reorganizer:
         self.pacer = None
 
     def _probe(self, event: str, **info) -> None:
-        if self.probe is not None:
-            self.probe(event, **info)
+        for probe in self.engine.probes:
+            probe.reorg(self, event, info)
 
     # -- the skeleton (Fig. 1) ----------------------------------------------------
 
@@ -148,6 +144,7 @@ class Reorganizer:
         if self.uses_trt:
             self.stats.trt_peak = self.trt.stats.peak_size
         self.stats.finished_ms = engine.sim.now
+        self._probe("finished")
         return self.stats
 
     def _precondition(self) -> None:

@@ -69,6 +69,44 @@ class IntegrityReport:
         return out
 
 
+class Probe:
+    """One observer of an engine's run (:meth:`StorageEngine.subscribe`).
+
+    Every event is a no-op here; a subscriber overrides what it uses.  A
+    probe watches and never steers — it does not yield, draw randomness,
+    schedule an event or mutate what it is shown — so a subscribed run
+    is byte-identical to an unsubscribed one.
+    """
+
+    def txn_begin(self, txn) -> None:
+        """A transaction began."""
+
+    def access(self, txn, action: str, oid) -> None:
+        """``txn`` read (``"r"``) or is about to write (``"w"``) ``oid``."""
+
+    def txn_end(self, txn) -> None:
+        """``txn`` committed or aborted (``txn.status``), locks released."""
+
+    def lock(self, event: str, tid: int, key, mode) -> None:
+        """A ``"grant"`` (``mode`` now held) or ``"release"`` of ``key``."""
+
+    def checkpoint(self, payload, snapshot_id: int, lsn: int) -> None:
+        """A checkpoint saved ``payload`` and logged it at ``lsn``."""
+
+    def reorg(self, reorganizer, event: str, info: dict) -> None:
+        """A reorganizer's own event; a completed run ends ``"finished"``."""
+
+    def snapshot_end(self, stxn, committed: bool) -> None:
+        """A snapshot transaction (MVCC tier) ended."""
+
+    def version_commit(self, commit_ts: int, writes) -> None:
+        """The MVCC tier published ``writes`` (loid -> image)."""
+
+    def version_pruned(self, loid, ts: int, successor_ts: int,
+                       watermark: int) -> None:
+        """MVCC epoch GC reclaimed ``loid``'s version ``ts``."""
+
+
 class StorageEngine:
     """One database instance: store + WAL + locks + reference tables."""
 
@@ -164,22 +202,15 @@ class StorageEngine:
         #: Set by :meth:`repro.faults.FaultInjector.attach`; ``crash()``
         #: detaches it so a recovered engine starts fault-free.
         self.injector = None
-        #: Called with ``(payload, snapshot_id, lsn)`` after every
-        #: checkpoint; the fault injector uses it to corrupt just-written
-        #: snapshot pages (torn checkpoint writes).
-        self.checkpoint_hook = None
-        #: Access-history recorder (``repro.explore.history.HistoryRecorder``)
-        #: fed by Transaction/TransactionManager when installed.
-        self.history = None
+        #: The subscribed :class:`Probe`s, in subscription order; the
+        #: lock manager holds the same tuple.  A recovered engine starts
+        #: with none.
+        self.probes: Tuple[Probe, ...] = ()
         #: Attached :class:`repro.mvcc.MvccTier` (versioned read path);
         #: ``None`` keeps the classic 2PL-only engine.  Set by
         #: ``MvccTier.attach``/``recover`` — engine restart does *not*
         #: carry it over, recovery paths rebuild it explicitly.
         self.mvcc = None
-        #: Clustering tracer (``repro.cluster.ClusterTracer``) fed by
-        #: user transactions when installed; ``None`` costs nothing and
-        #: tracing itself never perturbs the simulation.
-        self.tracer = None
         #: ``oid -> bool`` existence oracle for objects in partitions this
         #: store does not hold (repro.dist wires the cluster directory
         #: here).  ``verify_integrity`` consults it before declaring a
@@ -194,6 +225,19 @@ class StorageEngine:
         self.remote_ert_expected = None
         if self.buffer is not None and cfg.verify_page_reads:
             self.buffer.verify_hook = self._verify_page_read
+
+    def subscribe(self, probe: Probe) -> Probe:
+        """Add ``probe`` to the subscribers; returns it.
+
+        A transaction reads the subscribers once, when it begins, so
+        subscribe before the transactions to be observed start.
+        """
+        self.probes = self.locks.probes = self.probes + (probe,)
+        return probe
+
+    def unsubscribe(self, probe: Probe) -> None:
+        self.probes = self.locks.probes = tuple(
+            p for p in self.probes if p is not probe)
 
     def _verify_page_read(self, key) -> None:
         """Checksum-verify a page as the buffer pool reads it in."""
@@ -260,8 +304,8 @@ class StorageEngine:
         lsn = self.log.append(CheckpointRecord(
             0, 0, snapshot_id=snapshot_id, active_txns=active))
         self.log.flush_now()
-        if self.checkpoint_hook is not None:
-            self.checkpoint_hook(payload, snapshot_id, lsn)
+        for probe in self.probes:
+            probe.checkpoint(payload, snapshot_id, lsn)
         return lsn
 
     def crash_image(self) -> CrashImage:

@@ -25,6 +25,7 @@ from .history import (
     Access,
     HistoryRecorder,
     SerializabilityReport,
+    SnapshotHistory,
     check_serializability,
     conflict_graph,
 )
@@ -67,6 +68,7 @@ __all__ = [
     "ReplayPolicy",
     "ScheduleResult",
     "SerializabilityReport",
+    "SnapshotHistory",
     "TracingPolicy",
     "build_artifact",
     "check_recovery_idempotence",

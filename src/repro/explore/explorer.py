@@ -25,13 +25,13 @@ from dataclasses import asdict, dataclass, field
 from typing import Callable, Dict, List, Optional
 
 from ..bench import EXPERIMENTS, Arm
-from ..config import MvccConfig, SystemConfig, WorkloadConfig
+from ..config import SystemConfig, WorkloadConfig
 from ..core import CompactionPlan
 from ..database import Database
 from ..mvcc import MvccTier
 from ..verify import Judged
 from ..workload.metrics import ExperimentMetrics
-from .history import HistoryRecorder
+from .history import HistoryRecorder, SnapshotHistory
 from .minimize import minimize_decisions
 from .mutations import MUTATIONS, Mutation
 from .oracles import (
@@ -130,10 +130,10 @@ def run_schedule(policy: TracingPolicy,
                                         system=SystemConfig(**arm.system))
     engine, sim = db.engine, db.sim
     if arm.snapshot:
-        tier = MvccTier.attach(engine, MvccConfig(record_history=True))
+        tier = MvccTier.attach(engine)
+        recorded = engine.subscribe(SnapshotHistory())
     else:
-        history = HistoryRecorder(sim)
-        engine.history = history
+        history = engine.subscribe(HistoryRecorder(sim))
 
     reorg = db.reorganizer(1, arm.algorithm, plan=CompactionPlan())
     if mutation is not None:
@@ -142,8 +142,9 @@ def run_schedule(policy: TracingPolicy,
         # §4.2's two-lock claim is enforced for ira-2lock; other
         # algorithms only have their peak footprint recorded.
         limit = 2 if algorithm == "ira-2lock" else None
-        monitor = LockFootprintMonitor(engine, reorg, limit=limit).install()
-        hierarchy = (LockHierarchyMonitor(engine).install()
+        monitor = engine.subscribe(
+            LockFootprintMonitor(engine, reorg, limit=limit))
+        hierarchy = (engine.subscribe(LockHierarchyMonitor(engine))
                      if locks == "hier" else None)
         # The transparency oracle's reference point: the loaded database
         # and the log position it starts replaying user transactions from.
@@ -194,7 +195,7 @@ def run_schedule(policy: TracingPolicy,
         # there are no locks to monitor and no migration mapping to
         # translate through — relocation is invisible at the logical
         # layer by design.
-        verdicts = run_mvcc_oracles(engine, unhandled)
+        verdicts = run_mvcc_oracles(engine, recorded, unhandled)
         committed = tier.stats.commits
     else:
         verdicts = run_oracles(OracleContext(

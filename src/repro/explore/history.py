@@ -1,10 +1,10 @@
 """Observed read/write history + conflict-graph serializability.
 
-:class:`HistoryRecorder` hangs off ``engine.history`` and is fed by the
-transaction layer: every object read and every logged physical write
-notes ``(tid, action, oid)`` in global execution order (the order the
-accesses actually happened in the simulation — at most one callback runs
-at a time, so the order is total).
+:class:`HistoryRecorder` is a probe fed by the transaction layer: every
+object read and every logged physical write notes ``(tid, action, oid)``
+in global execution order (the order the accesses actually happened in
+the simulation — at most one callback runs at a time, so the order is
+total).
 
 :func:`check_serializability` builds the conflict graph over the
 *committed* transactions: an edge T1 → T2 whenever T1 accessed an object
@@ -19,12 +19,17 @@ old and the new location, so any user-transaction ordering induced
 through a migrated object is chained through the reorganizer's node in
 the graph — address-level conflict-serializability remains the right
 formal property (those are the items actually locked).
+
+:class:`SnapshotHistory` is the same for snapshot transactions: the
+streams the snapshot-isolation oracle judges.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
+
+from ..engine import Probe
 
 
 @dataclass(frozen=True)
@@ -36,7 +41,7 @@ class Access:
     at_ms: float
 
 
-class HistoryRecorder:
+class HistoryRecorder(Probe):
     """Collects accesses and transaction outcomes during one run."""
 
     def __init__(self, sim):
@@ -48,20 +53,56 @@ class HistoryRecorder:
         self.txn_kind: Dict[int, Tuple[bool, Optional[int]]] = {}
         self._seq = 0
 
-    def record_begin(self, txn) -> None:
-        self.txn_kind[txn.tid] = (txn.system,
-                                  getattr(txn, "reorg_partition", None))
+    def txn_begin(self, txn) -> None:
+        self.txn_kind[txn.tid] = (txn.system, txn.reorg_partition)
 
-    def record(self, txn, action: str, oid) -> None:
+    def access(self, txn, action: str, oid) -> None:
         self._seq += 1
         self.accesses.append(Access(self._seq, txn.tid, action, oid,
                                     self.sim.now))
 
-    def record_end(self, txn) -> None:
+    def txn_end(self, txn) -> None:
         if txn.status.value == "committed":
             self.committed.add(txn.tid)
         else:
             self.aborted.add(txn.tid)
+
+
+@dataclass
+class TxnHistory:
+    """One snapshot transaction's footprint."""
+
+    begin_ts: int
+    commit_ts: Optional[int]            # None = aborted / read-only
+    #: ``(logical oid, commit_ts of the version the read returned)``.
+    reads: List[Tuple[object, int]] = field(default_factory=list)
+    writes: Tuple[object, ...] = ()
+    committed: bool = False
+
+
+class SnapshotHistory(Probe):
+    """What the MVCC tier did during one run, for the snapshot-isolation
+    oracle: every commit's timestamp and write set in commit order, each
+    snapshot transaction's footprint, and the GC audit trail
+    ``(loid, pruned_ts, successor_ts, watermark)`` per pruned version."""
+
+    def __init__(self):
+        self.commit_log: List[Tuple[int, Tuple[object, ...]]] = []
+        self.history: List[TxnHistory] = []
+        self.gc_log: List[Tuple[object, int, int, int]] = []
+
+    def snapshot_end(self, stxn, committed: bool) -> None:
+        self.history.append(TxnHistory(
+            begin_ts=stxn.begin_ts, commit_ts=stxn.commit_ts,
+            reads=list(stxn._reads), writes=tuple(sorted(stxn._writes)),
+            committed=committed))
+
+    def version_commit(self, commit_ts: int, writes) -> None:
+        self.commit_log.append((commit_ts, tuple(sorted(writes))))
+
+    def version_pruned(self, loid, ts: int, successor_ts: int,
+                       watermark: int) -> None:
+        self.gc_log.append((loid, ts, successor_ts, watermark))
 
 
 @dataclass

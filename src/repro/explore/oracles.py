@@ -61,6 +61,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional
 
+from ..engine import Probe
 from ..sim import Simulator
 from ..storage.oid import Oid
 from ..verify import OracleVerdict, deep_verify, graph_signature
@@ -71,7 +72,7 @@ from ..wal import (
     RefUpdateRecord,
     TransactionTable,
 )
-from .history import HistoryRecorder, check_serializability
+from .history import HistoryRecorder, SnapshotHistory, check_serializability
 
 
 # -- graph isomorphism (extracted from tests/test_graph_isomorphism.py) -------
@@ -128,21 +129,20 @@ def graph_matches_under_mapping(before, after, mapping) -> List[str]:
 
 # -- lock footprint monitor ---------------------------------------------------
 
-class LockFootprintMonitor:
+class LockFootprintMonitor(Probe):
     """Live monitor of the reorganizer's distinct-object lock footprint.
 
-    Installed as the lock manager's observer; on every grant to one of
-    the reorganizer's transactions it counts the distinct objects locked
-    across *all* of that reorganizer's active transactions, collapsing
-    the in-flight old/new address pair to one object (§4.2 counts the
-    migrating object once).  ``limit`` is the violation threshold
-    (``None`` = record the peak only — basic IRA makes no two-lock
-    claim).
+    A probe: on every grant to one of the reorganizer's transactions it
+    counts the distinct objects locked across *all* of that
+    reorganizer's active transactions, collapsing the in-flight old/new
+    address pair to one object (§4.2 counts the migrating object once).
+    ``limit`` is the violation threshold (``None`` = record the peak
+    only — basic IRA makes no two-lock claim).
     """
 
-    def __init__(self, engine, reorg, limit: Optional[int] = None):
+    def __init__(self, engine, reorganizer, limit: Optional[int] = None):
         self.engine = engine
-        self.reorg = reorg
+        self.reorganizer = reorganizer
         self.limit = limit
         self.peak = 0
         #: (at_ms, distinct_count, keys) per violation instant.
@@ -151,44 +151,24 @@ class LockFootprintMonitor:
         #: its covering ancestor intents (hierarchical manager only).
         self.intent_violations: List[tuple] = []
 
-    def install(self) -> "LockFootprintMonitor":
-        # Chain rather than clobber: with N reorganizers live there are N
-        # monitors, each filtering on its own partition's transactions.
-        previous = self.engine.locks.observer
-        if previous is None:
-            self.engine.locks.observer = self._on_event
-        else:
-            mine = self._on_event
-
-            def chained(event, tid, key, mode):
-                previous(event, tid, key, mode)
-                mine(event, tid, key, mode)
-
-            self.engine.locks.observer = chained
-        return self
-
     def _reorg_tids(self) -> List[int]:
         txns = self.engine.txns
-        out = []
-        for tid in txns.active_tids():
-            txn = txns.transaction(tid)
-            if getattr(txn, "reorg_partition", None) == \
-                    self.reorg.partition_id:
-                out.append(tid)
-        return out
+        return [tid for tid in txns.active_tids()
+                if txns.transaction(tid).reorg_partition
+                == self.reorganizer.partition_id]
 
-    def _on_event(self, event, tid, key, mode) -> None:
+    def lock(self, event, tid, key, mode) -> None:
         if event != "grant" or not self.engine.txns.is_active(tid):
             return
         txn = self.engine.txns.transaction(tid)
-        if getattr(txn, "reorg_partition", None) != self.reorg.partition_id:
+        if txn.reorg_partition != self.reorganizer.partition_id:
             return
         locks = self.engine.locks
         reorg_tids = self._reorg_tids()
         held = set()
         for reorg_tid in reorg_tids:
             held |= locks.held_keys(reorg_tid)
-        in_flight = getattr(self.reorg, "in_flight", {})
+        in_flight = getattr(self.reorganizer, "in_flight", {})
         collapse = {new: old for old, new in in_flight.items()}
         # §4.2 counts *object-level* locks: ancestor granule intents
         # (hierarchical manager) are excluded from the footprint ...
@@ -209,7 +189,7 @@ class LockFootprintMonitor:
 
 # -- lock hierarchy monitor ---------------------------------------------------
 
-class LockHierarchyMonitor:
+class LockHierarchyMonitor(Probe):
     """Live multi-granularity soundness monitor (hierarchical manager).
 
     On every grant it asks the manager which hierarchy invariants the
@@ -226,21 +206,7 @@ class LockHierarchyMonitor:
         #: (at_ms, problem) per violating grant.
         self.violations: List[tuple] = []
 
-    def install(self) -> "LockHierarchyMonitor":
-        previous = self.engine.locks.observer
-        if previous is None:
-            self.engine.locks.observer = self._on_event
-        else:
-            mine = self._on_event
-
-            def chained(event, tid, key, mode):
-                previous(event, tid, key, mode)
-                mine(event, tid, key, mode)
-
-            self.engine.locks.observer = chained
-        return self
-
-    def _on_event(self, event, tid, key, mode) -> None:
+    def lock(self, event, tid, key, mode) -> None:
         if event != "grant":
             return
         self.checked += 1
@@ -324,12 +290,12 @@ def check_transparency(engine, initial_images: Dict, start_lsn: int,
 
 # -- snapshot isolation (the MVCC tier's contract) ----------------------------
 
-def check_snapshot_isolation(tier) -> List[str]:
+def check_snapshot_isolation(recorded: SnapshotHistory) -> List[str]:
     """Judge a finished MVCC run against snapshot isolation.
 
-    Works off the tier's own accounting (``record_history=True``): the
-    commit log (every commit's timestamp and write set, in commit
-    order), each snapshot transaction's ``(loid, seen_ts)`` read
+    Works off what a :class:`SnapshotHistory` subscribed for the whole
+    run saw: the commit log (every commit's timestamp and write set, in
+    commit order), each snapshot transaction's ``(loid, seen_ts)`` read
     footprint, and the GC audit trail.  Four checks:
 
     1. **Monotone commits** — commit timestamps strictly increase.
@@ -347,17 +313,17 @@ def check_snapshot_isolation(tier) -> List[str]:
        live snapshot could still see ever went away).
     """
     problems: List[str] = []
-    ts_seq = [ts for ts, _ in tier.commit_log]
+    ts_seq = [ts for ts, _ in recorded.commit_log]
     if ts_seq != sorted(set(ts_seq)):
         problems.append(f"commit timestamps not strictly increasing: "
                         f"{ts_seq[:10]}")
     commits_by_oid: Dict = {}
-    for ts, writes in tier.commit_log:
+    for ts, writes in recorded.commit_log:
         for loid in writes:
             commits_by_oid.setdefault(loid, []).append(ts)
 
     stale = 0
-    for entry in tier.history:
+    for entry in recorded.history:
         for loid, seen_ts in entry.reads:
             visible = [ts for ts in commits_by_oid.get(loid, [])
                        if ts <= entry.begin_ts]
@@ -371,7 +337,7 @@ def check_snapshot_isolation(tier) -> List[str]:
     if stale > 3:
         problems.append(f"... and {stale - 3} more stale reads")
 
-    for entry in tier.history:
+    for entry in recorded.history:
         if not entry.committed or entry.commit_ts is None:
             continue
         for loid in entry.writes:
@@ -383,7 +349,7 @@ def check_snapshot_isolation(tier) -> List[str]:
                     f"{entry.commit_ts}] committed over version(s) "
                     f"{clobbered}")
 
-    for loid, pruned_ts, successor_ts, watermark in tier.gc_log:
+    for loid, pruned_ts, successor_ts, watermark in recorded.gc_log:
         if successor_ts > watermark:
             problems.append(
                 f"GC reclaimed {loid} version {pruned_ts} while its "
@@ -540,11 +506,12 @@ def run_oracles(ctx: OracleContext) -> List[OracleVerdict]:
     return verdicts
 
 
-def run_mvcc_oracles(engine, unhandled: List[tuple]) -> List[OracleVerdict]:
-    """The suite for a snapshot-transaction run (``record_history=True``):
+def run_mvcc_oracles(engine, recorded: SnapshotHistory,
+                     unhandled: List[tuple]) -> List[OracleVerdict]:
+    """The suite for a snapshot-transaction run ``recorded`` throughout:
     snapshot isolation and tier/store health instead of the 2PL oracles."""
     now = engine.sim.now
-    problems = check_snapshot_isolation(engine.mvcc)
+    problems = check_snapshot_isolation(recorded)
     verdicts = [OracleVerdict("snapshot_isolation", not problems, now,
                               problems)]
     problems = check_mvcc_integrity(engine)

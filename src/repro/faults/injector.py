@@ -19,6 +19,7 @@ from __future__ import annotations
 import random
 from typing import Callable, Optional, Tuple
 
+from ..engine import Probe
 from ..storage.errors import TransientIOError
 from ..wal.records import PHYSICAL_KINDS, LogRecord
 from .plan import FaultPlan
@@ -59,7 +60,7 @@ class InjectorStats:
                 f"corruptions={len(self.corruptions)}>")
 
 
-class FaultInjector:
+class FaultInjector(Probe):
     """Injects the faults a :class:`FaultPlan` declares into one engine.
 
     After a crash trigger fires, :attr:`crashed` is True and
@@ -109,7 +110,7 @@ class FaultInjector:
         if plan.lock_storm_rate > 0.0:
             engine.locks.fault_hook = self._lock_fault
         if plan.torn_page_write is not None:
-            engine.checkpoint_hook = self._on_checkpoint
+            engine.subscribe(self)
             latest = engine.snapshots.latest()
             if latest is not None:
                 self._prev_store_snapshot = \
@@ -146,8 +147,7 @@ class FaultInjector:
             engine.buffer.fault_hook = None
         if engine.locks.fault_hook == self._lock_fault:
             engine.locks.fault_hook = None
-        if engine.checkpoint_hook == self._on_checkpoint:
-            engine.checkpoint_hook = None
+        engine.unsubscribe(self)
         if engine.injector is self:
             engine.injector = None
 
@@ -200,7 +200,7 @@ class FaultInjector:
                 for pid, part_state in sorted(store_state["partitions"].items())
                 for page_no, page_state in sorted(part_state["pages"].items())]
 
-    def _on_checkpoint(self, payload, snapshot_id: int, lsn: int) -> None:
+    def checkpoint(self, payload, snapshot_id: int, lsn: int) -> None:
         """Tear one page of the n-th checkpoint's snapshot write.
 
         The stored image keeps a prefix of the new bytes and the tail of

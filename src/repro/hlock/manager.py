@@ -18,7 +18,7 @@ Protocol-visible behaviour
   waits-for deadlock detector are inherited: a wait on an ancestor
   granule is an ordinary wait edge in the shared waits-for graph, so
   deadlock cycles passing through granules are detected exactly like
-  flat cycles, and the ``observer`` hook sees granule grants/releases
+  flat cycles, and the engine's probes see granule grants/releases
   like any other key.
 
 Escalation
@@ -322,8 +322,8 @@ class HierarchicalLockManager(LockManager):
     def _promote(self, tid: int, granule, target: LockMode) -> None:
         entry = self._table[granule]
         entry.granted[tid] = target
-        if self.observer is not None:
-            self.observer("grant", tid, granule, target)
+        for probe in self.probes:
+            probe.lock("grant", tid, granule, target)
 
     # -- de-escalation -----------------------------------------------------------------
 
@@ -373,8 +373,8 @@ class HierarchicalLockManager(LockManager):
         # remaining locks below still require (possibly nothing).
         entry = self._table[granule]
         demoted = self._required_intent(holder, granule)
-        if self.observer is not None:
-            self.observer("release", holder, granule, None)
+        for probe in self.probes:
+            probe.lock("release", holder, granule, None)
         if demoted is None:
             del entry.granted[holder]
             held = self._held_by.get(holder)
@@ -382,8 +382,8 @@ class HierarchicalLockManager(LockManager):
                 held.discard(granule)
         else:
             entry.granted[holder] = demoted
-            if self.observer is not None:
-                self.observer("grant", holder, granule, demoted)
+            for probe in self.probes:
+                probe.lock("grant", holder, granule, demoted)
         self._dispatch(entry, granule)
         failed = self._esc_failed.get(holder)
         if failed is not None:
@@ -408,8 +408,8 @@ class HierarchicalLockManager(LockManager):
         elif not held.covers & mode.bit:
             target = held.sup[mode.rank]
             entry.granted[holder] = target
-            if self.observer is not None:
-                self.observer("grant", holder, key, target)
+            for probe in self.probes:
+                probe.lock("grant", holder, key, target)
 
     def _required_intent(self, holder: int, granule) -> Optional[LockMode]:
         """The intent the holder's surviving locks below ``granule`` need
@@ -470,7 +470,7 @@ class HierarchicalLockManager(LockManager):
         keys = self._held_by.get(tid)
         if objs and keys:
             table = self._table
-            observer = self.observer
+            probes = self.probes
             for key in objs:
                 if key not in keys:
                     continue
@@ -479,8 +479,9 @@ class HierarchicalLockManager(LockManager):
                 if entry is not None and tid in entry.granted:
                     del entry.granted[tid]
                     released.add(key)
-                    if observer is not None:
-                        observer("release", tid, key, None)
+                    if probes:
+                        for probe in probes:
+                            probe.lock("release", tid, key, None)
                     if entry.queue:
                         self._dispatch(entry, key)
                     elif not entry.granted:

@@ -9,7 +9,7 @@ reader.  See ``MVCC.md`` for the design note.
 
 from .merge import MergeReorganizer
 from .snapshot import SnapshotTransaction, begin_snapshot_txn
-from .versions import MvccStats, MvccTier, TxnHistory, VersionEntry
+from .versions import MvccStats, MvccTier, VersionEntry
 from .workload import mvcc_random_walk
 
 __all__ = [
@@ -17,7 +17,6 @@ __all__ = [
     "MvccStats",
     "MvccTier",
     "SnapshotTransaction",
-    "TxnHistory",
     "VersionEntry",
     "begin_snapshot_txn",
     "mvcc_random_walk",

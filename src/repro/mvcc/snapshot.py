@@ -16,7 +16,7 @@ from typing import Any, Dict, Generator, List, Optional, Sequence, Tuple
 from ..errors import TransactionStateError, WriteConflictError
 from ..storage import ObjectImage
 from ..storage.oid import Oid
-from .versions import MvccTier, TxnHistory
+from .versions import MvccTier
 
 
 class SnapshotTransaction:
@@ -127,13 +127,8 @@ class SnapshotTransaction:
         yield  # pragma: no cover — keeps this a generator
 
     def _record(self, committed: bool) -> None:
-        if self.tier.cfg.record_history:
-            self.tier.history.append(TxnHistory(
-                begin_ts=self.begin_ts,
-                commit_ts=self.commit_ts,
-                reads=list(self._reads),
-                writes=tuple(sorted(self._writes)),
-                committed=committed))
+        for probe in self.engine.probes:
+            probe.snapshot_end(self, committed)
 
     def _check_active(self) -> None:
         if not self.active:

@@ -38,7 +38,7 @@ across the database's lifetime.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from operator import attrgetter
 from typing import (Any, Dict, Generator, List, Optional, Sequence, Set,
                     Tuple)
@@ -83,18 +83,6 @@ class VersionEntry:
 
 
 @dataclass
-class TxnHistory:
-    """One snapshot transaction's footprint, kept for the oracle."""
-
-    begin_ts: int
-    commit_ts: Optional[int]            # None = aborted / read-only
-    #: ``(logical oid, commit_ts of the version the read returned)``.
-    reads: List[Tuple[Oid, int]] = field(default_factory=list)
-    writes: Tuple[Oid, ...] = ()
-    committed: bool = False
-
-
-@dataclass
 class MvccStats:
     """Tier counters (shape mirrors ``ReorgStats``' role for oracles)."""
 
@@ -115,8 +103,7 @@ class MvccTier:
     (post-crash: replays TAIL_DELTA / committed MERGE_INSTALL records
     from the durable log).  The engine keeps a ``mvcc`` attribute
     pointing at the attached tier; a recovered engine starts with it
-    ``None`` like every other attach slot, so recovery paths must call
-    :meth:`recover` explicitly.
+    ``None``, so recovery paths must call :meth:`recover` explicitly.
     """
 
     def __init__(self, engine, config: Optional[MvccConfig] = None):
@@ -141,16 +128,6 @@ class MvccTier:
         self._commits_since_gc = 0
         #: The watermark the last GC pass ran at (see :meth:`gc_pass`).
         self._gc_watermark: Optional[int] = None
-        #: Oracle food (``cfg.record_history``): every commit's
-        #: timestamp and write set, in commit order, never pruned.
-        self.commit_log: List[Tuple[int, Tuple[Oid, ...]]] = []
-        self.history: List[TxnHistory] = []
-        #: GC audit trail, kept under ``cfg.record_history`` like the
-        #: commit log: ``(loid, pruned_ts, successor_ts, watermark)`` per
-        #: pruned version — the property tests assert ``successor_ts <=
-        #: watermark`` for every entry (nothing a live snapshot could
-        #: still see is ever reclaimed).
-        self.gc_log: List[Tuple[Oid, int, int, int]] = []
 
     # -- construction -----------------------------------------------------------
 
@@ -375,9 +352,8 @@ class MvccTier:
         finally:
             latches.unlatch(_COMMIT_LATCH)
         self.stats.commits += 1
-        if self.cfg.record_history:
-            self.commit_log.append(
-                (commit_ts, tuple(sorted(writes))))
+        for probe in self.engine.probes:
+            probe.version_commit(commit_ts, writes)
         self._commits_since_gc += 1
         if self.cfg.gc_every_commits and \
                 self._commits_since_gc >= self.cfg.gc_every_commits:
@@ -432,17 +408,16 @@ class MvccTier:
         if watermark == self._gc_watermark:
             return
         self._gc_watermark = watermark
-        record = self.cfg.record_history
+        probes = self.engine.probes
         shrunk = []
         for loid, chain in self._grown.items():
             if chain[1].ts > watermark:
                 continue    # nothing below the entry the watermark keeps
             keep = bisect_right(chain, watermark, key=_entry_ts) - 1
-            if record:
-                successor = chain[keep].ts
+            for probe in probes:
                 for entry in chain[:keep]:
-                    self.gc_log.append(
-                        (loid, entry.ts, successor, watermark))
+                    probe.version_pruned(loid, entry.ts, chain[keep].ts,
+                                         watermark)
             self.stats.versions_pruned += keep
             del chain[:keep]
             if len(chain) == 1:

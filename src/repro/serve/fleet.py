@@ -118,8 +118,8 @@ class ReorgFleet:
             prior = active.get(pid)
             if prior is not None:
                 prior.limit = None
-            monitor = LockFootprintMonitor(self.engine, reorganizer,
-                                           limit=limit).install()
+            monitor = self.engine.subscribe(LockFootprintMonitor(
+                self.engine, reorganizer, limit=limit))
             active[pid] = monitor
             monitors.append(monitor)
 
@@ -192,7 +192,8 @@ class ReorgFleet:
             # docstring).
             self.stats[pid] = stats
             self.completed.add(pid)
-            self._remap(stats.mapping)
+            if self.layout is not None:
+                self.layout.remap(stats.mapping)
             self._finish_claim(pid, name, heartbeat)
 
     def _heartbeat(self, pid: int, owner: str
@@ -220,13 +221,6 @@ class ReorgFleet:
         self._in_flight.discard(pid)
         self.leases.release(pid, name)
         heartbeat.kill()
-
-    def _remap(self, mapping) -> None:
-        if self.layout is not None:
-            self.layout.remap(mapping)
-        tracer = self.engine.tracer
-        if tracer is not None:
-            tracer.graph.remap(mapping)
 
     # -- takeover ----------------------------------------------------------------
 

@@ -52,8 +52,8 @@ class TransactionManager:
         """
         tid = self._next_tid
         self._next_tid += 1
-        txn = Transaction(self.engine, tid, system=system)
-        txn.reorg_partition = reorg_partition
+        txn = Transaction(self.engine, tid, system=system,
+                          reorg_partition=reorg_partition)
         self._active[tid] = txn
         self._done_events[tid] = self.engine.sim.event(name=f"txn-done:{tid}")
         flags = FLAG_SYSTEM_TXN if system else 0
@@ -63,9 +63,8 @@ class TransactionManager:
                              else reorg_partition)))
         txn.last_lsn = self.engine.log.last_lsn
         self.started += 1
-        history = self.engine.history
-        if history is not None:
-            history.record_begin(txn)
+        for probe in txn._probes:
+            probe.txn_begin(txn)
         return txn
 
     def finish(self, txn: Transaction) -> None:
@@ -83,9 +82,8 @@ class TransactionManager:
             self.aborted += 1
             reason = txn.abort_reason or "user"
             self.abort_reasons[reason] = self.abort_reasons.get(reason, 0) + 1
-        history = self.engine.history
-        if history is not None:
-            history.record_end(txn)
+        for probe in txn._probes:
+            probe.txn_end(txn)
 
     # -- queries / waits ----------------------------------------------------------
 

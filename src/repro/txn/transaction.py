@@ -54,22 +54,21 @@ class Transaction:
     generator methods with ``yield from`` inside a simulation process.
     """
 
-    def __init__(self, engine, tid: int, system: bool = False):
+    def __init__(self, engine, tid: int, system: bool = False,
+                 reorg_partition: Optional[int] = None):
         self.engine = engine
         self.tid = tid
         self.system = system
+        #: The partition whose reorganizer owns this transaction, if any.
+        self.reorg_partition = reorg_partition
         # Engine-wide, not per transaction: IRA's §4.1 wait for early
         # lock releasers is gated on the same config field.
         self.strict = engine.config.strict_transactions
         self.status = TxnStatus.ACTIVE
         self.last_lsn = 0
-        # The explore harness installs its recorder before any
-        # transaction begins, so snapshotting it here is safe and saves
-        # an attribute chase per access on the hot paths.  Same for the clustering
-        # tracer — which additionally never traces system transactions
-        # (a reorganizer touching every object is not workload heat).
-        self._history = engine.history
-        self._tracer = None if system else engine.tracer
+        # Read once: subscribers attach before the transactions they
+        # observe begin, and the hot paths save an attribute chase.
+        self._probes = engine.probes
         #: References in the transaction's local memory (§2 model).
         self.local_refs: Set[Oid] = set()
         #: Objects this transaction created (allowed to reference freely).
@@ -110,8 +109,8 @@ class Transaction:
         # Flattened fast paths: the uncontended lock grant, the
         # memory-resident page fix and the CPU charge would each cost a
         # generator per access through the generic helpers — this is the
-        # hottest method in the benchmarks.  (The status check and the
-        # history/tracer notes are inlined here for the same reason.)
+        # hottest method in the benchmarks.  (The status check is
+        # inlined here for the same reason.)
         mode = LockMode.X if for_update else LockMode.S
         if not engine.locks.try_acquire(self.tid, oid, mode):
             yield from engine.locks.acquire_wait(self.tid, oid, mode)
@@ -125,10 +124,8 @@ class Transaction:
         image, children = engine.store.read_object_with_children(oid)
         self.local_refs.update(children)
         self.local_refs.add(oid)
-        if self._history is not None:
-            self._history.record(self, "r", oid)
-        if self._tracer is not None:
-            self._tracer.note(self.tid, oid)
+        if self._probes:
+            self._note("r", oid)
         self.ops += 1
         if not self.strict and not for_update and not \
                 engine.locks.holds(self.tid, oid, LockMode.X):
@@ -159,10 +156,8 @@ class Transaction:
         children = engine.store.children_tuple(oid)
         self.local_refs.update(children)
         self.local_refs.add(oid)
-        if self._history is not None:
-            self._history.record(self, "r", oid)
-        if self._tracer is not None:
-            self._tracer.note(self.tid, oid)
+        if self._probes:
+            self._note("r", oid)
         self.ops += 1
         if not self.strict and not for_update and not \
                 engine.locks.holds(self.tid, oid, LockMode.X):
@@ -185,10 +180,8 @@ class Transaction:
             yield engine._update_hold
         store = engine.store
         before = store.get_payload(oid)[offset:offset + len(data)]
-        if self._history is not None:
-            self._history.record(self, "w", oid)
-        if self._tracer is not None:
-            self._tracer.note(self.tid, oid)
+        if self._probes:
+            self._note("w", oid)
         # WAL append then direct apply: forward processing always appends
         # the newest LSN, so ``apply_record``'s redo test (page LSN >=
         # record LSN -> skip) can never fire here — go straight to the
@@ -276,10 +269,8 @@ class Transaction:
         old_child = store.get_ref(parent, slot)
         if old_child is not None:
             self.local_refs.add(old_child)
-        if self._history is not None:
-            self._history.record(self, "w", parent)
-        if self._tracer is not None:
-            self._tracer.note(self.tid, parent)
+        if self._probes:
+            self._note("w", parent)
         # Same append-then-direct-apply shortcut as ``write_payload``.
         record = RefUpdateRecord(
             self.tid, self.last_lsn, parent=parent, slot=slot,
@@ -374,8 +365,6 @@ class Transaction:
         yield from self.engine.log.flush(lsn)
         self.status = TxnStatus.COMMITTED
         self.engine.txns.finish(self)
-        if self._tracer is not None:
-            self._tracer.on_commit(self.tid)
 
     def abort(self, reason: str = "user") -> Generator[Any, Any, None]:
         """Roll back every change via the undo chain, writing CLRs.
@@ -408,8 +397,6 @@ class Transaction:
         self._log(AbortRecord(self.tid, self.last_lsn))
         self.status = TxnStatus.ABORTED
         self.engine.txns.finish(self)
-        if self._tracer is not None:
-            self._tracer.on_abort(self.tid)
 
     # -- helpers -----------------------------------------------------------------------
 
@@ -418,14 +405,9 @@ class Transaction:
             yield from self.engine.cpu.use(duration)
 
     def _note(self, action: str, oid: Oid) -> None:
-        """Feed one observed access into the engine's history recorder
-        (``repro.explore``'s serializability oracle) and the clustering
-        tracer (``repro.cluster``'s heat/affinity statistics); no-op
-        otherwise."""
-        if self._history is not None:
-            self._history.record(self, action, oid)
-        if self._tracer is not None:
-            self._tracer.note(self.tid, oid)
+        """Show one access to every probe subscribed at begin."""
+        for probe in self._probes:
+            probe.access(self, action, oid)
 
     def _log(self, record: LogRecord) -> int:
         lsn = self.engine.log.append(record)

@@ -161,10 +161,6 @@ class WorkloadDriver:
         if close_at_end and remaining["count"] == 0:
             self._close(metrics)
         # Track migrated persistent roots so later runs/examples against
-        # the same database keep working; an attached tracer's statistics
-        # follow the objects to their new addresses the same way.
+        # the same database keep working.
         self.layout.remap(stats.mapping)
-        tracer = self.engine.tracer
-        if tracer is not None:
-            tracer.graph.remap(stats.mapping)
         return stats

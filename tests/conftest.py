@@ -5,7 +5,8 @@ from __future__ import annotations
 import pytest
 
 from repro import Database, StorageEngine, SystemConfig, WorkloadConfig
-from repro.config import DistConfig, FleetConfig, MvccConfig
+from repro.config import DistConfig, FleetConfig
+from repro.engine import Probe
 from repro.sim import Simulator
 from repro.storage import ObjectImage
 
@@ -107,8 +108,10 @@ def run_clean_cluster():
 
 @pytest.fixture
 def build_mvcc_db():
-    """Factory: a loaded database with the MVCC tier attached (history
-    recording on, so the snapshot-isolation oracle can judge the run)."""
+    """Factory: a loaded database with the MVCC tier attached and a
+    :class:`~repro.explore.SnapshotHistory` subscribed (``recorded``),
+    so the snapshot-isolation oracle can judge the run."""
+    from repro.explore import SnapshotHistory
     from repro.mvcc import MvccTier
 
     def _build(mvcc_config=None, **workload_overrides):
@@ -116,10 +119,20 @@ def build_mvcc_db():
                     mpl=4, seed=7)
         base.update(workload_overrides)
         db, layout = Database.with_workload(WorkloadConfig(**base))
-        tier = MvccTier.attach(
-            db.engine, mvcc_config or MvccConfig(record_history=True))
-        return db, layout, tier
+        tier = MvccTier.attach(db.engine, mvcc_config)
+        recorded = db.engine.subscribe(SnapshotHistory())
+        return db, layout, tier, recorded
     return _build
+
+
+class OnReorg(Probe):
+    """A probe calling ``fn(event, info)`` for every reorganizer event."""
+
+    def __init__(self, fn):
+        self.fn = fn
+
+    def reorg(self, reorganizer, event, info):
+        self.fn(event, info)
 
 
 def run(engine, gen, name="test"):

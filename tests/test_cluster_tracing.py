@@ -1,11 +1,17 @@
 """Tests for repro.cluster.tracing: the affinity graph and the tracer."""
 
+from types import SimpleNamespace
+
 import pytest
 
 from tests.conftest import committed, committed_system, make_object
 
+from repro import Database, WorkloadConfig
 from repro.cluster import AffinityGraph, ClusterTracer
+from repro.config import ExperimentConfig
+from repro.core import CompactionPlan
 from repro.storage import Oid
+from repro.workload import WorkloadDriver
 
 
 A = Oid(1, 0, 0)
@@ -56,8 +62,9 @@ def test_decay_halves_and_drops_dust():
     assert not graph.heat and not graph.edges
 
 
-def test_prune_keeps_heaviest_entries():
-    graph = AffinityGraph(max_objects=4)
+def test_prune_keeps_heaviest_entries(monkeypatch):
+    monkeypatch.setattr(AffinityGraph, "MAX_OBJECTS", 4)
+    graph = AffinityGraph()
     for i in range(4):
         oid = Oid(1, 0, i)
         graph.observe([oid] * (i + 1), pair_window=1)
@@ -109,30 +116,37 @@ def test_top_queries_are_deterministic():
 # -- ClusterTracer ----------------------------------------------------------
 
 
+def _txn(tid, status="committed"):
+    """What the tracer reads of a transaction."""
+    return SimpleNamespace(tid=tid, system=False,
+                           status=SimpleNamespace(value=status))
+
+
 def test_tracer_folds_on_commit_only():
     tracer = ClusterTracer(pair_window=2)
-    tracer.note(7, A)
-    tracer.note(7, B)
+    tracer.access(_txn(7), "r", A)
+    tracer.access(_txn(7), "w", B)
     assert not tracer.graph.heat                 # nothing until commit
-    tracer.on_commit(7)
+    tracer.txn_end(_txn(7))
     assert tracer.commits == 1
     assert tracer.graph.edges == {(A, B): 1.0}
 
 
 def test_tracer_discards_aborted_transactions():
     tracer = ClusterTracer()
-    tracer.note(7, A)
-    tracer.on_abort(7)
-    tracer.on_commit(7)                          # nothing left to fold
+    tracer.access(_txn(7), "r", A)
+    tracer.txn_end(_txn(7, "aborted"))
+    tracer.txn_end(_txn(7))                      # nothing left to fold
     assert tracer.aborts == 1 and tracer.commits == 0
     assert not tracer.graph.heat
 
 
-def test_tracer_periodic_decay():
-    tracer = ClusterTracer(decay=0.5, decay_every=2)
+def test_tracer_periodic_decay(monkeypatch):
+    monkeypatch.setattr(ClusterTracer, "DECAY_EVERY", 2)
+    tracer = ClusterTracer()
     for tid in range(2):
-        tracer.note(tid, A)
-        tracer.on_commit(tid)
+        tracer.access(_txn(tid), "r", A)
+        tracer.txn_end(_txn(tid))
     assert tracer.graph.heat_of(A) == 1.0        # (1 + 1) * 0.5 at commit 2
     assert tracer.graph.accesses == 2            # lifetime totals undecayed
 
@@ -148,7 +162,7 @@ def test_tracer_rejects_bad_window():
 def test_user_transactions_feed_the_tracer(engine):
     a = committed(engine, lambda txn: txn.create_object(1, make_object()))
     b = committed(engine, lambda txn: txn.create_object(1, make_object()))
-    engine.tracer = tracer = ClusterTracer()
+    tracer = engine.subscribe(ClusterTracer())
 
     def body(txn):
         yield from txn.read(a)
@@ -161,7 +175,7 @@ def test_user_transactions_feed_the_tracer(engine):
 
 def test_system_transactions_are_never_traced(engine):
     a = committed(engine, lambda txn: txn.create_object(1, make_object()))
-    engine.tracer = tracer = ClusterTracer()
+    tracer = engine.subscribe(ClusterTracer())
 
     def body(txn):
         yield from txn.read(a)
@@ -171,13 +185,33 @@ def test_system_transactions_are_never_traced(engine):
 
 
 def test_tracer_snapshot_at_begin(engine):
-    """A transaction begun before the tracer was installed stays
-    untraced — the hook is sampled at construction, like history."""
+    """A transaction begun before the tracer was subscribed stays
+    untraced — the subscribers are read when a transaction begins."""
     a = committed(engine, lambda txn: txn.create_object(1, make_object()))
+    tracer = ClusterTracer()
 
     def body(txn):
-        engine.tracer = ClusterTracer()
+        engine.subscribe(tracer)
         yield from txn.read(a)
         return None
     committed(engine, body)
-    assert engine.tracer.commits == 0 and not engine.tracer.graph.heat
+    assert tracer.commits == 0 and not tracer.graph.heat
+
+
+def test_the_tracer_follows_a_reorganization_no_driver_runs():
+    workload = WorkloadConfig(num_partitions=2, objects_per_partition=170,
+                              mpl=2, seed=7)
+    db, layout = Database.with_workload(workload)
+    tracer = db.engine.subscribe(ClusterTracer())
+    WorkloadDriver(db.engine, layout, ExperimentConfig(
+        workload=workload)).run(horizon_ms=3_000.0)
+    graph = tracer.graph
+    heat = sum(graph.heat.values())
+    stats = db.reorganize(1, "ira", plan=CompactionPlan())
+    # No heat key or affinity edge names an address the run vacated ...
+    vacated = set(stats.mapping) - set(db.engine.store.all_live_oids())
+    assert vacated
+    assert not vacated & set(graph.heat)
+    assert not [edge for edge in graph.edges if vacated & set(edge)]
+    # ... and remapping merged the statistics onto the new addresses.
+    assert sum(graph.heat.values()) == pytest.approx(heat)

@@ -55,7 +55,7 @@ FIELDS = {
         "suspect_after_ms", "rpc_deadline_ms", "decision_timeout_ms",
         "scrub_interval_ms", "scrub_pages_per_sweep",
         "migration_batch_size", "horizon_ms"},
-    "MvccConfig": {"merge_batch_size", "gc_every_commits", "record_history"},
+    "MvccConfig": {"merge_batch_size", "gc_every_commits"},
     "ExperimentConfig": {"workload", "system", "horizon_ms"},
 }
 
@@ -79,7 +79,7 @@ def test_the_set_of_options_is_pinned():
     assert actual == FIELDS
     settable = sum(len(names) for name, names in FIELDS.items()
                    if name != "RetryPolicy")
-    assert settable == 86
+    assert settable == 85
 
 
 #: How ``src/repro/`` names a configuration object it reads a field of

@@ -13,6 +13,7 @@ from repro import (
 )
 from repro.core import references_equal
 from repro.storage import ObjectImage, Oid
+from tests.conftest import OnReorg
 from tests.test_core_ira import graph_signature
 
 
@@ -192,7 +193,7 @@ def test_back_to_back_deadlocks_reuse_the_committed_copy():
     pinned = {}         # what the reader holds: "parent", then "victim"
     forced = []
 
-    def probe(event, **info):
+    def probe(event, info):
         if event == "in_flight" and not pinned:
             # The copy is committed and both addresses are locked: pin
             # one of the parents the reorganizer is about to patch.
@@ -214,7 +215,7 @@ def test_back_to_back_deadlocks_reuse_the_committed_copy():
             return True
         return False
 
-    reorg.probe = probe
+    db.engine.subscribe(OnReorg(probe))
     locks.fault_hook = force_timeout
     stats = db.run(reorg.run(), name="reorg")
 

@@ -18,6 +18,7 @@ from repro import CompactionPlan, Database, ReorgConfig
 from repro.core import WalReorgStateStore, resume_reorganization
 from repro.sim import Delay
 from repro.storage import ObjectImage
+from tests.conftest import OnReorg
 
 FILLERS = 60
 CRASH_AFTER_MS = 340.0
@@ -184,7 +185,8 @@ def test_resumed_run_locks_trt_parents_in_the_specified_order():
     assert tuples(resumed.trt) == {(child, p, "I") for p in parents}
 
     events = []
-    resumed.probe = lambda event, **info: events.append((event, info))
+    db.engine.subscribe(OnReorg(lambda event, info: events.append(
+        (event, info))))
     db.run(resumed.run(), name="resumed")
     last_move = max(i for i, (event, info) in enumerate(events)
                     if event == "migrated" and info["oid"] != child)

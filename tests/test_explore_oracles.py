@@ -147,7 +147,8 @@ def test_footprint_monitor_counts_distinct_objects():
 def test_footprint_monitor_peak_observed():
     db, _ = Database.with_workload(default_workload())
     reorg = db.reorganizer(1, "ira-2lock")
-    monitor = LockFootprintMonitor(db.engine, reorg, limit=2).install()
+    monitor = db.engine.subscribe(
+        LockFootprintMonitor(db.engine, reorg, limit=2))
     db.run(reorg.run(), name="reorg")
     assert monitor.peak == 2
     assert monitor.violations == []

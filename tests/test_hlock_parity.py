@@ -15,7 +15,7 @@ Two oracles, both kept here and nowhere in ``src/``:
   deadlock or are killed, releases, commits — through both, and every
   observable must match step for step: return values, the lock table
   (granted maps and queues, in order), the hierarchy bookkeeping, every
-  ``LockStats`` field, the observer stream and so the wakeup order of
+  ``LockStats`` field, the probes' lock stream and so the wakeup order of
   ``release_all``.
 """
 
@@ -28,6 +28,7 @@ from hypothesis import strategies as st
 
 from repro.concurrency import LockManager, LockMode, LockTimeoutError
 from repro.concurrency.locks import _LockEntry
+from repro.engine import Probe
 from repro.hlock import (HierarchicalLockManager, PageGranule,
                          PartitionGranule, descendant_of)
 from repro.sim import Delay, Simulator
@@ -367,8 +368,8 @@ class LegacyHierarchicalLockManager(HierarchicalLockManager):
         self.stats.deescalations += 1
         entry = self._table[granule]
         demoted = self._required_intent(holder, granule)
-        if self.observer is not None:
-            self.observer("release", holder, granule, None)
+        for probe in self.probes:
+            probe.lock("release", holder, granule, None)
         if demoted is None:
             del entry.granted[holder]
             held = self._held_by.get(holder)
@@ -376,8 +377,8 @@ class LegacyHierarchicalLockManager(HierarchicalLockManager):
                 held.discard(granule)
         else:
             entry.granted[holder] = demoted
-            if self.observer is not None:
-                self.observer("grant", holder, granule, demoted)
+            for probe in self.probes:
+                probe.lock("grant", holder, granule, demoted)
         self._dispatch(entry, granule)
         failed = self._esc_failed.get(holder)
         if failed is not None:
@@ -396,8 +397,8 @@ class LegacyHierarchicalLockManager(HierarchicalLockManager):
         elif mode not in _COVERS[held]:
             target = _SUP[held][mode]
             entry.granted[holder] = target
-            if self.observer is not None:
-                self.observer("grant", holder, key, target)
+            for probe in self.probes:
+                probe.lock("grant", holder, key, target)
 
     def _required_intent(self, holder, granule):
         need = None
@@ -507,11 +508,19 @@ def _snapshot(locks):
     )
 
 
+class _LockLog(Probe):
+    def __init__(self, log):
+        self.log = log
+
+    def lock(self, *event):
+        self.log.append(("observe",) + event)
+
+
 def _run(cls, config, scripts, kills):
     sim = Simulator()
     locks = cls(sim, timeout_ms=20.0, track_history=True, **config)
     log = []
-    locks.observer = lambda *event: log.append(("observe",) + event)
+    locks.probes = (_LockLog(log),)
 
     def record(*entry):
         log.append((sim.now,) + entry)

@@ -73,16 +73,16 @@ def _concurrent_run(db, layout, tier, *, seed, walks_per_thread=3,
 
 
 def test_commit_timestamps_strictly_monotone(build_mvcc_db):
-    db, layout, tier = build_mvcc_db()
+    db, layout, tier, recorded = build_mvcc_db()
     _concurrent_run(db, layout, tier, seed=3)
-    ts_seq = [ts for ts, _ in tier.commit_log]
+    ts_seq = [ts for ts, _ in recorded.commit_log]
     assert ts_seq, "no commits happened"
     assert ts_seq == sorted(set(ts_seq))
     assert tier.verify() == []
 
 
 def test_gc_never_reclaims_a_visible_version(build_mvcc_db):
-    db, layout, tier = build_mvcc_db()
+    db, layout, tier, recorded = build_mvcc_db()
     engine = db.engine
     # Pin a snapshot at the attach-time state, then update and merge
     # underneath it: nothing the pinned snapshot can see may be pruned.
@@ -93,7 +93,7 @@ def test_gc_never_reclaims_a_visible_version(build_mvcc_db):
     _concurrent_run(db, layout, tier, seed=9)
     engine.sim.run_process(tier.sweep_frees())
 
-    for loid, pruned_ts, successor_ts, watermark in tier.gc_log:
+    for loid, pruned_ts, successor_ts, watermark in recorded.gc_log:
         assert successor_ts <= watermark, (
             f"{loid}: version {pruned_ts} pruned while its successor "
             f"{successor_ts} was above the watermark {watermark}")
@@ -105,7 +105,7 @@ def test_gc_never_reclaims_a_visible_version(build_mvcc_db):
 
 
 def test_merge_preserves_reachability_signature(build_mvcc_db):
-    db, layout, tier = build_mvcc_db()
+    db, layout, tier, _ = build_mvcc_db()
     engine = db.engine
     _concurrent_run(db, layout, tier, seed=17, reorganize=False)
     signature = tier.signature()
@@ -135,7 +135,7 @@ def test_killed_merge_releases_its_cut_snapshot(build_mvcc_db):
     it, exactly as for a killed IRA worker."""
     from repro.sim import ProcessKilled
 
-    db, _, tier = build_mvcc_db()
+    db, _, tier, _ = build_mvcc_db()
     engine = db.engine
     merge = engine.sim.spawn(
         MergeReorganizer(engine, 1, plan=CompactionPlan()).run(),
@@ -159,7 +159,7 @@ def test_killed_merge_releases_its_cut_snapshot(build_mvcc_db):
 
 
 def test_first_committer_wins_on_overlapping_writes(build_mvcc_db):
-    db, _, tier = build_mvcc_db()
+    db, _, tier, _ = build_mvcc_db()
     engine = db.engine
     target = sorted(tier.logical_ids)[0]
 
@@ -189,13 +189,15 @@ def _grown_by_scan(tier):
     return {loid for loid, chain in tier._chains.items() if len(chain) > 1}
 
 
-@pytest.mark.parametrize("record_history", [True, False])
+@pytest.mark.parametrize("subscribed", [True, False])
 def test_gc_walks_only_grown_chains_and_logs_only_for_the_oracle(
-        build_mvcc_db, record_history):
+        build_mvcc_db, subscribed):
     from repro.config import MvccConfig
 
-    db, layout, tier = build_mvcc_db(
-        MvccConfig(record_history=record_history, gc_every_commits=4))
+    db, layout, tier, recorded = build_mvcc_db(
+        MvccConfig(gc_every_commits=4))
+    if not subscribed:
+        db.engine.unsubscribe(recorded)
     pinned = tier.begin_snapshot()
     _concurrent_run(db, layout, tier, seed=9)
     # Under the pinned snapshot nothing below a chain's kept entry goes.
@@ -207,7 +209,7 @@ def test_gc_walks_only_grown_chains_and_logs_only_for_the_oracle(
     assert tier.stats.versions_pruned - before == remaining > 0
     assert set(tier._grown) == _grown_by_scan(tier) == set()
     # The audit trail is oracle food, like the commit log.
-    assert len(tier.gc_log) == \
-        (tier.stats.versions_pruned if record_history else 0)
-    assert bool(tier.commit_log) == record_history
+    assert len(recorded.gc_log) == \
+        (tier.stats.versions_pruned if subscribed else 0)
+    assert bool(recorded.commit_log) == subscribed
     assert tier.verify() == []

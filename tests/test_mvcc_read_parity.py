@@ -15,14 +15,15 @@ Three oracles, kept here and nowhere in ``src/``:
   newest-first one over hypothesis-generated chains.
 * ``full_gc_pass`` — a pass without the unchanged-watermark skip.  Before
   every real ``gc_pass`` a shadow copy of the chains runs it; afterwards
-  the chains, ``_grown`` (in order), ``versions_pruned`` and ``gc_log``
-  must be equal, under a pinned snapshot and after it is released.
+  the chains, ``_grown`` (in order), ``versions_pruned`` and the pruned
+  versions the subscribers were shown must be equal, under a pinned
+  snapshot and after it is released.
 """
 
 import copy
 import random
 from bisect import bisect_right
-from types import MethodType
+from types import MethodType, SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -32,6 +33,7 @@ from repro.config import MvccConfig, SystemConfig, WorkloadConfig
 from repro.core import CompactionPlan
 from repro.database import Database
 from repro.errors import WriteConflictError
+from repro.explore import SnapshotHistory
 from repro.mvcc import (MergeReorganizer, MvccTier, SnapshotTransaction,
                         begin_snapshot_txn, mvcc_random_walk)
 from repro.mvcc.versions import VersionEntry
@@ -70,17 +72,16 @@ def copying_read(tier, loid, ts):
 def full_gc_pass(tier):
     tier._commits_since_gc = 0
     watermark = tier.watermark()
-    record = tier.cfg.record_history
     shrunk = []
     for loid, chain in tier._grown.items():
         if chain[1].ts > watermark:
             continue
         keep = bisect_right(chain, watermark,
                             key=lambda entry: entry.ts) - 1
-        if record:
-            successor = chain[keep].ts
+        successor = chain[keep].ts
+        for probe in tier.engine.probes:
             for entry in chain[:keep]:
-                tier.gc_log.append((loid, entry.ts, successor, watermark))
+                probe.version_pruned(loid, entry.ts, successor, watermark)
         tier.stats.versions_pruned += keep
         del chain[:keep]
         if len(chain) == 1:
@@ -138,9 +139,8 @@ def _build(system):
     db, layout = Database.with_workload(
         WorkloadConfig(num_partitions=2, objects_per_partition=170, mpl=4,
                        seed=7), system=system)
-    tier = MvccTier.attach(db.engine, MvccConfig(record_history=True,
-                                                 gc_every_commits=4))
-    return db, layout, tier
+    tier = MvccTier.attach(db.engine, MvccConfig(gc_every_commits=4))
+    return db, layout, tier, db.engine.subscribe(SnapshotHistory())
 
 
 def _race(db, layout, walk, seed, walks_per_thread=6):
@@ -205,13 +205,13 @@ def test_read_refs_walk_equals_the_copying_walk(monkeypatch, system):
         old_steps.append(_step(self, loid, image.children(), own))
         return image
 
-    db, layout, tier = _build(system)
+    db, layout, tier, recorded = _build(system)
     with monkeypatch.context() as patch:
         patch.setattr(SnapshotTransaction, "read_refs", recording_read_refs)
         new_outcomes = _race(db, layout, mvcc_random_walk, seed=5,
                              walks_per_thread=30)
 
-    old_db, old_layout, old_tier = _build(system)
+    old_db, old_layout, old_tier, old_recorded = _build(system)
     old_tier.read = MethodType(copying_read, old_tier)
     old_tier.version_for = MethodType(bisect_version_for, old_tier)
     old_tier.gc_pass = MethodType(full_gc_pass, old_tier)
@@ -222,10 +222,10 @@ def test_read_refs_walk_equals_the_copying_walk(monkeypatch, system):
 
     assert new_steps == old_steps
     assert new_outcomes == old_outcomes
-    assert tier.history == old_tier.history
+    assert recorded.history == old_recorded.history
     assert tier.stats == old_tier.stats
-    assert tier.commit_log == old_tier.commit_log
-    assert tier.gc_log == old_tier.gc_log
+    assert recorded.commit_log == old_recorded.commit_log
+    assert recorded.gc_log == old_recorded.gc_log
     assert tier._lineage == old_tier._lineage
     assert db.sim.now == old_db.sim.now
     # The cases the walk must have met: own writes, rewires, tails,
@@ -257,14 +257,16 @@ def test_version_for_matches_the_bisect_oracle(stamps, ts):
 
 # -- the GC skip ------------------------------------------------------------------
 
-def _shadow(tier):
+def _shadow(tier, recorded):
     shadow = copy.copy(tier)
     shadow._chains = {loid: list(chain)
                       for loid, chain in tier._chains.items()}
     shadow._grown = {loid: shadow._chains[loid] for loid in tier._grown}
     shadow.stats = copy.copy(tier.stats)
-    shadow.gc_log = list(tier.gc_log)
-    return shadow
+    shadow_recorded = SnapshotHistory()
+    shadow_recorded.gc_log = list(recorded.gc_log)
+    shadow.engine = SimpleNamespace(probes=(shadow_recorded,))
+    return shadow, shadow_recorded
 
 
 def test_gc_pass_matches_the_full_pass_oracle(monkeypatch):
@@ -272,17 +274,17 @@ def test_gc_pass_matches_the_full_pass_oracle(monkeypatch):
     real = MvccTier.gc_pass
 
     def checked(self):
-        shadow = _shadow(self)
+        shadow, shadow_recorded = _shadow(self, recorded)
         full_gc_pass(shadow)
         real(self)
         assert self._chains == shadow._chains
         assert list(self._grown) == list(shadow._grown)
         assert self.stats.versions_pruned == shadow.stats.versions_pruned
-        assert self.gc_log == shadow.gc_log
+        assert recorded.gc_log == shadow_recorded.gc_log
         watermarks.append(self.watermark())
 
     monkeypatch.setattr(MvccTier, "gc_pass", checked)
-    db, layout, tier = _build(SystemConfig())
+    db, layout, tier, recorded = _build(SystemConfig())
     pinned = tier.begin_snapshot()
     _race(db, layout, mvcc_random_walk, seed=9)
     # Under the pin every pass ran at one watermark: all but the first

@@ -20,7 +20,7 @@ def _run(kill_at=None):
     db, layout = Database.with_workload(
         workload, system=SystemConfig(deadlock_detection="waits-for"))
     engine = db.engine
-    engine.history = HistoryRecorder(engine.sim)
+    history = engine.subscribe(HistoryRecorder(engine.sim))
 
     initial_images = {oid: engine.store.read_object(oid).copy()
                       for oid in engine.store.all_live_oids()}
@@ -44,7 +44,7 @@ def _run(kill_at=None):
     assert fleet.done
     ctx = OracleContext(engine=engine,
                         reorg=list(fleet.reorganizers.values()),
-                        history=engine.history, monitor=monitors,
+                        history=history, monitor=monitors,
                         initial_images=initial_images,
                         start_lsn=start_lsn)
     return db, fleet, run_oracles(ctx)
