@@ -49,7 +49,7 @@ from ..errors import ReorganizationError
 from ..refs import LogAnalyzer, TemporaryReferenceTable
 from ..storage.oid import Oid
 from ..wal import ReorgProgressRecord, TransactionTable
-from ..wal.records import KIND_REF_UPDATE
+from ..wal.records import KIND_REF_UPDATE, KIND_REORG_PROGRESS
 
 _U8 = struct.Struct("<B")
 _U32 = struct.Struct("<I")
@@ -269,12 +269,12 @@ class WalReorgStateStore(ReorgStateStore):
             0, 0, partition_id=self.partition_id, algorithm="", state=b""))
 
     def latest_record(self) -> Optional[ReorgProgressRecord]:
-        """The partition's newest progress record (newest-first scan)."""
+        """The partition's newest progress record: a newest-first scan
+        that decodes progress records only."""
         log = self.engine.log
-        for lsn in range(log.last_lsn, 0, -1):
+        for lsn in log.newest_of_kind(KIND_REORG_PROGRESS):
             record = log.read(lsn)
-            if isinstance(record, ReorgProgressRecord) and \
-                    record.partition_id == self.partition_id:
+            if record.partition_id == self.partition_id:
                 return record
         return None
 
@@ -390,7 +390,7 @@ def resume_reorganization(engine, state_store: ReorgStateStore,
     know about (the distributed reorganizer in :mod:`repro.dist` carries
     node/cluster context no class-name lookup could reconstruct).
     ``state`` is the store's checkpoint when the caller has already
-    loaded it (the fleet reads the log once per claim).
+    loaded it (the fleet looks its latest record up once per claim).
     """
     from .ira import IncrementalReorganizer
     from .ira_twolock import TwoLockReorganizer

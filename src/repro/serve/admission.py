@@ -10,11 +10,14 @@ and the fixed server pool:
   passed drops it unexecuted (``shed_stale``) — running it would burn
   capacity producing an answer nobody is waiting for.
 
-Producer/consumer hand-off uses a broadcast gate: ``put`` fires the
-current gate event, every blocked server wakes, the winners pop and the
-rest re-arm on a fresh gate.  With one-shot events this is race-free —
-a waiter registering after the gate fired resumes immediately — at the
-cost of a thundering herd that is harmless at these pool sizes.
+Producer/consumer hand-off wakes one server per arrival: idle servers
+wait in a FIFO, each on its own one-shot event; ``put`` fires the
+longest-idle one's, ``close`` all of them.  A woken server beaten to
+the request by one finishing at the same instant re-idles at the head,
+where a broadcast's re-registration would leave it — so each request
+reaches the server a wake-everyone gate gave it, for one kernel resume
+instead of one per idle server.  A server killed while idle leaves the
+FIFO; one killed after its wake fired passes the wake on.
 """
 
 from __future__ import annotations
@@ -51,7 +54,8 @@ class AdmissionQueue:
         self.sim = sim
         self.depth = depth
         self._queue: Deque[Request] = deque()
-        self._gate = Event(sim, name="admission-gate")
+        #: Idle servers' wake events, longest-idle first.
+        self._idle: Deque[Event] = deque()
         self._closed = False
 
     def __len__(self) -> int:
@@ -67,24 +71,36 @@ class AdmissionQueue:
             request.outcome = "shed-queue-full"
             return False
         self._queue.append(request)
-        self._wake()
+        if self._idle:
+            self._idle.popleft().succeed()
         return True
 
     def close(self) -> None:
         """No more arrivals; blocked servers drain the queue and exit."""
         self._closed = True
-        self._wake()
-
-    def _wake(self) -> None:
-        gate, self._gate = self._gate, Event(self.sim,
-                                             name="admission-gate")
-        gate.succeed()
+        while self._idle:
+            self._idle.popleft().succeed()
 
     def get(self) -> Generator[object, object, Optional[Request]]:
         """Pop the next request; ``None`` once closed and drained."""
+        park = self._idle.append
         while True:
             if self._queue:
                 return self._queue.popleft()
             if self._closed:
                 return None
-            yield Wait(self._gate)
+            wake = Event(self.sim, name="admission-wake")
+            park(wake)
+            try:
+                yield Wait(wake)
+            except BaseException:
+                # Killed at the wait: a fired wake was meant for a
+                # request the corpse will never pop — pass it on; else
+                # leave the FIFO.
+                if not wake.fired:
+                    self._idle.remove(wake)
+                elif self._queue and self._idle:
+                    self._idle.popleft().succeed()
+                raise
+            # Woken but beaten to the request: still the longest idle.
+            park = self._idle.appendleft

@@ -156,7 +156,7 @@ class ReorgFleet:
             heartbeat = sim.spawn(self._heartbeat(pid, name),
                                   name=f"{name}-heartbeat-p{pid}")
             store = WalReorgStateStore(engine, pid)
-            # One log scan per claim: tombstone, state and resume all
+            # One lookup per claim: tombstone, state and resume all
             # derive from the partition's latest progress record.
             latest = store.latest_record()
             if latest is not None and latest.is_tombstone:
@@ -165,8 +165,9 @@ class ReorgFleet:
                 self._finish_claim(pid, name, heartbeat)
                 continue
             # Reap unconditionally: a worker killed before its first
-            # checkpoint still leaves orphaned system transactions (the
-            # scan is a no-op on a cleanly-claimed partition).
+            # checkpoint still leaves orphaned system transactions (on
+            # a cleanly-claimed partition there are none, and the reap
+            # reads no log).
             yield from self._reap_orphans(pid)
             if latest is not None:
                 reorganizer = resume_reorganization(
@@ -258,13 +259,19 @@ class ReorgFleet:
         chain releases the locks the corpse still holds).
         """
         engine = self.engine
+        txns = engine.txns
+        orphans = [txn for txn in map(txns.transaction,
+                                      sorted(txns.active_tids()))
+                   if txn.system and txn.reorg_partition == pid
+                   and txn.tid not in self._reaping]
+        if not orphans:
+            return
+        # Decode the log only with something to settle.
         committed_tids = TransactionTable.scan(engine.log).committed
-        for tid in sorted(engine.txns.active_tids()):
-            txn = engine.txns.transaction(tid)
-            if not txn.system or txn.reorg_partition != pid:
-                continue
+        for txn in orphans:
+            tid = txn.tid
             if tid in self._reaping:
-                continue
+                continue    # settled meanwhile by a concurrent reap
             self._reaping.add(tid)
             if tid in committed_tids:
                 txn.status = TxnStatus.COMMITTED

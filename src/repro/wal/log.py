@@ -145,6 +145,19 @@ class LogManager:
         for index in range(from_lsn - 1, upto):
             yield decode_record(self._encoded[index], lsn=index + 1)
 
+    def newest_of_kind(self, kind: int) -> Iterator[int]:
+        """LSNs of the ``kind`` records, newest first, decoding none.
+
+        Every encoding opens with its kind byte (the header all records
+        share), and every record was checked as it entered the log —
+        ``append`` encoded it, ``from_durable`` decoded it — so that byte
+        alone picks the records to read.
+        """
+        encoded = self._encoded
+        for index in range(len(encoded) - 1, -1, -1):
+            if encoded[index][0] == kind:
+                yield index + 1
+
     # -- durability -----------------------------------------------------------
 
     def flush(self, upto_lsn: Optional[int] = None) -> Generator[Any, Any, None]:

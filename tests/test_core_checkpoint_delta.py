@@ -1,6 +1,9 @@
 """Incremental §4.4 checkpoints: base + delta chains fold back into the
 full reorganizer state."""
 
+import random
+from types import SimpleNamespace
+
 import pytest
 
 from repro import (
@@ -25,9 +28,11 @@ from repro.core.checkpointing import ReorgDelta, decode_reorg_delta
 from repro.errors import ReorganizationError
 from repro.faults.chaos import count_remigrations
 from repro.storage.oid import Oid
+from repro.sim import Resource, Simulator
 from repro.verify import graph_signature
-from repro.wal import ReorgProgressRecord, scan_frames
-from repro.wal.records import decode_record
+from repro.wal import (BeginRecord, CommitRecord, LogManager,
+                       ReorgProgressRecord, scan_frames)
+from repro.wal.records import KIND_REORG_PROGRESS, decode_record
 from repro.workload import WorkloadDriver
 from repro.workload.metrics import ExperimentMetrics
 
@@ -260,6 +265,71 @@ def test_wal_store_files_records_under_its_own_partition():
     assert store.latest_record().partition_id == PARTITION
     assert store.load() is not None
     assert WalReorgStateStore(db.engine, 2).load() is None
+
+
+def _latest_by_full_decode(log, partition_id):
+    """The reference search: decode every record, newest first."""
+    for lsn in range(log.last_lsn, 0, -1):
+        record = log.read(lsn)
+        if isinstance(record, ReorgProgressRecord) and \
+                record.partition_id == partition_id:
+            return record
+    return None
+
+
+@pytest.mark.parametrize("tear_seed", [1, 2, 3, 4])
+def test_latest_record_matches_a_full_decode_search(tear_seed):
+    sim = Simulator()
+    log = LogManager(sim, Resource(sim, name="log-disk"), 8.0)
+    engine = SimpleNamespace(log=log)
+    a, b, c = Oid(1, 2, 3), Oid(1, 2, 4), Oid(1, 5, 0)
+    tids = iter(range(1, 100))
+
+    def user_txn():
+        tid = next(tids)
+        log.append(BeginRecord(tid, 0))
+        log.append(CommitRecord(tid, log.last_lsn))
+
+    # Partitions 1-3 checkpoint interleaved with user work, partition 2
+    # finishes (its tombstone), partition 4 never writes a record.
+    stores = {pid: WalReorgStateStore(engine, pid) for pid in (1, 2, 3, 4)}
+    for pid in (1, 2, 3):
+        user_txn()
+        stores[pid].save(_base(log.last_lsn, order=[a, b]))
+    for pid in (3, 1, 2, 1):
+        user_txn()
+        stores[pid].save(ReorgDelta(parents={b: {a}}, mapping={a: c},
+                                    log_lsn=log.last_lsn))
+    stores[2].clear()
+    user_txn()
+    log.flush_now()
+    # The crash tears partition 1's newest record off the durable log.
+    stores[1].save(ReorgDelta(parents={}, mapping={b: c},
+                              log_lsn=log.last_lsn))
+    user_txn()
+    rebuilt = LogManager.from_durable(
+        sim, Resource(sim, name="log-disk"), 8.0,
+        log.durable_bytes() + log.torn_tail_fragment(
+            random.Random(tear_seed)))
+    assert rebuilt.tail_truncated
+
+    for current in (log, rebuilt):
+        progress = [lsn for lsn in range(current.last_lsn, 0, -1)
+                    if current.read(lsn).kind == KIND_REORG_PROGRESS]
+        assert list(current.newest_of_kind(KIND_REORG_PROGRESS)) == progress
+        engine.log = current
+        for pid, store in stores.items():
+            found = store.latest_record()
+            expected = _latest_by_full_decode(current, pid)
+            assert found == expected
+            assert (found and found.lsn) == (expected and expected.lsn)
+    assert stores[2].latest_record().is_tombstone
+    assert stores[4].latest_record() is None
+    assert rebuilt.last_lsn < log.last_lsn
+    # The rebuilt log's newest partition-1 record is the one before the
+    # torn delta.
+    assert _latest_by_full_decode(rebuilt, 1).lsn < \
+        _latest_by_full_decode(log, 1).lsn
 
 
 # -- (d) size ----------------------------------------------------------------------

@@ -13,7 +13,7 @@ from repro.config import ServeConfig, SystemConfig, WorkloadConfig
 from repro.database import Database
 from repro.serve import (AdmissionQueue, Request, ServingLayer,
                          ZipfPartitions, interarrival_ms, rate_at)
-from repro.sim import Simulator
+from repro.sim import Delay, Simulator
 
 
 # -- arrival processes --------------------------------------------------------
@@ -116,6 +116,115 @@ def test_admission_queue_wakes_blocked_consumer():
     sim.call_later(25.0, lambda: queue.put(_request(9, now=25.0)))
     sim.run()
     assert got == [(9, 25.0)]
+
+
+# -- hand-off: one wake-up per arrival -----------------------------------------
+
+def _consumers(sim, queue, idle_at, service_ms=5.0):
+    """Consumer ``i`` first asks for work at ``idle_at[i]`` ms, and holds
+    each request for ``service_ms`` (a server never re-idles in the
+    instant it popped).  Returns the log of ``(consumer, request_id or
+    None, now)`` and the processes."""
+    served = []
+
+    def consumer(index):
+        yield Delay(idle_at[index])
+        while True:
+            request = yield from queue.get()
+            served.append((index, request and request.request_id, sim.now))
+            if request is None:
+                return
+            yield Delay(service_ms)
+
+    procs = [sim.spawn(consumer(index), name=f"consumer-{index}")
+             for index in range(len(idle_at))]
+    return served, procs
+
+
+def test_one_put_resumes_one_of_thirty_idle_consumers():
+    sim = Simulator()
+    queue = AdmissionQueue(sim, depth=4)
+    served, _ = _consumers(sim, queue, [0.0] * 30)
+    sim.call_later(10.0, lambda: queue.put(_request(1, now=10.0)))
+    sim.run(until=9.0)
+    before = sim.counters()["events_dispatched"]
+    sim.run(until=10.0)
+    # The put's own callback plus exactly one consumer resume — a
+    # broadcast to every idle consumer would dispatch 1 + 30.
+    assert sim.counters()["events_dispatched"] - before == 2
+    assert served == [(0, 1, 10.0)]
+
+
+def test_idle_consumers_are_served_in_the_order_they_went_idle():
+    sim = Simulator()
+    queue = AdmissionQueue(sim, depth=8)
+    # Spawned 0..4, idle 4, 3, 2, 1, 0.
+    served, _ = _consumers(sim, queue, [5.0, 4.0, 3.0, 2.0, 1.0])
+    for n in range(6):
+        sim.call_later(10.0 + 10.0 * n,
+                       lambda n=n: queue.put(_request(n, now=sim.now)))
+    sim.run(until=100.0)
+    # A served consumer re-idles behind everyone already waiting.
+    assert [index for index, _, _ in served] == [4, 3, 2, 1, 0, 4]
+
+
+def test_close_wakes_every_idle_consumer_after_the_queue_drains():
+    sim = Simulator()
+    queue = AdmissionQueue(sim, depth=8)
+    served, procs = _consumers(sim, queue, [0.0] * 5)
+
+    def burst():
+        queue.put(_request(1, now=sim.now))
+        queue.put(_request(2, now=sim.now))
+        queue.close()
+
+    sim.call_later(10.0, burst)
+    sim.run()
+    assert not any(proc.alive for proc in procs)
+    by_consumer = {index: [rid for i, rid, _ in served if i == index]
+                   for index in range(5)}
+    assert by_consumer == {0: [1, None], 1: [2, None], 2: [None],
+                           3: [None], 4: [None]}
+    # No None was handed out while a request still waited.
+    assert [rid for _, rid, _ in served[:2]] == [1, 2]
+
+
+def test_consumer_finishing_at_the_put_instant_takes_the_request():
+    sim = Simulator()
+    queue = AdmissionQueue(sim, depth=8)
+    # Scheduled before any consumer's first Delay: at t=10 the put runs
+    # first, then consumer 2's own wake-up (it was busy until t=10) —
+    # ahead of the resume the put scheduled for consumer 0.
+    sim.call_later(10.0, lambda: queue.put(_request(1, now=sim.now)))
+    sim.call_later(12.0, lambda: queue.put(_request(2, now=sim.now)))
+    served, _ = _consumers(sim, queue, [0.0, 1.0, 10.0])
+    sim.run(until=50.0)
+    # Consumer 2 took the first request; consumer 0, woken for nothing,
+    # went back to the head of the idle FIFO (ahead of consumer 1) and
+    # serves the next put.
+    assert served[:2] == [(2, 1, 10.0), (0, 2, 12.0)]
+
+
+@pytest.mark.parametrize("killed_after_wake", [False, True])
+def test_killed_idle_consumer_never_swallows_a_put(killed_after_wake):
+    sim = Simulator()
+    queue = AdmissionQueue(sim, depth=8)
+    served, procs = _consumers(sim, queue, [0.0, 1.0])
+
+    def arrive():
+        queue.put(_request(1, now=sim.now))
+        if killed_after_wake:
+            # Woken by this very put, dead before it could pop.
+            procs[0].kill()
+
+    if not killed_after_wake:
+        sim.call_later(5.0, procs[0].kill)
+    sim.call_later(10.0, arrive)
+    sim.run(until=50.0)
+    # The next live idle consumer got it at the put instant; nothing
+    # waits behind the corpse.
+    assert served == [(1, 1, 10.0)]
+    assert len(queue) == 0
 
 
 # -- the serving layer end to end --------------------------------------------

@@ -119,11 +119,39 @@ def test_fleet_reorganizes_all_claims_without_faults(run_fleet):
     assert all(not monitor.violations for monitor in monitors)
 
 
-def test_chaos_kill_mid_ira_takeover_resumes_from_wal(run_fleet):
+def _count_reap_scans(monkeypatch):
+    """Count ``TransactionTable.scan`` calls made by the fleet module
+    (its reaper) only — resume's roll-forward scans are not counted."""
+    from repro.serve import fleet as fleet_module
+    real = fleet_module.TransactionTable
+    calls = []
+
+    class CountingTable:
+        @staticmethod
+        def scan(log):
+            calls.append(log.last_lsn)
+            return real.scan(log)
+
+    monkeypatch.setattr(fleet_module, "TransactionTable", CountingTable)
+    return calls
+
+
+def test_clean_claims_decode_no_log_to_reap(run_fleet, monkeypatch):
+    scans = _count_reap_scans(monkeypatch)
+    _, fleet, _ = run_fleet()
+    assert sorted(fleet.completed) == [1, 2]
+    # No worker died, so no claim found an orphan to settle.
+    assert fleet.orphans_committed + fleet.orphans_aborted == 0
+    assert scans == []
+
+
+def test_chaos_kill_mid_ira_takeover_resumes_from_wal(run_fleet,
+                                                      monkeypatch):
     """The satellite: kill worker-0 mid-reorganization."""
     twin_db, twin_fleet, _ = run_fleet(kill_at=None)
     twin_signature = graph_signature(twin_db.engine)
 
+    scans = _count_reap_scans(monkeypatch)
     db, fleet, monitors = run_fleet(kill_at=300.0)
     # The lease expired and the survivor took the partition over —
     # exactly once; no partition was ever worked twice concurrently.
@@ -133,6 +161,8 @@ def test_chaos_kill_mid_ira_takeover_resumes_from_wal(run_fleet):
     # in-flight system transactions.
     assert fleet.resumes >= 1
     assert fleet.orphans_committed + fleet.orphans_aborted >= 1
+    # Settling them needed the log's commit records.
+    assert scans
     assert sorted(fleet.completed) == [1, 2]
     assert db.verify_integrity().ok
     # §4.2: every incarnation, including the killed one, held at most
