@@ -157,6 +157,47 @@ def test_delta_codec_round_trip():
     assert decode_reorg_state(encoded) == base
 
 
+#: A base and two deltas (one mid two-lock migration) with the bytes they
+#: encode to: sets and maps go on the wire sorted, so the bytes are a
+#: function of the state alone.
+_A, _B, _C, _D = Oid(1, 2, 3), Oid(1, 2, 4), Oid(1, 5, 0), Oid(1, 9, 1)
+GOLDEN_STATES = {
+    "base": (
+        ReorgState(algorithm="ira-2lock", partition_id=1, order=[_C, _A, _B],
+                   parents={_A: {_C, _B}, _C: set()}, mapping={_A: _D},
+                   migrated={_A}, allocated_at_traversal={_B, _A, _C},
+                   log_lsn=77, in_progress=None, relocation_floor=4,
+                   trt_lsn=12),
+        "096972612d326c6f636b010000000c0000000000000003000000000005000000"
+        "0100030002000000010004000200000001000300000003000200000001000400"
+        "0200000001000000050000000100010000000300020000000100020000000300"
+        "0200000001000200000004000200000001000000050000000100000005000000"
+        "0100000000000100000003000200000001000100090000000100"
+        "4d000000000000000004000000"),
+    "delta_in_progress": (
+        ReorgDelta(parents={_B: {_D, _C}},
+                   mapping={_B: Oid(1, 9, 2), _C: Oid(1, 9, 3)}, log_lsn=90,
+                   in_progress=(_B, Oid(1, 9, 2)), relocation_floor=5),
+        "0100000004000200000001000200000000000500000001000100090000000100"
+        "0200000004000200000001000200090000000100000005000000010003000900"
+        "000001005a00000000000000010400020000000100020009000000010005000000"),
+    "delta": (
+        ReorgDelta(parents={}, mapping={}, log_lsn=91, in_progress=None,
+                   relocation_floor=5),
+        "00000000000000005b000000000000000005000000"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_STATES))
+def test_golden_state_bytes(name):
+    state, hexed = GOLDEN_STATES[name]
+    encoded = bytes.fromhex(hexed)
+    assert encode_reorg_state(state) == encoded
+    decode = (decode_reorg_state if isinstance(state, ReorgState)
+              else decode_reorg_delta)
+    assert decode(encoded) == state
+
+
 # -- (b) torn tail -----------------------------------------------------------------
 
 

@@ -13,12 +13,18 @@ from repro.wal import (
     CommitRecord,
     EndRecord,
     FLAG_SYSTEM_TXN,
+    LogRecord,
     ObjCreateRecord,
     ObjDeleteRecord,
     PayloadUpdateRecord,
     RefUpdateRecord,
+    ReorgProgressRecord,
+    TpcDecisionRecord,
+    TpcEndRecord,
+    TpcPrepareRecord,
     decode_record,
 )
+from repro.wal.records import MergeInstallRecord, TailDeltaRecord
 
 oids = st.builds(Oid,
                  st.integers(min_value=0, max_value=100),
@@ -28,10 +34,161 @@ maybe_oids = st.one_of(st.none(), oids)
 tids = st.integers(min_value=0, max_value=2**32)
 lsns = st.integers(min_value=0, max_value=2**40)
 payloads = st.binary(max_size=200)
+u8s = st.integers(min_value=0, max_value=2**8 - 1)
+u16s = st.integers(min_value=0, max_value=2**16 - 1)
+u64s = st.integers(min_value=0, max_value=2**64 - 1)
+gids = st.text(max_size=24)
+short = dict(max_size=6)
+
+#: One record of every kind with non-trivial field values, and the bytes
+#: it encodes to.  The WAL is the recovery contract: these bytes may
+#: never change.
+_INNER = RefUpdateRecord(25, 0, parent=Oid(1, 2, 3), slot=1,
+                         old_child=Oid(5, 5, 5), new_child=None)
+GOLDEN = {
+    "begin": (
+        BeginRecord(0x0102030405, 77, flags=FLAG_SYSTEM_TXN,
+                    reorg_partition=3),
+        "0105040302010000004d00000000000000010300"),
+    "commit": (CommitRecord(11, 0x1234),
+               "020b000000000000003412000000000000"),
+    "abort": (AbortRecord(13, 14), "030d000000000000000e00000000000000"),
+    "end": (EndRecord(15, 16), "040f000000000000001000000000000000"),
+    "obj_create": (
+        ObjCreateRecord(21, 20, oid=Oid(2, 0x10203, 7), image=b"\x00img\xff"),
+        "0515000000000000001400000000000000070003020100020005000000"
+        "00696d67ff"),
+    "obj_delete": (
+        ObjDeleteRecord(22, 21, oid=Oid(1, 5, 6), before_image=b"old"),
+        "0616000000000000001500000000000000060005000000010003000000"
+        "6f6c64"),
+    "payload_update": (
+        PayloadUpdateRecord(23, 22, oid=Oid(3, 4, 5), offset=17,
+                            before=b"ab", after=b"xyz"),
+        "0717000000000000001600000000000000050004000000030011000000"
+        "02000000616203000000" "78797a"),
+    "ref_update": (
+        RefUpdateRecord(24, 23, parent=Oid(1, 2, 3), slot=9,
+                        old_child=None, new_child=Oid(2, 3, 4)),
+        "08180000000000000017000000000000000300020000000100"
+        "0900ffffffffffffffff0400030000000200"),
+    "clr": (
+        ClrRecord(25, 24, undo_next_lsn=8, undone_lsn=23,
+                  action=_INNER.encode()),
+        "091900000000000000180000000000000008000000000000001700000000"
+        "0000002b0000000819000000000000000000000000000000030002000000"
+        "010001000500050000000500ffffffffffffffff"),
+    "checkpoint": (
+        CheckpointRecord(0, 0, snapshot_id=3,
+                         active_txns=((4, 100), (7, 200))),
+        "0a0000000000000000000000000000000003000000000000000200000004"
+        "0000000000000064000000000000000700000000000000c800000000000000"),
+    "reorg_progress": (
+        ReorgProgressRecord(0, 41, partition_id=2, algorithm="ira-2lock",
+                            state=b"\x01\x02\x03"),
+        "0b000000000000000029000000000000000200090000006972612d326c6f63"
+        "6b03000000010203"),
+    "tpc_prepare": (
+        TpcPrepareRecord(9, 40, gid="n0/t9/m3", coordinator=2),
+        "0c09000000000000002800000000000000080000006e302f74392f6d33"
+        "0200"),
+    "tpc_decision": (
+        TpcDecisionRecord(4, 10, gid="g1", commit=True),
+        "0d04000000000000000a0000000000000002000000673101"),
+    "tpc_end": (
+        TpcEndRecord(4, 11, gid="g1"),
+        "0e04000000000000000b00000000000000020000006731"),
+    "tail_delta": (
+        TailDeltaRecord(0, 0, commit_ts=55,
+                        writes=((Oid(1, 2, 3), b"v1"), (Oid(1, 2, 4), b""))),
+        "0f0000000000000000000000000000000037000000000000000200000003"
+        "00020000000100020000007631040002000000010000000000"),
+    "merge_install": (
+        MergeInstallRecord(0, 0, owner_tid=31, partition_id=1, merge_ts=56,
+                           flips=((Oid(1, 2, 3), Oid(1, 9, 0)),),
+                           frees=(Oid(1, 2, 3), Oid(1, 2, 4))),
+        "10000000000000000000000000000000001f00000000000000010038000000"
+        "00000000010000000300020000000100000009000000010002000000"
+        "03000200000001000400020000000100"),
+}
+
+#: One strategy per record kind; every field ranges over its whole
+#: encodable domain.
+RECORDS = {
+    BeginRecord: st.builds(BeginRecord, u64s, u64s, flags=u8s,
+                           reorg_partition=u16s),
+    CommitRecord: st.builds(CommitRecord, u64s, u64s),
+    AbortRecord: st.builds(AbortRecord, u64s, u64s),
+    EndRecord: st.builds(EndRecord, u64s, u64s),
+    ObjCreateRecord: st.builds(ObjCreateRecord, u64s, u64s, oid=maybe_oids,
+                               image=payloads),
+    ObjDeleteRecord: st.builds(ObjDeleteRecord, u64s, u64s, oid=maybe_oids,
+                               before_image=payloads),
+    PayloadUpdateRecord: st.builds(
+        PayloadUpdateRecord, u64s, u64s, oid=maybe_oids,
+        offset=st.integers(min_value=0, max_value=2**32 - 1),
+        before=payloads, after=payloads),
+    RefUpdateRecord: st.builds(RefUpdateRecord, u64s, u64s,
+                               parent=maybe_oids, slot=u16s,
+                               old_child=maybe_oids, new_child=maybe_oids),
+    ClrRecord: st.builds(ClrRecord, u64s, u64s, undo_next_lsn=u64s,
+                         undone_lsn=u64s, action=payloads),
+    CheckpointRecord: st.builds(
+        CheckpointRecord, u64s, u64s, snapshot_id=u64s,
+        active_txns=st.lists(st.tuples(u64s, u64s), **short).map(tuple)),
+    ReorgProgressRecord: st.builds(ReorgProgressRecord, u64s, u64s,
+                                   partition_id=u16s, algorithm=gids,
+                                   state=payloads),
+    TpcPrepareRecord: st.builds(TpcPrepareRecord, u64s, u64s, gid=gids,
+                                coordinator=u16s),
+    TpcDecisionRecord: st.builds(TpcDecisionRecord, u64s, u64s, gid=gids,
+                                 commit=st.booleans()),
+    TpcEndRecord: st.builds(TpcEndRecord, u64s, u64s, gid=gids),
+    TailDeltaRecord: st.builds(
+        TailDeltaRecord, u64s, u64s, commit_ts=u64s,
+        writes=st.lists(st.tuples(maybe_oids, payloads),
+                        **short).map(tuple)),
+    MergeInstallRecord: st.builds(
+        MergeInstallRecord, u64s, u64s, owner_tid=u64s, partition_id=u16s,
+        merge_ts=u64s,
+        flips=st.lists(st.tuples(maybe_oids, maybe_oids), **short).map(tuple),
+        frees=st.lists(maybe_oids, **short).map(tuple)),
+}
+any_record = st.one_of(*RECORDS.values())
 
 
 def roundtrip(record):
     return decode_record(record.encode(), lsn=9)
+
+
+def test_golden_and_strategies_cover_every_kind():
+    kinds = set(LogRecord.__subclasses__())
+    assert {type(record) for record, _ in GOLDEN.values()} == kinds
+    assert set(RECORDS) == kinds
+    assert sorted(bytes.fromhex(hexed)[0] for _, hexed in GOLDEN.values()) \
+        == list(range(1, 17))
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_golden_bytes(name):
+    record, hexed = GOLDEN[name]
+    encoded = bytes.fromhex(hexed)
+    assert record.encode() == encoded
+    decoded = decode_record(encoded, lsn=5)
+    assert type(decoded) is type(record)
+    assert decoded == record and decoded.lsn == 5
+
+
+@pytest.mark.parametrize("kind", sorted(RECORDS, key=lambda cls: cls.__name__),
+                         ids=lambda cls: cls.__name__)
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_every_kind_roundtrips(kind, data):
+    record = data.draw(RECORDS[kind])
+    decoded = roundtrip(record)
+    assert type(decoded) is kind
+    assert decoded == record
+    assert decoded.encode() == record.encode()
 
 
 def test_begin_roundtrip_and_flags():
