@@ -41,7 +41,6 @@ suffix like everything else.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Set, Tuple, Union
 
@@ -49,12 +48,8 @@ from ..errors import ReorganizationError
 from ..refs import LogAnalyzer, TemporaryReferenceTable
 from ..storage.oid import Oid
 from ..wal import ReorgProgressRecord, TransactionTable
-from ..wal.records import KIND_REF_UPDATE, KIND_REORG_PROGRESS
-
-_U8 = struct.Struct("<B")
-_U32 = struct.Struct("<I")
-_U64 = struct.Struct("<Q")
-_OID_PAIR = struct.Struct("<QQ")
+from ..wal.records import (KIND_REF_UPDATE, KIND_REORG_PROGRESS, OID, U8,
+                           U32, U64, Blob, Layout, ListOf, Maybe, Shape)
 
 
 @dataclass
@@ -130,103 +125,41 @@ class ReorgStateStore:
 
 # -- WAL-carried checkpoints --------------------------------------------------
 
-def _pack_oid_list(oids) -> List[bytes]:
-    """Count-prefixed OIDs in the order given (pass sets sorted)."""
-    parts = [_U32.pack(len(oids))]
-    parts.extend(_U64.pack(oid.pack()) for oid in oids)
-    return parts
-
-
-def _unpack_oid_list(data: bytes, offset: int) -> Tuple[List[Oid], int]:
-    (count,) = _U32.unpack_from(data, offset)
-    offset += _U32.size
-    end = offset + count * _U64.size
-    return [Oid.unpack(packed) for (packed,) in
-            _U64.iter_unpack(data[offset:end])], end
+#: What a delta carries; a base carries the same fields holding the whole
+#: state.  Sets and maps go on the wire sorted.
+_CHANGES = (
+    ("parents", ListOf(Layout(OID, ListOf(OID, into=set, sort=True)),
+                       into=dict, sort=True)),
+    ("mapping", ListOf(Layout(OID, OID), into=dict, sort=True)),
+    ("log_lsn", U64),
+    ("in_progress", Maybe(Layout(OID, OID))),
+    ("relocation_floor", U32),
+)
+_DELTA = Shape(*_CHANGES)
+#: A base: the plan header, then the changes.
+_BASE = Shape(
+    ("algorithm", Blob(U8, text=True)),
+    ("partition_id", U32),
+    ("trt_lsn", U64),
+    ("order", ListOf(OID, into=list)),
+    ("allocated_at_traversal", ListOf(OID, into=set, sort=True)),
+    ("migrated", ListOf(OID, into=set, sort=True)),
+    *_CHANGES)
 
 
 def encode_reorg_state(state: Union[ReorgState, ReorgDelta]) -> bytes:
-    """Serialize a checkpoint for a WAL progress record.
-
-    One wire format: a delta is the changed fields; a base is the plan
-    header followed by the same fields holding the whole state.
-    """
-    parts: List[bytes] = []
-    if isinstance(state, ReorgState):
-        algorithm = state.algorithm.encode("utf-8")
-        parts += [_U8.pack(len(algorithm)), algorithm,
-                  _U32.pack(state.partition_id), _U64.pack(state.trt_lsn)]
-        parts += _pack_oid_list(state.order)
-        parts += _pack_oid_list(sorted(state.allocated_at_traversal))
-        parts += _pack_oid_list(sorted(state.migrated))
-    parts.append(_U32.pack(len(state.parents)))
-    for child in sorted(state.parents):
-        parts.append(_U64.pack(child.pack()))
-        parts += _pack_oid_list(sorted(state.parents[child]))
-    parts.append(_U32.pack(len(state.mapping)))
-    for old in sorted(state.mapping):
-        parts.append(_OID_PAIR.pack(old.pack(), state.mapping[old].pack()))
-    parts.append(_U64.pack(state.log_lsn))
-    if state.in_progress is None:
-        parts.append(_U8.pack(0))
-    else:
-        old, new = state.in_progress
-        parts.append(_U8.pack(1))
-        parts.append(_OID_PAIR.pack(old.pack(), new.pack()))
-    parts.append(_U32.pack(state.relocation_floor))
-    return b"".join(parts)
-
-
-def _decode_changes(data: bytes, offset: int) -> dict:
-    """The fields a delta and a base share, as constructor keywords."""
-    (parent_count,) = _U32.unpack_from(data, offset)
-    offset += _U32.size
-    parents: Dict[Oid, Set[Oid]] = {}
-    for _ in range(parent_count):
-        (packed,) = _U64.unpack_from(data, offset)
-        plist, offset = _unpack_oid_list(data, offset + _U64.size)
-        parents[Oid.unpack(packed)] = set(plist)
-    (map_count,) = _U32.unpack_from(data, offset)
-    offset += _U32.size
-    mapping: Dict[Oid, Oid] = {}
-    for _ in range(map_count):
-        old, new = _OID_PAIR.unpack_from(data, offset)
-        offset += _OID_PAIR.size
-        mapping[Oid.unpack(old)] = Oid.unpack(new)
-    (log_lsn,) = _U64.unpack_from(data, offset)
-    offset += _U64.size
-    (has_in_progress,) = _U8.unpack_from(data, offset)
-    offset += _U8.size
-    in_progress = None
-    if has_in_progress:
-        old, new = _OID_PAIR.unpack_from(data, offset)
-        offset += _OID_PAIR.size
-        in_progress = (Oid.unpack(old), Oid.unpack(new))
-    (relocation_floor,) = _U32.unpack_from(data, offset)
-    return dict(parents=parents, mapping=mapping, log_lsn=log_lsn,
-                in_progress=in_progress, relocation_floor=relocation_floor)
+    """Serialize a checkpoint for a WAL progress record."""
+    return (_BASE if isinstance(state, ReorgState) else _DELTA).encode(state)
 
 
 def decode_reorg_delta(data: bytes) -> ReorgDelta:
     """Inverse of :func:`encode_reorg_state` for a :class:`ReorgDelta`."""
-    return ReorgDelta(**_decode_changes(data, 0))
+    return ReorgDelta(**dict(zip(_DELTA.names, _DELTA.decode(data))))
 
 
 def decode_reorg_state(data: bytes) -> ReorgState:
     """Inverse of :func:`encode_reorg_state` for a :class:`ReorgState`."""
-    (algo_len,) = _U8.unpack_from(data, 0)
-    offset = _U8.size
-    algorithm = data[offset:offset + algo_len].decode("utf-8")
-    offset += algo_len
-    (partition_id,) = _U32.unpack_from(data, offset)
-    (trt_lsn,) = _U64.unpack_from(data, offset + _U32.size)
-    order, offset = _unpack_oid_list(data, offset + _U32.size + _U64.size)
-    allocated, offset = _unpack_oid_list(data, offset)
-    migrated, offset = _unpack_oid_list(data, offset)
-    return ReorgState(algorithm=algorithm, partition_id=partition_id,
-                      trt_lsn=trt_lsn, order=order, migrated=set(migrated),
-                      allocated_at_traversal=set(allocated),
-                      **_decode_changes(data, offset))
+    return ReorgState(**dict(zip(_BASE.names, _BASE.decode(data))))
 
 
 class WalReorgStateStore(ReorgStateStore):

@@ -33,7 +33,7 @@ from typing import Any, Callable, Generator, Iterator, List, Optional, Tuple
 from ..config import RetryPolicy, SystemConfig
 from ..sim import Delay, Resource, Simulator
 from ..storage.errors import LogCorruptionError, TransientIOError
-from .records import LogRecord, decode_record
+from .records import KIND_BYTE, LogRecord, decode_record
 
 Subscriber = Callable[[LogRecord], None]
 
@@ -148,14 +148,14 @@ class LogManager:
     def newest_of_kind(self, kind: int) -> Iterator[int]:
         """LSNs of the ``kind`` records, newest first, decoding none.
 
-        Every encoding opens with its kind byte (the header all records
-        share), and every record was checked as it entered the log —
-        ``append`` encoded it, ``from_durable`` decoded it — so that byte
-        alone picks the records to read.
+        Every encoding keeps its kind at :data:`~.records.KIND_BYTE` of
+        the header all records share, and every record was checked as it
+        entered the log — ``append`` encoded it, ``from_durable`` decoded
+        it — so that byte alone picks the records to read.
         """
         encoded = self._encoded
         for index in range(len(encoded) - 1, -1, -1):
-            if encoded[index][0] == kind:
+            if encoded[index][KIND_BYTE] == kind:
                 yield index + 1
 
     # -- durability -----------------------------------------------------------

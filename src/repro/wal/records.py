@@ -1,4 +1,4 @@
-"""Log record types and their binary serialization.
+"""Log record types and the one binary codec they share.
 
 Transactions follow WAL (paper §2): the undo information is logged before
 an update is applied, and the redo information before the lock on the
@@ -9,31 +9,30 @@ sharing.
 Reference inserts and deletes are both expressed as ``RefUpdateRecord``
 (old child ``None`` → insert, new child ``None`` → delete), which is also
 the record the log analyzer mines to maintain the ERT and TRT (§3.3).
+
+Each record kind declares its layout once: every body field names its
+wire shape (:func:`wire`) from one vocabulary — fixed-width ints, a strict
+bool, OIDs, length-prefixed bytes and strings, counted lists, tuples and
+an optional — after the one :data:`HEADER`.  ``encode``,
+:func:`decode_record`, the kind registry and :data:`PHYSICAL_KINDS` derive
+from it, and :mod:`repro.core.checkpointing` lays out the reorganizer's
+progress state with the same shapes.  A run of fixed-width fields is one
+precompiled ``struct``.  Decoding consumes exactly the record's bytes, a
+bool is 0 or 1, and anything malformed raises :class:`LogCorruptionError`,
+so whatever decodes re-encodes to the bytes it came from.
 """
 
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
-from typing import Dict, Optional, Tuple
+from dataclasses import dataclass, field, fields
+from itertools import groupby
+from operator import attrgetter
+from typing import (Any, Callable, ClassVar, Dict, List, NamedTuple, Optional,
+                    Tuple)
 
 from ..storage.errors import LogCorruptionError
 from ..storage.oid import NULL_REF, Oid
-
-_U8 = struct.Struct("<B")
-_U16 = struct.Struct("<H")
-_U32 = struct.Struct("<I")
-_U64 = struct.Struct("<Q")
-# Combined packers for the hot paths: every appended record pays the
-# header, and PAYLOAD_UPDATE/REF_UPDATE dominate workload logging.  The
-# combined formats are concatenations of the original little-endian
-# fields ("<" disables padding), so the encoded bytes are identical.
-_HDR = struct.Struct("<BQQ")            # kind, tid, prev_lsn
-# Whole-record packers (header + body in one C call) for the record
-# kinds the workload appends constantly; same field-by-field layout.
-_BEGIN_FULL = struct.Struct("<BQQBH")   # hdr + flags, reorg_partition
-_REF_FULL = struct.Struct("<BQQQHQQ")   # hdr + parent, slot, old, new
-_PAYLOAD_FULL = struct.Struct("<BQQQII")  # hdr + oid, offset, len(before)
 
 KIND_BEGIN = 1
 KIND_COMMIT = 2
@@ -66,35 +65,235 @@ FLAG_SYSTEM_TXN = 0x01
 NO_REORG_PARTITION = 0xFFFF
 
 
-def _pack_oid(oid: Optional[Oid]) -> bytes:
-    return _U64.pack(NULL_REF if oid is None else oid.pack())
+# -- the field vocabulary ------------------------------------------------------
+# A shape encodes a value with ``put(value) -> bytes`` and reads one back
+# with ``take(data, offset) -> (value, end)``.
 
 
-def _unpack_oid(data: bytes, offset: int) -> Tuple[Optional[Oid], int]:
-    (packed,) = _U64.unpack_from(data, offset)
-    oid = None if packed == NULL_REF else Oid.unpack(packed)
-    return oid, offset + _U64.size
+class Fixed(NamedTuple):
+    """A fixed-width int (a ``struct`` code), mapped to and from the wire
+    by ``to_wire``/``from_wire`` when given."""
+
+    code: str
+    default: Any = 0
+    to_wire: Optional[Callable] = None
+    from_wire: Optional[Callable] = None
 
 
-def _pack_bytes(payload: bytes) -> bytes:
-    return _U32.pack(len(payload)) + payload
+def _strict_bool(byte: int) -> bool:
+    if byte > 1:
+        raise LogCorruptionError(f"bool byte {byte:#04x} is neither 0 nor 1")
+    return byte == 1
 
 
-def _unpack_bytes(data: bytes, offset: int) -> Tuple[bytes, int]:
-    (length,) = _U32.unpack_from(data, offset)
-    offset += _U32.size
-    if offset + length > len(data):
-        raise LogCorruptionError(
-            f"embedded blob of {length}B overruns the {len(data)}B record")
-    return data[offset:offset + length], offset + length
+U8, U16, U32, U64 = (Fixed(code) for code in "BHIQ")
+BOOL = Fixed("B", False, bool, _strict_bool)
+OID = Fixed("Q", None, Oid.pack, Oid.unpack)    # NULL_REF raises
+NULLABLE_OID = Fixed(
+    "Q", None, lambda oid: NULL_REF if oid is None else oid.pack(),
+    lambda packed: None if packed == NULL_REF else Oid.unpack(packed))
+_COUNT = struct.Struct("<" + U32.code)
+
+
+class _Run:
+    """Consecutive :class:`Fixed` fields, one precompiled struct; the
+    value is the tuple of theirs."""
+
+    def __init__(self, members) -> None:
+        self.struct = struct.Struct("<" + "".join(m.code for m in members))
+        self.to_wire = [(i, m.to_wire) for i, m in enumerate(members)
+                        if m.to_wire]
+        self.from_wire = [(i, m.from_wire) for i, m in enumerate(members)
+                          if m.from_wire]
+
+    def put(self, values) -> bytes:
+        if self.to_wire:
+            values = list(values)
+            for i, convert in self.to_wire:
+                values[i] = convert(values[i])
+        return self.struct.pack(*values)
+
+    def take(self, data: bytes, offset: int) -> Tuple[Any, int]:
+        values = self.struct.unpack_from(data, offset)
+        if self.from_wire:
+            values = list(values)
+            for i, convert in self.from_wire:
+                values[i] = convert(values[i])
+        return values, offset + self.struct.size
+
+
+class Blob:
+    """Bytes behind a length prefix of the given width; ``text``: UTF-8."""
+
+    def __init__(self, prefix: Fixed, text: bool = False) -> None:
+        self.prefix = struct.Struct("<" + prefix.code)
+        self.text, self.default = text, "" if text else b""
+
+    def put(self, value) -> bytes:
+        raw = value.encode("utf-8") if self.text else value
+        return self.prefix.pack(len(raw)) + raw
+
+    def take(self, data: bytes, offset: int) -> Tuple[Any, int]:
+        (length,) = self.prefix.unpack_from(data, offset)
+        start = offset + self.prefix.size
+        end = start + length
+        if end > len(data):
+            raise LogCorruptionError(
+                f"embedded blob of {length}B overruns the {len(data)}B record")
+        raw = data[start:end]
+        return (raw.decode("utf-8") if self.text else raw), end
+
+
+BYTES, TEXT = Blob(U32), Blob(U32, text=True)
+
+
+class ListOf:
+    """A u32 count, then the items, decoded into ``into``.  A dict goes on
+    the wire as its items; ``sort`` writes them sorted, so a set's or a
+    map's bytes are a function of its value alone."""
+
+    default: Any = ()
+
+    def __init__(self, item, into=tuple, sort: bool = False) -> None:
+        self.item, self.into, self.sort = item, into, sort
+
+    def put(self, value) -> bytes:
+        items = value.items() if isinstance(value, dict) else value
+        items = sorted(items) if self.sort else items
+        item = self.item
+        if isinstance(item, Fixed):     # the count and items: one C call
+            return struct.pack(f"<I{len(items)}{item.code}", len(items),
+                               *map(item.to_wire or int, items))
+        return _COUNT.pack(len(items)) + b"".join(map(item.put, items))
+
+    def take(self, data: bytes, offset: int) -> Tuple[Any, int]:
+        (count,) = _COUNT.unpack_from(data, offset)
+        offset += _COUNT.size
+        item = self.item
+        if isinstance(item, Fixed):
+            items = struct.Struct(f"<{count}{item.code}")
+            return (self.into(map(item.from_wire or int,
+                                  items.unpack_from(data, offset))),
+                    offset + items.size)
+        items = []
+        for _ in range(count):
+            each, offset = item.take(data, offset)
+            items.append(each)
+        return self.into(items), offset
+
+
+class Maybe:
+    """A flag byte (0 or 1), then the item when it is 1."""
+
+    default = None
+
+    def __init__(self, item) -> None:
+        self.item = item
+
+    def put(self, value) -> bytes:
+        return b"\x00" if value is None else b"\x01" + self.item.put(value)
+
+    def take(self, data: bytes, offset: int) -> Tuple[Any, int]:
+        if _strict_bool(data[offset]):
+            return self.item.take(data, offset + 1)
+        return None, offset + 1
+
+
+class Layout:
+    """Shapes back to back; the value is the tuple of theirs."""
+
+    default: Any = ()
+
+    def __init__(self, *members) -> None:
+        #: ``(shape, at)``: ``at`` is a member's index in the value, or the
+        #: slice of it a :class:`_Run` of :class:`Fixed` members packs.
+        self.steps: list = []
+        at = 0
+        for fixed, group in groupby(members, lambda m: isinstance(m, Fixed)):
+            group = list(group)
+            if fixed:
+                self.steps.append((_Run(group), slice(at, at + len(group))))
+            else:
+                self.steps += [(m, at + i) for i, m in enumerate(group)]
+            at += len(group)
+
+    def put(self, values) -> bytes:
+        return b"".join([shape.put(values[at]) for shape, at in self.steps])
+
+    def take(self, data: bytes, offset: int) -> Tuple[Any, int]:
+        values: list = []
+        for shape, at in self.steps:
+            value, offset = shape.take(data, offset)
+            if at.__class__ is slice:
+                values += value
+            else:
+                values.append(value)
+        return tuple(values), offset
+
+
+class Shape:
+    """Named shapes: the codec of an object's attributes of those names."""
+
+    def __init__(self, *named: Tuple[str, Any]) -> None:
+        self.names = tuple(name for name, _ in named)
+        self.layout = Layout(*(shape for _, shape in named))
+        self._values = attrgetter(*self.names)
+        (first, at), *rest = self.layout.steps
+        #: The one struct of an all-fixed-width shape, else the layout.
+        self.body = first if not rest and at.__class__ is slice \
+            else self.layout
+
+    def encode(self, obj) -> bytes:
+        return self.body.put(self._values(obj))
+
+    def decode(self, data: bytes) -> tuple:
+        """The values in exactly ``data``, else :class:`LogCorruptionError`."""
+        try:
+            values, end = self.body.take(data, 0)
+        except (struct.error, ValueError, IndexError) as exc:
+            raise LogCorruptionError(
+                f"malformed {len(data)}B encoding: {exc}") from exc
+        if end != len(data):
+            raise LogCorruptionError(
+                f"{len(data) - end} trailing bytes after a {end}B encoding")
+        return values
+
+
+# -- records ----------------------------------------------------------------------
+
+#: The header every encoding opens with, declared once.
+HEADER = (("kind", U8), ("tid", U64), ("prev_lsn", U64))
+#: Byte offset of the kind: the header's first field.
+KIND_BYTE = 0
+
+_BY_KIND: Dict[int, type] = {}
+
+
+def wire(shape, default: Any = None):
+    """A record field carried in the body as ``shape``."""
+    return field(default=shape.default if default is None else default,
+                 metadata={"wire": shape})
+
+
+def record(kind: int, physical: bool = False):
+    """Declare record kind ``kind``: a dataclass whose ``wire`` fields, in
+    order, are its body.  A ``physical`` kind is a page change."""
+    def declare(cls):
+        cls = dataclass(unsafe_hash=True)(cls)
+        cls.kind, cls.physical = kind, physical
+        cls.shape = Shape(*HEADER, *((f.name, f.metadata["wire"])
+                                     for f in fields(cls) if f.metadata))
+        _BY_KIND[kind] = cls
+        return cls
+    return declare
 
 
 @dataclass(unsafe_hash=True)
 class LogRecord:
     """Base class; ``lsn`` is stamped by the log manager at append time.
 
-    Records are immutable by convention (only :meth:`with_lsn` writes to
-    one, exactly once).  They are deliberately *not* ``frozen=True``
+    Records are immutable by convention (only the log manager writes
+    ``lsn``, exactly once).  They are deliberately *not* ``frozen=True``
     dataclasses: the frozen ``__init__`` pays an ``object.__setattr__``
     per field, and record construction brackets every logged update on
     the benchmark's hottest path.  ``unsafe_hash=True`` keeps them
@@ -103,27 +302,20 @@ class LogRecord:
 
     tid: int
     prev_lsn: int
-    lsn: int = field(default=0, compare=False)
+    lsn: int = field(default=0, compare=False, kw_only=True)
 
-    kind: int = 0  # overridden per subclass
+    kind: ClassVar[int]
+    physical: ClassVar[bool]
+    shape: ClassVar[Shape]
 
     def encode(self) -> bytes:
-        return _HDR.pack(self.kind, self.tid, self.prev_lsn) + \
-            self._encode_body()
-
-    def _encode_body(self) -> bytes:
-        return b""
-
-    def with_lsn(self, lsn: int) -> "LogRecord":
-        self.lsn = lsn
-        return self
+        return self.shape.encode(self)
 
 
-@dataclass(unsafe_hash=True)
+@record(KIND_BEGIN)
 class BeginRecord(LogRecord):
-    flags: int = 0
-    reorg_partition: int = NO_REORG_PARTITION
-    kind: int = KIND_BEGIN
+    flags: int = wire(U8)
+    reorg_partition: int = wire(U16, NO_REORG_PARTITION)
 
     @property
     def is_system(self) -> bool:
@@ -136,80 +328,57 @@ class BeginRecord(LogRecord):
             return None
         return self.reorg_partition
 
-    def encode(self) -> bytes:
-        return _BEGIN_FULL.pack(KIND_BEGIN, self.tid, self.prev_lsn,
-                                self.flags, self.reorg_partition)
 
-
-@dataclass(unsafe_hash=True)
+@record(KIND_COMMIT)
 class CommitRecord(LogRecord):
-    kind: int = KIND_COMMIT
-
-    def encode(self) -> bytes:
-        return _HDR.pack(KIND_COMMIT, self.tid, self.prev_lsn)
+    pass
 
 
-@dataclass(unsafe_hash=True)
+@record(KIND_ABORT)
 class AbortRecord(LogRecord):
-    kind: int = KIND_ABORT
-
-    def encode(self) -> bytes:
-        return _HDR.pack(KIND_ABORT, self.tid, self.prev_lsn)
+    pass
 
 
-@dataclass(unsafe_hash=True)
+@record(KIND_END)
 class EndRecord(LogRecord):
-    kind: int = KIND_END
-
-    def encode(self) -> bytes:
-        return _HDR.pack(KIND_END, self.tid, self.prev_lsn)
+    pass
 
 
-@dataclass(unsafe_hash=True)
+@record(KIND_OBJ_CREATE, physical=True)
 class ObjCreateRecord(LogRecord):
     """A new object materialized at ``oid`` with the given full image."""
 
-    oid: Oid = None  # type: ignore[assignment]
-    image: bytes = b""
-    kind: int = KIND_OBJ_CREATE
-
-    def _encode_body(self) -> bytes:
-        return _pack_oid(self.oid) + _pack_bytes(self.image)
+    oid: Oid = wire(NULLABLE_OID)
+    image: bytes = wire(BYTES)
 
 
-@dataclass(unsafe_hash=True)
+@record(KIND_OBJ_DELETE, physical=True)
 class ObjDeleteRecord(LogRecord):
     """An object freed; ``before_image`` allows undo to recreate it."""
 
-    oid: Oid = None  # type: ignore[assignment]
-    before_image: bytes = b""
-    kind: int = KIND_OBJ_DELETE
-
-    def _encode_body(self) -> bytes:
-        return _pack_oid(self.oid) + _pack_bytes(self.before_image)
+    oid: Oid = wire(NULLABLE_OID)
+    before_image: bytes = wire(BYTES)
 
 
-@dataclass(unsafe_hash=True)
+@record(KIND_PAYLOAD_UPDATE, physical=True)
 class PayloadUpdateRecord(LogRecord):
     """In-place payload bytes overwrite: before/after images at an offset."""
 
-    oid: Oid = None  # type: ignore[assignment]
-    offset: int = 0
-    before: bytes = b""
-    after: bytes = b""
-    kind: int = KIND_PAYLOAD_UPDATE
+    oid: Oid = wire(NULLABLE_OID)
+    offset: int = wire(U32)
+    before: bytes = wire(BYTES)
+    after: bytes = wire(BYTES)
 
     def encode(self) -> bytes:
-        before = self.before
-        after = self.after
-        return (_PAYLOAD_FULL.pack(
-                    KIND_PAYLOAD_UPDATE, self.tid, self.prev_lsn,
-                    NULL_REF if self.oid is None else self.oid.pack(),
-                    self.offset, len(before))
-                + before + _U32.pack(len(after)) + after)
+        oid, before, after = self.oid, self.before, self.after
+        return (_PAYLOAD.pack(KIND_PAYLOAD_UPDATE, self.tid, self.prev_lsn,
+                              NULL_REF if oid is None else oid.pack(),
+                              self.offset)
+                + _BLOB_LENGTH.pack(len(before)) + before
+                + _BLOB_LENGTH.pack(len(after)) + after)
 
 
-@dataclass(unsafe_hash=True)
+@record(KIND_REF_UPDATE, physical=True)
 class RefUpdateRecord(LogRecord):
     """Reference slot ``slot`` of ``parent`` changed old_child → new_child.
 
@@ -218,22 +387,13 @@ class RefUpdateRecord(LogRecord):
     both non-None          → an atomic re-point (delete + insert).
     """
 
-    parent: Oid = None  # type: ignore[assignment]
-    slot: int = 0
-    old_child: Optional[Oid] = None
-    new_child: Optional[Oid] = None
-    kind: int = KIND_REF_UPDATE
-
-    def encode(self) -> bytes:
-        return _REF_FULL.pack(
-            KIND_REF_UPDATE, self.tid, self.prev_lsn,
-            NULL_REF if self.parent is None else self.parent.pack(),
-            self.slot,
-            NULL_REF if self.old_child is None else self.old_child.pack(),
-            NULL_REF if self.new_child is None else self.new_child.pack())
+    parent: Oid = wire(NULLABLE_OID)
+    slot: int = wire(U16)
+    old_child: Optional[Oid] = wire(NULLABLE_OID)
+    new_child: Optional[Oid] = wire(NULLABLE_OID)
 
 
-@dataclass(unsafe_hash=True)
+@record(KIND_CLR)
 class ClrRecord(LogRecord):
     """Compensation record: the redo-only action performed by an undo step.
 
@@ -244,20 +404,15 @@ class ClrRecord(LogRecord):
     REF_UPDATE) describing what the undo did.
     """
 
-    undo_next_lsn: int = 0
-    undone_lsn: int = 0
-    action: bytes = b""
-    kind: int = KIND_CLR
-
-    def _encode_body(self) -> bytes:
-        return (_U64.pack(self.undo_next_lsn) + _U64.pack(self.undone_lsn)
-                + _pack_bytes(self.action))
+    undo_next_lsn: int = wire(U64)
+    undone_lsn: int = wire(U64)
+    action: bytes = wire(BYTES)
 
     def decode_action(self) -> LogRecord:
         return decode_record(self.action)
 
 
-@dataclass(unsafe_hash=True)
+@record(KIND_CHECKPOINT)
 class CheckpointRecord(LogRecord):
     """Sharp checkpoint marker.
 
@@ -266,22 +421,14 @@ class CheckpointRecord(LogRecord):
     transaction to its last LSN so analysis can seed the transaction table.
     """
 
-    snapshot_id: int = 0
-    active_txns: Tuple[Tuple[int, int], ...] = ()
-    kind: int = KIND_CHECKPOINT
-
-    def _encode_body(self) -> bytes:
-        parts = [_U64.pack(self.snapshot_id), _U32.pack(len(self.active_txns))]
-        for txn_tid, last_lsn in self.active_txns:
-            parts.append(_U64.pack(txn_tid))
-            parts.append(_U64.pack(last_lsn))
-        return b"".join(parts)
+    snapshot_id: int = wire(U64)
+    active_txns: Tuple[Tuple[int, int], ...] = wire(ListOf(Layout(U64, U64)))
 
     def active_txn_table(self) -> Dict[int, int]:
         return dict(self.active_txns)
 
 
-@dataclass(unsafe_hash=True)
+@record(KIND_REORG_PROGRESS)
 class ReorgProgressRecord(LogRecord):
     """Reorganizer progress checkpoint carried in the WAL (§4.4).
 
@@ -295,22 +442,16 @@ class ReorgProgressRecord(LogRecord):
     resume path reads these records back.
     """
 
-    partition_id: int = 0
-    algorithm: str = ""
-    state: bytes = b""
-    kind: int = KIND_REORG_PROGRESS
+    partition_id: int = wire(U16)
+    algorithm: str = wire(TEXT)
+    state: bytes = wire(BYTES)
 
     @property
     def is_tombstone(self) -> bool:
         return not self.state
 
-    def _encode_body(self) -> bytes:
-        return (_U16.pack(self.partition_id)
-                + _pack_bytes(self.algorithm.encode("utf-8"))
-                + _pack_bytes(self.state))
 
-
-@dataclass(unsafe_hash=True)
+@record(KIND_TPC_PREPARE)
 class TpcPrepareRecord(LogRecord):
     """Participant branch of global transaction ``gid`` voted YES.
 
@@ -321,16 +462,11 @@ class TpcPrepareRecord(LogRecord):
     coordinator (``coordinator`` node id) resolves ``gid``.
     """
 
-    gid: str = ""
-    coordinator: int = 0
-    kind: int = KIND_TPC_PREPARE
-
-    def _encode_body(self) -> bytes:
-        return (_pack_bytes(self.gid.encode("utf-8"))
-                + _U16.pack(self.coordinator))
+    gid: str = wire(TEXT)
+    coordinator: int = wire(U16)
 
 
-@dataclass(unsafe_hash=True)
+@record(KIND_TPC_DECISION)
 class TpcDecisionRecord(LogRecord):
     """Coordinator's durable decision for global transaction ``gid``.
 
@@ -344,30 +480,21 @@ class TpcDecisionRecord(LogRecord):
     into the log (the decision *is* the commit point).
     """
 
-    gid: str = ""
-    commit: bool = False
-    kind: int = KIND_TPC_DECISION
-
-    def _encode_body(self) -> bytes:
-        return (_pack_bytes(self.gid.encode("utf-8"))
-                + _U8.pack(1 if self.commit else 0))
+    gid: str = wire(TEXT)
+    commit: bool = wire(BOOL)
 
 
-@dataclass(unsafe_hash=True)
+@record(KIND_TPC_END)
 class TpcEndRecord(LogRecord):
     """All participants acked the decision for ``gid``; the coordinator
     forgets the global transaction.  Lazy (never force-logged): losing
     it only costs a recovered coordinator a redundant resolution answer.
     """
 
-    gid: str = ""
-    kind: int = KIND_TPC_END
-
-    def _encode_body(self) -> bytes:
-        return _pack_bytes(self.gid.encode("utf-8"))
+    gid: str = wire(TEXT)
 
 
-@dataclass(unsafe_hash=True)
+@record(KIND_TAIL_DELTA)
 class TailDeltaRecord(LogRecord):
     """One MVCC commit's tail versions (:mod:`repro.mvcc`).
 
@@ -384,19 +511,12 @@ class TailDeltaRecord(LogRecord):
     chains.
     """
 
-    commit_ts: int = 0
-    writes: Tuple[Tuple[Oid, bytes], ...] = ()
-    kind: int = KIND_TAIL_DELTA
-
-    def _encode_body(self) -> bytes:
-        parts = [_U64.pack(self.commit_ts), _U32.pack(len(self.writes))]
-        for oid, image in self.writes:
-            parts.append(_pack_oid(oid))
-            parts.append(_pack_bytes(image))
-        return b"".join(parts)
+    commit_ts: int = wire(U64)
+    writes: Tuple[Tuple[Oid, bytes], ...] = wire(
+        ListOf(Layout(NULLABLE_OID, BYTES)))
 
 
-@dataclass(unsafe_hash=True)
+@record(KIND_MERGE_INSTALL)
 class MergeInstallRecord(LogRecord):
     """The merge reorganizer's atomic epoch flip (:mod:`repro.mvcc`).
 
@@ -410,168 +530,36 @@ class MergeInstallRecord(LogRecord):
     leaves the lineage untouched — the flip is atomic with the commit.
     """
 
-    owner_tid: int = 0
-    partition_id: int = 0
-    merge_ts: int = 0
-    flips: Tuple[Tuple[Oid, Oid], ...] = ()
-    frees: Tuple[Oid, ...] = ()
-    kind: int = KIND_MERGE_INSTALL
+    owner_tid: int = wire(U64)
+    partition_id: int = wire(U16)
+    merge_ts: int = wire(U64)
+    flips: Tuple[Tuple[Oid, Oid], ...] = wire(
+        ListOf(Layout(NULLABLE_OID, NULLABLE_OID)))
+    frees: Tuple[Oid, ...] = wire(ListOf(NULLABLE_OID))
 
-    def _encode_body(self) -> bytes:
-        parts = [_U64.pack(self.owner_tid), _U16.pack(self.partition_id),
-                 _U64.pack(self.merge_ts), _U32.pack(len(self.flips))]
-        for logical, physical in self.flips:
-            parts.append(_pack_oid(logical))
-            parts.append(_pack_oid(physical))
-        parts.append(_U32.pack(len(self.frees)))
-        for oid in self.frees:
-            parts.append(_pack_oid(oid))
-        return b"".join(parts)
+
+# PAYLOAD_UPDATE, the kind every logged update appends, packs with the
+# structs its layout compiled: one C call for the header and fixed fields.
+_PAYLOAD = PayloadUpdateRecord.shape.layout.steps[0][0].struct
+_BLOB_LENGTH = BYTES.prefix
+
+#: Record kinds that describe physical page changes (redo/undo-able).
+PHYSICAL_KINDS = frozenset(
+    kind for kind, cls in _BY_KIND.items() if cls.physical)
 
 
 def decode_record(data: bytes, lsn: int = 0) -> LogRecord:
     """Decode one encoded record (inverse of ``LogRecord.encode``).
 
-    Malformed bytes — truncated fields, blobs overrunning the record,
-    unknown kinds — raise :class:`LogCorruptionError` rather than letting
-    ``struct.error``/``IndexError`` escape, so callers can tell
-    corruption apart from implementation bugs.
+    The record must consume exactly ``data``; malformed bytes raise
+    :class:`LogCorruptionError`, never ``struct.error`` or ``IndexError``,
+    so callers can tell corruption apart from implementation bugs.
     """
     try:
-        return _decode_record(data, lsn)
-    except LogCorruptionError:
-        raise
-    except (struct.error, IndexError, UnicodeDecodeError) as exc:
+        cls = _BY_KIND[data[KIND_BYTE]]
+    except (IndexError, KeyError):
         raise LogCorruptionError(
-            f"malformed log record bytes ({len(data)}B): {exc}") from exc
-
-
-def _decode_record(data: bytes, lsn: int) -> LogRecord:
-    kind, tid, prev_lsn = _HDR.unpack_from(data, 0)
-    offset = _HDR.size
-    record: LogRecord
-    if kind == KIND_BEGIN:
-        (flags,) = _U8.unpack_from(data, offset)
-        (reorg_partition,) = _U16.unpack_from(data, offset + 1)
-        record = BeginRecord(tid, prev_lsn, flags=flags,
-                             reorg_partition=reorg_partition)
-    elif kind == KIND_COMMIT:
-        record = CommitRecord(tid, prev_lsn)
-    elif kind == KIND_ABORT:
-        record = AbortRecord(tid, prev_lsn)
-    elif kind == KIND_END:
-        record = EndRecord(tid, prev_lsn)
-    elif kind == KIND_OBJ_CREATE:
-        oid, offset = _unpack_oid(data, offset)
-        image, offset = _unpack_bytes(data, offset)
-        record = ObjCreateRecord(tid, prev_lsn, oid=oid, image=image)
-    elif kind == KIND_OBJ_DELETE:
-        oid, offset = _unpack_oid(data, offset)
-        image, offset = _unpack_bytes(data, offset)
-        record = ObjDeleteRecord(tid, prev_lsn, oid=oid, before_image=image)
-    elif kind == KIND_PAYLOAD_UPDATE:
-        oid, offset = _unpack_oid(data, offset)
-        (byte_offset,) = _U32.unpack_from(data, offset)
-        offset += _U32.size
-        before, offset = _unpack_bytes(data, offset)
-        after, offset = _unpack_bytes(data, offset)
-        record = PayloadUpdateRecord(tid, prev_lsn, oid=oid,
-                                     offset=byte_offset,
-                                     before=before, after=after)
-    elif kind == KIND_REF_UPDATE:
-        parent, offset = _unpack_oid(data, offset)
-        (slot,) = _U16.unpack_from(data, offset)
-        offset += _U16.size
-        old_child, offset = _unpack_oid(data, offset)
-        new_child, offset = _unpack_oid(data, offset)
-        record = RefUpdateRecord(tid, prev_lsn, parent=parent, slot=slot,
-                                 old_child=old_child, new_child=new_child)
-    elif kind == KIND_CLR:
-        (undo_next,) = _U64.unpack_from(data, offset)
-        offset += _U64.size
-        (undone,) = _U64.unpack_from(data, offset)
-        offset += _U64.size
-        action, offset = _unpack_bytes(data, offset)
-        record = ClrRecord(tid, prev_lsn, undo_next_lsn=undo_next,
-                           undone_lsn=undone, action=action)
-    elif kind == KIND_CHECKPOINT:
-        (snapshot_id,) = _U64.unpack_from(data, offset)
-        offset += _U64.size
-        (count,) = _U32.unpack_from(data, offset)
-        offset += _U32.size
-        actives = []
-        for _ in range(count):
-            (txn_tid,) = _U64.unpack_from(data, offset)
-            offset += _U64.size
-            (last_lsn,) = _U64.unpack_from(data, offset)
-            offset += _U64.size
-            actives.append((txn_tid, last_lsn))
-        record = CheckpointRecord(tid, prev_lsn, snapshot_id=snapshot_id,
-                                  active_txns=tuple(actives))
-    elif kind == KIND_REORG_PROGRESS:
-        (partition_id,) = _U16.unpack_from(data, offset)
-        offset += _U16.size
-        algorithm, offset = _unpack_bytes(data, offset)
-        state, offset = _unpack_bytes(data, offset)
-        record = ReorgProgressRecord(tid, prev_lsn,
-                                     partition_id=partition_id,
-                                     algorithm=algorithm.decode("utf-8"),
-                                     state=state)
-    elif kind == KIND_TPC_PREPARE:
-        gid, offset = _unpack_bytes(data, offset)
-        (coordinator,) = _U16.unpack_from(data, offset)
-        record = TpcPrepareRecord(tid, prev_lsn, gid=gid.decode("utf-8"),
-                                  coordinator=coordinator)
-    elif kind == KIND_TPC_DECISION:
-        gid, offset = _unpack_bytes(data, offset)
-        (flag,) = _U8.unpack_from(data, offset)
-        record = TpcDecisionRecord(tid, prev_lsn, gid=gid.decode("utf-8"),
-                                   commit=bool(flag))
-    elif kind == KIND_TPC_END:
-        gid, offset = _unpack_bytes(data, offset)
-        record = TpcEndRecord(tid, prev_lsn, gid=gid.decode("utf-8"))
-    elif kind == KIND_TAIL_DELTA:
-        (commit_ts,) = _U64.unpack_from(data, offset)
-        offset += _U64.size
-        (count,) = _U32.unpack_from(data, offset)
-        offset += _U32.size
-        writes = []
-        for _ in range(count):
-            oid, offset = _unpack_oid(data, offset)
-            image, offset = _unpack_bytes(data, offset)
-            writes.append((oid, image))
-        record = TailDeltaRecord(tid, prev_lsn, commit_ts=commit_ts,
-                                 writes=tuple(writes))
-    elif kind == KIND_MERGE_INSTALL:
-        (owner_tid,) = _U64.unpack_from(data, offset)
-        offset += _U64.size
-        (partition_id,) = _U16.unpack_from(data, offset)
-        offset += _U16.size
-        (merge_ts,) = _U64.unpack_from(data, offset)
-        offset += _U64.size
-        (count,) = _U32.unpack_from(data, offset)
-        offset += _U32.size
-        flips = []
-        for _ in range(count):
-            logical, offset = _unpack_oid(data, offset)
-            physical, offset = _unpack_oid(data, offset)
-            flips.append((logical, physical))
-        (count,) = _U32.unpack_from(data, offset)
-        offset += _U32.size
-        frees = []
-        for _ in range(count):
-            oid, offset = _unpack_oid(data, offset)
-            frees.append(oid)
-        record = MergeInstallRecord(tid, prev_lsn, owner_tid=owner_tid,
-                                    partition_id=partition_id,
-                                    merge_ts=merge_ts, flips=tuple(flips),
-                                    frees=tuple(frees))
-    else:
-        raise LogCorruptionError(f"unknown log record kind {kind}")
-    return record.with_lsn(lsn)
-
-
-#: Record kinds that describe physical page changes (redo/undo-able).
-PHYSICAL_KINDS = frozenset({
-    KIND_OBJ_CREATE, KIND_OBJ_DELETE, KIND_PAYLOAD_UPDATE, KIND_REF_UPDATE,
-})
+            f"no known log record kind in {bytes(data[:1])!r}") from None
+    record = cls(*cls.shape.decode(data)[1:])
+    record.lsn = lsn
+    return record

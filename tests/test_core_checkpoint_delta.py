@@ -27,6 +27,7 @@ from repro.core import (
 from repro.core.checkpointing import ReorgDelta, decode_reorg_delta
 from repro.errors import ReorganizationError
 from repro.faults.chaos import count_remigrations
+from repro.storage import LogCorruptionError
 from repro.storage.oid import Oid
 from repro.sim import Resource, Simulator
 from repro.verify import graph_signature
@@ -193,9 +194,38 @@ def test_golden_state_bytes(name):
     state, hexed = GOLDEN_STATES[name]
     encoded = bytes.fromhex(hexed)
     assert encode_reorg_state(state) == encoded
-    decode = (decode_reorg_state if isinstance(state, ReorgState)
-              else decode_reorg_delta)
-    assert decode(encoded) == state
+    assert _state_decoder(state)(encoded) == state
+
+
+def _state_decoder(state):
+    return (decode_reorg_state if isinstance(state, ReorgState)
+            else decode_reorg_delta)
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_STATES))
+def test_malformed_state_bytes_raise_log_corruption(name):
+    state, hexed = GOLDEN_STATES[name]
+    encoded = bytes.fromhex(hexed)
+    decode = _state_decoder(state)
+    for cut in range(len(encoded)):
+        with pytest.raises(LogCorruptionError):
+            decode(encoded[:cut])
+    with pytest.raises(LogCorruptionError):
+        decode(encoded + b"\x00")
+
+
+@pytest.mark.parametrize("name,at", [
+    # The base's first ``order`` OID follows the u8-prefixed algorithm
+    # name, partition u32, trt_lsn u64 and the list's u32 count.
+    ("base", 1 + len("ira-2lock") + 4 + 8 + 4),
+    # A delta's first parents child follows the u32 count.
+    ("delta_in_progress", 4),
+])
+def test_a_null_oid_in_state_bytes_raises_log_corruption(name, at):
+    state, hexed = GOLDEN_STATES[name]
+    encoded = bytes.fromhex(hexed)
+    with pytest.raises(LogCorruptionError):
+        _state_decoder(state)(encoded[:at] + b"\xff" * 8 + encoded[at + 8:])
 
 
 # -- (b) torn tail -----------------------------------------------------------------

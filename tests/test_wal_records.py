@@ -297,3 +297,54 @@ def test_tpc_records_roundtrip():
     assert yes.commit and not no.commit
     end = roundtrip(TpcEndRecord(4, 11, gid="g"))
     assert end.gid == "g"
+
+
+# -- strict decoding: whatever decodes re-encodes to its own bytes ---------------
+
+
+def test_trailing_bytes_and_non_bool_flags_are_rejected():
+    with pytest.raises(LogCorruptionError):
+        decode_record(CommitRecord(1, 2).encode() + b"junk")
+    encoded = bytearray(TpcDecisionRecord(4, 10, gid="g", commit=True).encode())
+    encoded[-1] = 0x07
+    with pytest.raises(LogCorruptionError):
+        decode_record(bytes(encoded))
+
+
+def _decodes_to_itself_or_raises(data):
+    try:
+        record = decode_record(data)
+    except LogCorruptionError:
+        return
+    assert record.encode() == data
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.binary(max_size=80))
+def test_arbitrary_bytes_decode_to_themselves_or_raise(data):
+    _decodes_to_itself_or_raises(data)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(min_value=1, max_value=16), st.binary(max_size=80))
+def test_bytes_behind_a_known_kind_decode_to_themselves_or_raise(kind, rest):
+    _decodes_to_itself_or_raises(bytes([kind]) + rest)
+
+
+@settings(max_examples=400, deadline=None)
+@given(any_record, st.data())
+def test_single_byte_mutations_decode_to_themselves_or_raise(record, data):
+    """COMMIT, ABORT and END share one layout, so a swapped kind byte can
+    still be a valid record: the achievable rule is the re-encoding."""
+    encoded = bytearray(record.encode())
+    index = data.draw(st.integers(min_value=0, max_value=len(encoded) - 1))
+    encoded[index] = data.draw(u8s)
+    _decodes_to_itself_or_raises(bytes(encoded))
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_every_strict_prefix_raises(name):
+    encoded = bytes.fromhex(GOLDEN[name][1])
+    for cut in range(len(encoded)):
+        with pytest.raises(LogCorruptionError):
+            decode_record(encoded[:cut])
