@@ -28,8 +28,7 @@ import struct
 from dataclasses import dataclass, field, fields
 from itertools import groupby
 from operator import attrgetter
-from typing import (Any, Callable, ClassVar, Dict, List, NamedTuple, Optional,
-                    Tuple)
+from typing import Any, Callable, ClassVar, Dict, Optional, Tuple
 
 from ..storage.errors import LogCorruptionError
 from ..storage.oid import NULL_REF, Oid
@@ -70,14 +69,24 @@ NO_REORG_PARTITION = 0xFFFF
 # with ``take(data, offset) -> (value, end)``.
 
 
-class Fixed(NamedTuple):
+class Fixed:
     """A fixed-width int (a ``struct`` code), mapped to and from the wire
     by ``to_wire``/``from_wire`` when given."""
 
-    code: str
-    default: Any = 0
-    to_wire: Optional[Callable] = None
-    from_wire: Optional[Callable] = None
+    def __init__(self, code: str, default: Any = 0, to_wire=None,
+                 from_wire=None) -> None:
+        self.code, self.default = code, default
+        self.to_wire, self.from_wire = to_wire, from_wire
+        self.struct = struct.Struct("<" + code)
+
+    def put(self, value) -> bytes:
+        return self.struct.pack(
+            value if self.to_wire is None else self.to_wire(value))
+
+    def take(self, data: bytes, offset: int) -> Tuple[Any, int]:
+        (value,) = self.struct.unpack_from(data, offset)
+        return (value if self.from_wire is None else self.from_wire(value),
+                offset + self.struct.size)
 
 
 def _strict_bool(byte: int) -> bool:
@@ -92,7 +101,7 @@ OID = Fixed("Q", None, Oid.pack, Oid.unpack)    # NULL_REF raises
 NULLABLE_OID = Fixed(
     "Q", None, lambda oid: NULL_REF if oid is None else oid.pack(),
     lambda packed: None if packed == NULL_REF else Oid.unpack(packed))
-_COUNT = struct.Struct("<" + U32.code)
+_COUNT = U32.struct
 
 
 class _Run:
@@ -126,7 +135,7 @@ class Blob:
     """Bytes behind a length prefix of the given width; ``text``: UTF-8."""
 
     def __init__(self, prefix: Fixed, text: bool = False) -> None:
-        self.prefix = struct.Struct("<" + prefix.code)
+        self.prefix = prefix.struct
         self.text, self.default = text, "" if text else b""
 
     def put(self, value) -> bytes:
@@ -183,7 +192,7 @@ class ListOf:
 
 
 class Maybe:
-    """A flag byte (0 or 1), then the item when it is 1."""
+    """A :data:`BOOL` flag, then the item when the flag is set."""
 
     default = None
 
@@ -191,12 +200,12 @@ class Maybe:
         self.item = item
 
     def put(self, value) -> bytes:
-        return b"\x00" if value is None else b"\x01" + self.item.put(value)
+        flag = BOOL.put(value is not None)
+        return flag if value is None else flag + self.item.put(value)
 
     def take(self, data: bytes, offset: int) -> Tuple[Any, int]:
-        if _strict_bool(data[offset]):
-            return self.item.take(data, offset + 1)
-        return None, offset + 1
+        present, offset = BOOL.take(data, offset)
+        return self.item.take(data, offset) if present else (None, offset)
 
 
 class Layout:
@@ -206,19 +215,23 @@ class Layout:
 
     def __init__(self, *members) -> None:
         #: ``(shape, at)``: ``at`` is a member's index in the value, or the
-        #: slice of it a :class:`_Run` of :class:`Fixed` members packs.
+        #: slice of it a :class:`_Run` of two or more :class:`Fixed`
+        #: members packs.
         self.steps: list = []
         at = 0
         for fixed, group in groupby(members, lambda m: isinstance(m, Fixed)):
             group = list(group)
-            if fixed:
+            if fixed and len(group) > 1:
                 self.steps.append((_Run(group), slice(at, at + len(group))))
             else:
                 self.steps += [(m, at + i) for i, m in enumerate(group)]
             at += len(group)
 
     def put(self, values) -> bytes:
-        return b"".join([shape.put(values[at]) for shape, at in self.steps])
+        out = b""
+        for shape, at in self.steps:
+            out += shape.put(values[at])
+        return out
 
     def take(self, data: bytes, offset: int) -> Tuple[Any, int]:
         values: list = []
@@ -237,20 +250,24 @@ class Shape:
     def __init__(self, *named: Tuple[str, Any]) -> None:
         self.names = tuple(name for name, _ in named)
         self.layout = Layout(*(shape for _, shape in named))
-        self._values = attrgetter(*self.names)
         (first, at), *rest = self.layout.steps
         #: The one struct of an all-fixed-width shape, else the layout.
-        self.body = first if not rest and at.__class__ is slice \
+        self.body = body = first if not rest and at.__class__ is slice \
             else self.layout
-
-    def encode(self, obj) -> bytes:
-        return self.body.put(self._values(obj))
+        values = attrgetter(*self.names)
+        #: ``encode(obj) -> bytes``, a plain function, so that a record
+        #: class takes it as its ``encode`` method.
+        if body.__class__ is _Run and not body.to_wire:
+            pack = body.struct.pack
+            self.encode = lambda obj: pack(*values(obj))
+        else:
+            self.encode = lambda obj: body.put(values(obj))
 
     def decode(self, data: bytes) -> tuple:
         """The values in exactly ``data``, else :class:`LogCorruptionError`."""
         try:
             values, end = self.body.take(data, 0)
-        except (struct.error, ValueError, IndexError) as exc:
+        except (struct.error, ValueError) as exc:
             raise LogCorruptionError(
                 f"malformed {len(data)}B encoding: {exc}") from exc
         if end != len(data):
@@ -282,7 +299,10 @@ def record(kind: int, physical: bool = False):
         cls = dataclass(unsafe_hash=True)(cls)
         cls.kind, cls.physical = kind, physical
         cls.shape = Shape(*HEADER, *((f.name, f.metadata["wire"])
-                                     for f in fields(cls) if f.metadata))
+                                     for f in fields(cls)
+                                     if "wire" in f.metadata))
+        if "encode" not in vars(cls):
+            cls.encode = cls.shape.encode
         _BY_KIND[kind] = cls
         return cls
     return declare
@@ -307,9 +327,8 @@ class LogRecord:
     kind: ClassVar[int]
     physical: ClassVar[bool]
     shape: ClassVar[Shape]
-
-    def encode(self) -> bytes:
-        return self.shape.encode(self)
+    #: ``encode(self) -> bytes``: the kind's shape's encoder.
+    encode: ClassVar[Callable[[LogRecord], bytes]]
 
 
 @record(KIND_BEGIN)
@@ -391,6 +410,13 @@ class RefUpdateRecord(LogRecord):
     slot: int = wire(U16)
     old_child: Optional[Oid] = wire(NULLABLE_OID)
     new_child: Optional[Oid] = wire(NULLABLE_OID)
+
+    def encode(self) -> bytes:
+        parent, old, new = self.parent, self.old_child, self.new_child
+        return _REF.pack(KIND_REF_UPDATE, self.tid, self.prev_lsn,
+                         NULL_REF if parent is None else parent.pack(),
+                         self.slot, NULL_REF if old is None else old.pack(),
+                         NULL_REF if new is None else new.pack())
 
 
 @record(KIND_CLR)
@@ -538,8 +564,9 @@ class MergeInstallRecord(LogRecord):
     frees: Tuple[Oid, ...] = wire(ListOf(NULLABLE_OID))
 
 
-# PAYLOAD_UPDATE, the kind every logged update appends, packs with the
-# structs its layout compiled: one C call for the header and fixed fields.
+# The two kinds every logged update appends pack with the structs their
+# layouts compiled: one C call for the header and the fixed fields.
+_REF = RefUpdateRecord.shape.body.struct
 _PAYLOAD = PayloadUpdateRecord.shape.layout.steps[0][0].struct
 _BLOB_LENGTH = BYTES.prefix
 

@@ -194,7 +194,9 @@ def test_golden_state_bytes(name):
     state, hexed = GOLDEN_STATES[name]
     encoded = bytes.fromhex(hexed)
     assert encode_reorg_state(state) == encoded
-    assert _state_decoder(state)(encoded) == state
+    decode = (decode_reorg_state if isinstance(state, ReorgState)
+              else decode_reorg_delta)
+    assert decode(encoded) == state
 
 
 def _state_decoder(state):

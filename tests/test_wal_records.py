@@ -179,6 +179,14 @@ def test_golden_bytes(name):
     assert decoded == record and decoded.lsn == 5
 
 
+def test_every_encoding_keeps_its_kind_at_the_declared_byte():
+    """``LogManager.newest_of_kind`` reads this byte without decoding."""
+    from repro.wal.records import HEADER, KIND_BYTE
+    assert HEADER[0][0] == "kind" and KIND_BYTE == 0
+    for record, hexed in GOLDEN.values():
+        assert bytes.fromhex(hexed)[KIND_BYTE] == record.kind
+
+
 @pytest.mark.parametrize("kind", sorted(RECORDS, key=lambda cls: cls.__name__),
                          ids=lambda cls: cls.__name__)
 @settings(max_examples=60, deadline=None)
