@@ -149,7 +149,7 @@ _BASE = Shape(
 
 def encode_reorg_state(state: Union[ReorgState, ReorgDelta]) -> bytes:
     """Serialize a checkpoint for a WAL progress record."""
-    return (_BASE if isinstance(state, ReorgState) else _DELTA).encode(state)
+    return (_BASE if isinstance(state, ReorgState) else _DELTA).put(state)
 
 
 def decode_reorg_delta(data: bytes) -> ReorgDelta:

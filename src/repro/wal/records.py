@@ -16,8 +16,10 @@ bool, OIDs, length-prefixed bytes and strings, counted lists, tuples and
 an optional — after the one :data:`HEADER`.  ``encode``,
 :func:`decode_record`, the kind registry and :data:`PHYSICAL_KINDS` derive
 from it, and :mod:`repro.core.checkpointing` lays out the reorganizer's
-progress state with the same shapes.  A run of fixed-width fields is one
-precompiled ``struct``.  Decoding consumes exactly the record's bytes, a
+progress state with the same shapes.  A layout's encoder and decoder are
+compiled from its declaration into the code a hand-written codec would
+be, each run of fixed-width fields one precompiled ``struct`` call.
+Decoding consumes exactly the record's bytes, a
 bool is 0 or 1, and anything malformed raises :class:`LogCorruptionError`,
 so whatever decodes re-encodes to the bytes it came from.
 """
@@ -27,8 +29,8 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass, field, fields
 from itertools import groupby
-from operator import attrgetter
-from typing import Any, Callable, ClassVar, Dict, Optional, Tuple
+from operator import attrgetter, itemgetter
+from typing import Any, ClassVar, Dict, Optional, Tuple
 
 from ..storage.errors import LogCorruptionError
 from ..storage.oid import NULL_REF, Oid
@@ -102,33 +104,7 @@ NULLABLE_OID = Fixed(
     "Q", None, lambda oid: NULL_REF if oid is None else oid.pack(),
     lambda packed: None if packed == NULL_REF else Oid.unpack(packed))
 _COUNT = U32.struct
-
-
-class _Run:
-    """Consecutive :class:`Fixed` fields, one precompiled struct; the
-    value is the tuple of theirs."""
-
-    def __init__(self, members) -> None:
-        self.struct = struct.Struct("<" + "".join(m.code for m in members))
-        self.to_wire = [(i, m.to_wire) for i, m in enumerate(members)
-                        if m.to_wire]
-        self.from_wire = [(i, m.from_wire) for i, m in enumerate(members)
-                          if m.from_wire]
-
-    def put(self, values) -> bytes:
-        if self.to_wire:
-            values = list(values)
-            for i, convert in self.to_wire:
-                values[i] = convert(values[i])
-        return self.struct.pack(*values)
-
-    def take(self, data: bytes, offset: int) -> Tuple[Any, int]:
-        values = self.struct.unpack_from(data, offset)
-        if self.from_wire:
-            values = list(values)
-            for i, convert in self.from_wire:
-                values[i] = convert(values[i])
-        return values, offset + self.struct.size
+_FIRST = itemgetter(0)
 
 
 class Blob:
@@ -159,7 +135,8 @@ BYTES, TEXT = Blob(U32), Blob(U32, text=True)
 class ListOf:
     """A u32 count, then the items, decoded into ``into``.  A dict goes on
     the wire as its items; ``sort`` writes them sorted, so a set's or a
-    map's bytes are a function of its value alone."""
+    map's bytes are a function of its value alone.  :class:`Fixed` items
+    go through that shape's one struct."""
 
     default: Any = ()
 
@@ -168,33 +145,37 @@ class ListOf:
 
     def put(self, value) -> bytes:
         items = value.items() if isinstance(value, dict) else value
-        items = sorted(items) if self.sort else items
-        item = self.item
-        if isinstance(item, Fixed):     # the count and items: one C call
-            return struct.pack(f"<I{len(items)}{item.code}", len(items),
-                               *map(item.to_wire or int, items))
-        return _COUNT.pack(len(items)) + b"".join(map(item.put, items))
+        if self.sort:
+            items = sorted(items)
+        count, item = _COUNT.pack(len(items)), self.item
+        if item.__class__ is Fixed:
+            if item.to_wire:
+                items = map(item.to_wire, items)
+            return count + b"".join(map(item.struct.pack, items))
+        return count + b"".join(map(item.put, items))
 
     def take(self, data: bytes, offset: int) -> Tuple[Any, int]:
         (count,) = _COUNT.unpack_from(data, offset)
         offset += _COUNT.size
         item = self.item
-        if isinstance(item, Fixed):
-            items = struct.Struct(f"<{count}{item.code}")
-            return (self.into(map(item.from_wire or int,
-                                  items.unpack_from(data, offset))),
-                    offset + items.size)
-        items = []
+        if item.__class__ is Fixed:
+            end = offset + count * item.struct.size
+            if end > len(data):
+                raise LogCorruptionError(
+                    f"{count} items overrun the {len(data)}B record")
+            items = map(_FIRST, item.struct.iter_unpack(data[offset:end]))
+            if item.from_wire:
+                items = map(item.from_wire, items)
+            return self.into(items), end
+        items, take = [], item.take
         for _ in range(count):
-            each, offset = item.take(data, offset)
+            each, offset = take(data, offset)
             items.append(each)
         return self.into(items), offset
 
 
 class Maybe:
     """A :data:`BOOL` flag, then the item when the flag is set."""
-
-    default = None
 
     def __init__(self, item) -> None:
         self.item = item
@@ -208,65 +189,85 @@ class Maybe:
         return self.item.take(data, offset) if present else (None, offset)
 
 
-class Layout:
-    """Shapes back to back; the value is the tuple of theirs."""
+def _compile(members, reads):
+    """``put(values)`` and ``take(data, at)`` for ``members`` back to back,
+    compiled to the straight-line code a hand-written codec would be: one
+    precompiled struct call per run of :class:`Fixed` members, one call of
+    each other member's ``put``/``take`` (a byte string's length prefix is
+    packed inline).  ``reads[i]`` is the source that reads member ``i``
+    off ``values``."""
+    env: Dict[str, Any] = {}
+    puts, takes = [], []
+    for fixed, run in groupby(range(len(members)),
+                              lambda i: members[i].__class__ is Fixed):
+        run = list(run)
+        if not fixed:
+            for i in run:
+                env[f"T{i}"] = members[i].take
+                takes.append(f"v{i}, at = T{i}(data, at)")
+                if members[i].__class__ is Blob and not members[i].text:
+                    env[f"L{i}"] = members[i].prefix.pack
+                    puts.append(f"L{i}(len({reads[i]})) + {reads[i]}")
+                else:
+                    env[f"P{i}"] = members[i].put
+                    puts.append(f"P{i}({reads[i]})")
+            continue
+        packer = env[f"S{run[0]}"] = struct.Struct(
+            "<" + "".join(members[i].code for i in run))
+        wired = []
+        for i in run:
+            wired.append(reads[i])
+            if members[i].to_wire:
+                env[f"W{i}"] = members[i].to_wire
+                wired[-1] = f"W{i}({reads[i]})"
+        puts.append(f"S{run[0]}.pack({', '.join(wired)})")
+        takes.append("".join(f"v{i}, " for i in run)
+                     + f"= S{run[0]}.unpack_from(data, at)")
+        for i in run:
+            if members[i].from_wire:
+                env[f"F{i}"] = members[i].from_wire
+                takes.append(f"v{i} = F{i}(v{i})")
+        takes.append(f"at += {packer.size}")
+    values = "".join(f"v{i}, " for i in range(len(members)))
+    exec(f"def put(values):\n    return {' + '.join(puts)}\n"
+         "def take(data, at):\n    " + "\n    ".join(takes)
+         + f"\n    return ({values}), at\n", env)
+    return env["put"], env["take"]
 
-    default: Any = ()
+
+class Layout:
+    """Shapes back to back; the value is the tuple of theirs.  ``put`` and
+    ``take`` are compiled at first use, so importing compiles nothing."""
 
     def __init__(self, *members) -> None:
-        #: ``(shape, at)``: ``at`` is a member's index in the value, or the
-        #: slice of it a :class:`_Run` of two or more :class:`Fixed`
-        #: members packs.
-        self.steps: list = []
-        at = 0
-        for fixed, group in groupby(members, lambda m: isinstance(m, Fixed)):
-            group = list(group)
-            if fixed and len(group) > 1:
-                self.steps.append((_Run(group), slice(at, at + len(group))))
-            else:
-                self.steps += [(m, at + i) for i, m in enumerate(group)]
-            at += len(group)
+        self.members = members
+        #: Source reading member ``i`` off ``put``'s argument ``values``.
+        self.reads = [f"values[{i}]" for i in range(len(members))]
 
+    # The first call compiles both; the compiled functions, set on the
+    # instance, shadow these two methods from then on.
     def put(self, values) -> bytes:
-        out = b""
-        for shape, at in self.steps:
-            out += shape.put(values[at])
-        return out
+        self.put, self.take = _compile(self.members, self.reads)
+        return self.put(values)
 
-    def take(self, data: bytes, offset: int) -> Tuple[Any, int]:
-        values: list = []
-        for shape, at in self.steps:
-            value, offset = shape.take(data, offset)
-            if at.__class__ is slice:
-                values += value
-            else:
-                values.append(value)
-        return tuple(values), offset
+    def take(self, data: bytes, at: int) -> Tuple[Any, int]:
+        self.put, self.take = _compile(self.members, self.reads)
+        return self.take(data, at)
 
 
-class Shape:
-    """Named shapes: the codec of an object's attributes of those names."""
+class Shape(Layout):
+    """Named shapes: the codec of an object's attributes of those names;
+    ``put(obj)`` encodes ``obj``."""
 
     def __init__(self, *named: Tuple[str, Any]) -> None:
+        super().__init__(*(shape for _, shape in named))
         self.names = tuple(name for name, _ in named)
-        self.layout = Layout(*(shape for _, shape in named))
-        (first, at), *rest = self.layout.steps
-        #: The one struct of an all-fixed-width shape, else the layout.
-        self.body = body = first if not rest and at.__class__ is slice \
-            else self.layout
-        values = attrgetter(*self.names)
-        #: ``encode(obj) -> bytes``, a plain function, so that a record
-        #: class takes it as its ``encode`` method.
-        if body.__class__ is _Run and not body.to_wire:
-            pack = body.struct.pack
-            self.encode = lambda obj: pack(*values(obj))
-        else:
-            self.encode = lambda obj: body.put(values(obj))
+        self.reads = [f"values.{name}" for name in self.names]
 
     def decode(self, data: bytes) -> tuple:
         """The values in exactly ``data``, else :class:`LogCorruptionError`."""
         try:
-            values, end = self.body.take(data, 0)
+            values, end = self.take(data, 0)
         except (struct.error, ValueError) as exc:
             raise LogCorruptionError(
                 f"malformed {len(data)}B encoding: {exc}") from exc
@@ -301,8 +302,6 @@ def record(kind: int, physical: bool = False):
         cls.shape = Shape(*HEADER, *((f.name, f.metadata["wire"])
                                      for f in fields(cls)
                                      if "wire" in f.metadata))
-        if "encode" not in vars(cls):
-            cls.encode = cls.shape.encode
         _BY_KIND[kind] = cls
         return cls
     return declare
@@ -327,8 +326,14 @@ class LogRecord:
     kind: ClassVar[int]
     physical: ClassVar[bool]
     shape: ClassVar[Shape]
-    #: ``encode(self) -> bytes``: the kind's shape's encoder.
-    encode: ClassVar[Callable[[LogRecord], bytes]]
+
+    def encode(self) -> bytes:
+        """This record's bytes.  The first call makes the kind's compiled
+        encoder its class's ``encode``."""
+        cls = type(self)
+        encoded = cls.shape.put(self)
+        cls.encode = cls.shape.put
+        return encoded
 
 
 @record(KIND_BEGIN)
@@ -388,13 +393,6 @@ class PayloadUpdateRecord(LogRecord):
     before: bytes = wire(BYTES)
     after: bytes = wire(BYTES)
 
-    def encode(self) -> bytes:
-        oid, before, after = self.oid, self.before, self.after
-        return (_PAYLOAD.pack(KIND_PAYLOAD_UPDATE, self.tid, self.prev_lsn,
-                              NULL_REF if oid is None else oid.pack(),
-                              self.offset)
-                + _BLOB_LENGTH.pack(len(before)) + before
-                + _BLOB_LENGTH.pack(len(after)) + after)
 
 
 @record(KIND_REF_UPDATE, physical=True)
@@ -410,13 +408,6 @@ class RefUpdateRecord(LogRecord):
     slot: int = wire(U16)
     old_child: Optional[Oid] = wire(NULLABLE_OID)
     new_child: Optional[Oid] = wire(NULLABLE_OID)
-
-    def encode(self) -> bytes:
-        parent, old, new = self.parent, self.old_child, self.new_child
-        return _REF.pack(KIND_REF_UPDATE, self.tid, self.prev_lsn,
-                         NULL_REF if parent is None else parent.pack(),
-                         self.slot, NULL_REF if old is None else old.pack(),
-                         NULL_REF if new is None else new.pack())
 
 
 @record(KIND_CLR)
@@ -563,12 +554,6 @@ class MergeInstallRecord(LogRecord):
         ListOf(Layout(NULLABLE_OID, NULLABLE_OID)))
     frees: Tuple[Oid, ...] = wire(ListOf(NULLABLE_OID))
 
-
-# The two kinds every logged update appends pack with the structs their
-# layouts compiled: one C call for the header and the fixed fields.
-_REF = RefUpdateRecord.shape.body.struct
-_PAYLOAD = PayloadUpdateRecord.shape.layout.steps[0][0].struct
-_BLOB_LENGTH = BYTES.prefix
 
 #: Record kinds that describe physical page changes (redo/undo-able).
 PHYSICAL_KINDS = frozenset(

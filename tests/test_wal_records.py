@@ -179,17 +179,6 @@ def test_golden_bytes(name):
     assert decoded == record and decoded.lsn == 5
 
 
-@pytest.mark.parametrize("kind", [PayloadUpdateRecord, RefUpdateRecord],
-                         ids=lambda cls: cls.__name__)
-@settings(max_examples=100, deadline=None)
-@given(data=st.data())
-def test_explicit_encoders_match_the_declared_layout(kind, data):
-    """The two kinds that keep a hand-written ``encode`` for speed write
-    exactly what their declared layout writes."""
-    record = data.draw(RECORDS[kind])
-    assert record.encode() == kind.shape.encode(record)
-
-
 def test_every_encoding_keeps_its_kind_at_the_declared_byte():
     """``LogManager.newest_of_kind`` reads this byte without decoding."""
     from repro.wal.records import HEADER, KIND_BYTE
