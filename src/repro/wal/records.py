@@ -10,18 +10,18 @@ Reference inserts and deletes are both expressed as ``RefUpdateRecord``
 (old child ``None`` → insert, new child ``None`` → delete), which is also
 the record the log analyzer mines to maintain the ERT and TRT (§3.3).
 
-Each record kind declares its layout once: every body field names its
-wire shape (:func:`wire`) from one vocabulary — fixed-width ints, a strict
+Each record kind declares its layout once: every body field names its wire
+shape (:func:`wire`) from one vocabulary — fixed-width ints, a strict
 bool, OIDs, length-prefixed bytes and strings, counted lists, tuples and
 an optional — after the one :data:`HEADER`.  ``encode``,
 :func:`decode_record`, the kind registry and :data:`PHYSICAL_KINDS` derive
 from it, and :mod:`repro.core.checkpointing` lays out the reorganizer's
-progress state with the same shapes.  A layout's encoder and decoder are
-compiled from its declaration into the code a hand-written codec would
-be, each run of fixed-width fields one precompiled ``struct`` call.
-Decoding consumes exactly the record's bytes, a
-bool is 0 or 1, and anything malformed raises :class:`LogCorruptionError`,
-so whatever decodes re-encodes to the bytes it came from.
+progress state with the same shapes.  At first use, a layout's encoder and
+decoder are compiled from its declaration into the code a hand-written
+codec would be, each run of fixed-width fields one precompiled ``struct``
+call.  Decoding consumes exactly the record's bytes, a bool is 0 or 1, and
+anything malformed raises :class:`LogCorruptionError`, so whatever decodes
+re-encodes to the bytes it came from.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass, field, fields
 from itertools import groupby
-from operator import attrgetter, itemgetter
+from operator import itemgetter
 from typing import Any, ClassVar, Dict, Optional, Tuple
 
 from ..storage.errors import LogCorruptionError
