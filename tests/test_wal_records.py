@@ -1,5 +1,9 @@
 """Unit + property tests for log-record serialization."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -185,6 +189,21 @@ def test_every_encoding_keeps_its_kind_at_the_declared_byte():
     assert HEADER[0][0] == "kind" and KIND_BYTE == 0
     for record, hexed in GOLDEN.values():
         assert bytes.fromhex(hexed)[KIND_BYTE] == record.kind
+
+
+def test_importing_compiles_no_layout():
+    """Layouts compile at first use: ``import repro`` (timed by the
+    benchmark's ``setup_s``) compiles none."""
+    script = ("import repro.wal.records as r, repro.core.checkpointing as c\n"
+              "shapes = [k.shape for k in r._BY_KIND.values()]\n"
+              "shapes += [c._BASE, c._DELTA]\n"
+              "print(sum('take' in vars(s) for s in shapes), len(shapes))")
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["0", "18"]
 
 
 @pytest.mark.parametrize("kind", sorted(RECORDS, key=lambda cls: cls.__name__),
