@@ -55,10 +55,6 @@ class Placement:
     def placed_count(self) -> int:
         return len(self._key_of)
 
-    def __repr__(self) -> str:
-        return (f"<Placement clusters={len(self.clusters)} "
-                f"placed={self.placed_count} per_page={self.per_page}>")
-
 
 def objects_per_page(engine, partition_id: int) -> int:
     """How many of this partition's objects fit on one page, from the

@@ -150,10 +150,6 @@ class AffinityGraph:
     def top_edges(self, n: int = 10) -> List[Tuple[Edge, float]]:
         return sorted(self.edges.items(), key=lambda kv: (-kv[1], kv[0]))[:n]
 
-    def __repr__(self) -> str:
-        return (f"<AffinityGraph objects={len(self.heat)} "
-                f"edges={len(self.edges)} accesses={self.accesses}>")
-
 
 class ClusterTracer(Probe):
     """The engine-side probe: buffers per-transaction access sequences
@@ -208,7 +204,3 @@ class ClusterTracer(Probe):
     def reorg(self, reorganizer, event: str, info: dict) -> None:
         if event == "finished":
             self.graph.remap(reorganizer.stats.mapping)
-
-    def __repr__(self) -> str:
-        return (f"<ClusterTracer commits={self.commits} "
-                f"open={len(self._open)} {self.graph!r}>")

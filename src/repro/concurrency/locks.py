@@ -186,11 +186,6 @@ class LockStats:
         self.deescalations = 0
         self.escalation_failures = 0
 
-    def __repr__(self) -> str:
-        return (f"<LockStats requests={self.requests} waits={self.waits} "
-                f"timeouts={self.timeouts} "
-                f"deadlock_victims={self.deadlock_victims}>")
-
 
 class LockManager:
     """S/X locks keyed by arbitrary hashable keys (OIDs in practice)."""

@@ -149,13 +149,9 @@ class SystemConfig(_Config):
     lock_manager: str = "flat"
     #: Auto-escalation: once a transaction holds this many fine (object)
     #: locks on one page, promote them to a single page lock (0 = off).
+    #: A conflicting requester de-escalates the page instead of blocking
+    #: (safe: the covered fine locks are re-granted).
     lock_escalate_after: int = 0
-    #: Same, one level up: fine locks across all of a partition's pages
-    #: promote to one partition lock (0 = off).
-    lock_partition_escalate_after: int = 0
-    #: De-escalate a holder's escalated coarse lock instead of blocking a
-    #: conflicting requester (safe: covered fine locks are re-granted).
-    lock_deescalate_on_conflict: bool = True
 
     #: Transient-I/O handling (exercised by the repro.faults injector): a
     #: failed page read/write or log flush is retried with uncapped

@@ -40,9 +40,6 @@ class TraversalResult:
     def parents_of(self, child: Oid) -> Set[Oid]:
         return self.parents.get(child, set())
 
-    def __len__(self) -> int:
-        return len(self.objects)
-
 
 def fuzzy_traversal(engine, partition_id: int, seeds: List[Oid],
                     result: TraversalResult) -> Generator[Any, Any, None]:

@@ -226,6 +226,3 @@ class Database:
 
     def partition_stats(self, partition_id: int) -> PartitionStats:
         return self.store.stats(partition_id)
-
-    def __repr__(self) -> str:
-        return f"<Database {self.engine!r}>"

@@ -174,10 +174,6 @@ class DistCluster:
             start_reorg(node, self._reorg_config.copy())
 
     @property
-    def reorgs_done(self) -> bool:
-        return all(node.reorg_done for node in self.nodes if not node.down)
-
-    @property
     def all_reorgs_done(self) -> bool:
         return all(node.reorg_done for node in self.nodes)
 

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, FrozenSet, Set
+from typing import Callable, Dict, FrozenSet, Set
 
 Handler = Callable[[dict], None]
 
@@ -38,11 +38,6 @@ class NetStats:
     dropped_down: int = 0
     #: messages per (src, dst) directed link
     per_link: Dict[tuple, int] = field(default_factory=dict)
-
-    @property
-    def dropped(self) -> int:
-        return (self.dropped_partition + self.dropped_loss
-                + self.dropped_down)
 
 
 class Interconnect:
@@ -136,8 +131,3 @@ class Interconnect:
             return
         self.stats.delivered += 1
         handler(msg)
-
-    def __repr__(self) -> str:
-        return (f"<Interconnect sent={self.stats.sent} "
-                f"delivered={self.stats.delivered} "
-                f"dropped={self.stats.dropped}>")

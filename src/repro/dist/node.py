@@ -101,8 +101,3 @@ class DistNode:
             deadline_ms=self.cluster.config.rpc_deadline_ms,
             policy=policy, rng=self._rpc_rng)
         return reply
-
-    def __repr__(self) -> str:
-        state = "down" if self.down else "up"
-        return (f"<DistNode {self.node_id} {state} "
-                f"crashes={self.crash_count}>")

@@ -404,7 +404,3 @@ class StorageEngine:
             for child, parent in recorded - expected:
                 report.ert_spurious.append((pid, child, parent))
         return report
-
-    def __repr__(self) -> str:
-        return (f"<StorageEngine partitions={self.store.partition_ids()} "
-                f"t={self.sim.now:.1f}ms>")

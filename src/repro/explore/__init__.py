@@ -38,9 +38,6 @@ from .oracles import (
     OracleVerdict,
     check_recovery_idempotence,
     check_transparency,
-    graph_matches_under_mapping,
-    object_graph,
-    relabeled,
     run_oracles,
 )
 from .scheduler import (
@@ -79,11 +76,8 @@ __all__ = [
     "default_workload",
     "encode_decisions",
     "explore",
-    "graph_matches_under_mapping",
     "hash_decisions",
     "minimize_decisions",
-    "object_graph",
-    "relabeled",
     "replay_artifact",
     "run_oracles",
     "run_schedule",

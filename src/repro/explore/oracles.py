@@ -49,17 +49,12 @@ fixed order.  The oracles:
 
 ``no_crash``
     No process died with an unhandled exception during the schedule.
-
-The networkx graph helpers (:func:`object_graph`, :func:`relabeled`,
-:func:`graph_matches_under_mapping`) are the library home of the check
-``tests/test_graph_isomorphism.py`` originally implemented inline; the
-test now imports them from here so test and oracle cannot drift.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional
+from typing import Dict, List, Optional
 
 from ..engine import Probe
 from ..sim import Simulator
@@ -73,58 +68,6 @@ from ..wal import (
     TransactionTable,
 )
 from .history import HistoryRecorder, SnapshotHistory, check_serializability
-
-
-# -- graph isomorphism (extracted from tests/test_graph_isomorphism.py) -------
-
-def object_graph(db):
-    """The database as a labeled multigraph (payload = node label).
-
-    ``db`` is anything with a ``.store`` (Database, StorageEngine) or an
-    object store itself.
-    """
-    import networkx as nx
-    store = getattr(db, "store", db)
-    graph = nx.MultiDiGraph()
-    for oid in store.all_live_oids():
-        image = store.read_object(oid)
-        graph.add_node(oid, payload=bytes(image.payload))
-        for slot, child in image.refs():
-            graph.add_edge(oid, child, slot=slot)
-    return graph
-
-
-def relabeled(graph, mapping):
-    """The graph with every node translated through ``mapping``."""
-    import networkx as nx
-    return nx.relabel_nodes(graph, lambda n: mapping.get(n, n), copy=True)
-
-
-def graph_matches_under_mapping(before, after, mapping) -> List[str]:
-    """Exact equality of ``after`` against ``before`` relabeled through
-    the migration mapping — stronger than isomorphism search.  Returns
-    the list of discrepancies (empty = match)."""
-    expected = relabeled(before, mapping)
-    problems: List[str] = []
-    missing = set(expected.nodes) - set(after.nodes)
-    extra = set(after.nodes) - set(expected.nodes)
-    if missing:
-        problems.append(f"objects missing after reorg: {sorted(missing)[:5]}")
-    if extra:
-        problems.append(f"unexpected objects after reorg: {sorted(extra)[:5]}")
-    for node in set(expected.nodes) & set(after.nodes):
-        if expected.nodes[node]["payload"] != after.nodes[node]["payload"]:
-            problems.append(f"payload of {node} changed")
-    expected_edges = sorted((u, v, d["slot"])
-                            for u, v, d in expected.edges(data=True))
-    actual_edges = sorted((u, v, d["slot"])
-                          for u, v, d in after.edges(data=True))
-    if expected_edges != actual_edges:
-        gone = set(expected_edges) - set(actual_edges)
-        born = set(actual_edges) - set(expected_edges)
-        problems.append(f"edges changed: -{sorted(gone)[:4]} "
-                        f"+{sorted(born)[:4]}")
-    return problems
 
 
 # -- lock footprint monitor ---------------------------------------------------

@@ -17,7 +17,7 @@ later, at the same simulated instant.
 from __future__ import annotations
 
 import random
-from typing import Callable, Optional, Tuple
+from typing import Tuple
 
 from ..engine import Probe
 from ..storage.errors import TransientIOError
@@ -53,28 +53,18 @@ class InjectorStats:
     def corruptions_injected(self) -> int:
         return len(self.corruptions)
 
-    def __repr__(self) -> str:
-        return (f"<InjectorStats crashes={self.crashes_fired} "
-                f"kills={self.kills_fired} io={self.io_faults_injected} "
-                f"lock_timeouts={self.forced_lock_timeouts} "
-                f"corruptions={len(self.corruptions)}>")
-
 
 class FaultInjector(Probe):
     """Injects the faults a :class:`FaultPlan` declares into one engine.
 
     After a crash trigger fires, :attr:`crashed` is True and
     :attr:`crash_image` holds the :class:`~repro.engine.CrashImage` to
-    recover from (unless ``on_crash`` overrides the default behaviour).
+    recover from.
     """
 
-    def __init__(self, plan: FaultPlan, engine,
-                 on_crash: Optional[Callable[[], None]] = None):
+    def __init__(self, plan: FaultPlan, engine):
         self.plan = plan
         self.engine = engine
-        #: Called instead of ``engine.crash()`` when a crash trigger
-        #: fires; for harnesses that need to snapshot extra state first.
-        self.on_crash = on_crash
         self.stats = InjectorStats()
         self.crashed = False
         self.crash_image = None
@@ -179,19 +169,16 @@ class FaultInjector(Probe):
             return
         self.crashed = True
         self.stats.crashes_fired += 1
-        if self.on_crash is not None:
-            self.on_crash()
-        else:
-            torn_tail = (self.engine.log.torn_tail_fragment(self._rng_corrupt)
-                         if self.plan.torn_log_tail else b"")
-            self.crash_image = self.engine.crash()
-            if torn_tail:
-                # The log write in flight at the crash instant reached the
-                # disk only partially (or scrambled): recovery must detect
-                # and truncate it, never decode garbage.
-                self.crash_image.durable_log += torn_tail
-                self.stats.torn_log_tails += 1
-                self.stats.corruptions.append(("torn_log_tail", -1, -1))
+        torn_tail = (self.engine.log.torn_tail_fragment(self._rng_corrupt)
+                     if self.plan.torn_log_tail else b"")
+        self.crash_image = self.engine.crash()
+        if torn_tail:
+            # The log write in flight at the crash instant reached the
+            # disk only partially (or scrambled): recovery must detect and
+            # truncate it, never decode garbage.
+            self.crash_image.durable_log += torn_tail
+            self.stats.torn_log_tails += 1
+            self.stats.corruptions.append(("torn_log_tail", -1, -1))
 
     # -- silent corruption ------------------------------------------------------
 
@@ -278,7 +265,7 @@ class FaultInjector(Probe):
         self._kill_fired = True
         self.stats.kills_fired += 1
         self.stats.processes_killed += self.engine.sim.kill_matching(
-            self.plan.kill_process_match)
+            "reorg")
 
     # -- probabilistic hooks ----------------------------------------------------
 
@@ -305,8 +292,3 @@ class FaultInjector(Probe):
             self.stats.forced_lock_timeouts += 1
             return True
         return False
-
-    def __repr__(self) -> str:
-        state = ("crashed" if self.crashed
-                 else "attached" if self._attached else "detached")
-        return f"<FaultInjector {state} {self.stats!r}>"

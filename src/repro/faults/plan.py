@@ -37,10 +37,9 @@ class FaultPlan:
 
     Targeted kill (process-level, not system-level):
 
-    * ``kill_process_at_ms`` / ``kill_process_match`` — at the given
-      time, kill every live process whose name contains the substring
-      (default ``"reorg"``: the reorganization utility mid-batch).  The
-      rest of the system keeps running.
+    * ``kill_process_at_ms`` — at the given time, kill every live process
+      whose name contains ``"reorg"``: the reorganization utility
+      mid-batch.  The rest of the system keeps running.
 
     Transient page-I/O errors (buffer pool reads/writes and log flushes):
 
@@ -95,7 +94,6 @@ class FaultPlan:
     crash_at_lsn: Optional[int] = None
     crash_at_page_write: Optional[int] = None
     kill_process_at_ms: Optional[float] = None
-    kill_process_match: str = "reorg"
     io_error_rate: float = 0.0
     io_error_window_ms: Tuple[float, float] = ALWAYS
     lock_storm_rate: float = 0.0

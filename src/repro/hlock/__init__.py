@@ -2,7 +2,7 @@
 
 ``repro.hlock`` provides :class:`HierarchicalLockManager` — IS/IX/S/SIX/X
 intention locking over the partition → page → object granule tree with
-configurable auto-escalation — as a drop-in replacement for the flat
+configurable page escalation — as a drop-in replacement for the flat
 :class:`~repro.concurrency.locks.LockManager`, selected per engine via
 ``SystemConfig.lock_manager``.  See CONCURRENCY.md.
 """
@@ -28,9 +28,7 @@ def build_lock_manager(sim, config) -> LockManager:
             timeout_ms=config.lock_timeout_ms,
             track_history=not config.strict_transactions,
             detection=config.deadlock_detection,
-            escalate_after=config.lock_escalate_after,
-            partition_escalate_after=config.lock_partition_escalate_after,
-            deescalate_on_conflict=config.lock_deescalate_on_conflict)
+            escalate_after=config.lock_escalate_after)
     if config.lock_manager != "flat":
         raise ValueError(f"lock_manager={config.lock_manager!r}; "
                          f"choose one of {LOCK_MANAGERS}")

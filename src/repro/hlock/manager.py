@@ -35,15 +35,14 @@ conflicting fine lock under the page necessarily planted its own
 conflicting page intent first (root-first order), which defeats the
 escalation — so a successful escalation proves no conflicting fine
 holder or waiter exists below, and the freed fine entries can only
-admit compatible waiters.  ``lock_partition_escalate_after`` applies the
-same rule one level up.
+admit compatible waiters.  Only pages escalate: a partition lock is
+always one a transaction asked for.
 
 When another transaction's request later conflicts with an *escalated*
-coarse lock, the manager de-escalates the holder instead of blocking the
-requester (``deescalate_on_conflict``): the remembered fine locks are
-re-granted — provably compatible, by the same intent argument — the
-coarse grant demotes back to the intents the survivors need, and the
-requester retries.
+page lock, the manager de-escalates the holder instead of blocking the
+requester: the remembered fine locks are re-granted — provably
+compatible, by the same intent argument — the page grant demotes back
+to the intent the survivors need, and the requester retries.
 """
 
 from __future__ import annotations
@@ -65,25 +64,21 @@ class HierarchicalLockManager(LockManager):
 
     def __init__(self, sim, timeout_ms: float = 1000.0,
                  track_history: bool = True, detection: str = "timeout",
-                 escalate_after: int = 0,
-                 partition_escalate_after: int = 0,
-                 deescalate_on_conflict: bool = True):
+                 escalate_after: int = 0):
         super().__init__(sim, timeout_ms=timeout_ms,
                          track_history=track_history, detection=detection)
         self.escalate_after = escalate_after
-        self.partition_escalate_after = partition_escalate_after
-        self.deescalate_on_conflict = deescalate_on_conflict
         #: (partition, page) -> interned granule path, one per page ever
         #: touched.
         self._paths: Dict[Tuple[int, int], Path] = {}
         #: tid -> page granule -> {oid: mode} of live fine object locks.
         self._fine: Dict[int, Dict[PageGranule, Dict[Oid, LockMode]]] = {}
-        #: tid -> granule -> {oid: mode} remembered under an escalated
-        #: coarse lock (re-granted verbatim on de-escalation).
+        #: tid -> granule -> {oid: mode} touched under a coarse lock
+        #: (an escalated page's are re-granted verbatim on de-escalation).
         self._covered: Dict[int, Dict[object, Dict[Oid, LockMode]]] = {}
-        #: tid -> granule -> fine-lock count at the last failed escalation
+        #: tid -> page -> fine-lock count at the last failed escalation
         #: attempt (retry only once the transaction grows past it).
-        self._esc_failed: Dict[int, Dict[object, int]] = {}
+        self._esc_failed: Dict[int, Dict[PageGranule, int]] = {}
         #: tid -> object keys held, mirroring exactly the per-tid set the
         #: flat manager would keep (same insert/discard sequence).  With
         #: escalation off, ``release_all`` walks this first so waiter
@@ -200,14 +195,11 @@ class HierarchicalLockManager(LockManager):
         page_map[key] = mode if old is None else old.sup[mode.rank]
         if 0 < self.escalate_after <= len(page_map):
             self._escalate(tid, page, page_map)
-        if self.partition_escalate_after > 0:
-            self._escalate_partition(tid, part)
 
     def _acquire_granule(self, tid: int, granule, mode: LockMode) -> bool:
         if LockManager.try_acquire(self, tid, granule, mode):
             return True
-        if self.deescalate_on_conflict and \
-                self._deescalate_blockers(tid, granule, mode):
+        if self._deescalate_blockers(tid, granule, mode):
             return LockManager.try_acquire(self, tid, granule, mode)
         return False
 
@@ -260,65 +252,6 @@ class HierarchicalLockManager(LockManager):
         if failed is not None:
             failed.pop(page, None)
 
-    def _escalate_partition(self, tid: int,
-                            part: PartitionGranule) -> None:
-        fine = self._fine.get(tid)
-        if not fine or sum(len(oids) for g, oids in fine.items()
-                           if g.partition == part.partition) \
-                < self.partition_escalate_after:
-            return
-        pages = [g for g in fine if g.partition == part.partition]
-        merged: Dict[Oid, LockMode] = {}
-        for g in pages:
-            merged.update(fine[g])
-        cov = self._covered.get(tid, {})
-        cov_pages = [g for g in cov if type(g) is PageGranule
-                     and g.partition == part.partition]
-        for g in cov_pages:
-            for oid, m in cov[g].items():
-                old = merged.get(oid)
-                merged[oid] = m if old is None else old.sup[m.rank]
-        if not merged:
-            return
-        failed = self._esc_failed.get(tid)
-        if failed is not None and failed.get(part, -1) >= len(merged):
-            return
-        held = self._table[part].granted.get(tid)
-        if held is None:
-            return
-        raw = _X if _X in merged.values() else _S
-        target = held.sup[raw.rank]
-        if target is held:
-            return
-        if not self._escalation_safe(tid, part, target):
-            self.stats.escalation_failures += 1
-            self._esc_failed.setdefault(tid, {})[part] = len(merged)
-            return
-        self._promote(tid, part, target)
-        self.stats.escalations += 1
-        bucket = self._covered.setdefault(tid, {}).setdefault(part, {})
-        for oid, m in merged.items():
-            old = bucket.get(oid)
-            bucket[oid] = m if old is None else old.sup[m.rank]
-        # Everything below the partition collapses into the coarse lock:
-        # fine object locks, escalated page locks, and page intents.
-        objs = self._objects_held.get(tid)
-        for g in pages:
-            for oid in list(fine[g]):
-                super().release(tid, oid)
-                if objs is not None:
-                    objs.discard(oid)
-            del fine[g]
-        for g in cov_pages:
-            del cov[g]
-            super().release(tid, g)
-        for key in [k for k in self._held_by.get(tid, ())
-                    if type(k) is PageGranule
-                    and k.partition == part.partition]:
-            super().release(tid, key)
-        if failed is not None:
-            failed.pop(part, None)
-
     def _promote(self, tid: int, granule, target: LockMode) -> None:
         entry = self._table[granule]
         entry.granted[tid] = target
@@ -329,12 +262,12 @@ class HierarchicalLockManager(LockManager):
 
     def _deescalate_blockers(self, requester: int, granule,
                              mode: LockMode) -> bool:
-        """De-escalate every holder whose *escalated* coarse lock on
+        """De-escalate every holder whose *escalated* page lock on
         ``granule`` conflicts with ``mode``.  Returns True when all
         conflicts were escalations (the requester should retry); False
         as soon as a genuine conflict remains."""
         entry = self._table.get(granule)
-        if entry is None:
+        if entry is None or type(granule) is not PageGranule:
             return False
         compatible = mode.compatible
         did = False
@@ -348,20 +281,12 @@ class HierarchicalLockManager(LockManager):
             did = True
         return did
 
-    def _deescalate(self, holder: int, granule) -> None:
-        fines = self._covered[holder].pop(granule)
-        is_page = type(granule) is PageGranule
+    def _deescalate(self, holder: int, page: PageGranule) -> None:
+        fines = self._covered[holder].pop(page)
         fine = self._fine.get(holder)
         if fine is None:
             fine = self._fine[holder] = {}
         for oid, m in fines.items():
-            if is_page:
-                page = granule
-            else:
-                # Partition de-escalation: re-plant the page intent the
-                # fine lock needs before the fine lock itself.
-                page = self._path(oid)[1]
-                self._regrant(holder, page, m.intent)
             self._regrant(holder, oid, m)
             page_map = fine.get(page)
             if page_map is None:
@@ -369,25 +294,25 @@ class HierarchicalLockManager(LockManager):
             old = page_map.get(oid)
             page_map[oid] = m if old is None else old.sup[m.rank]
         self.stats.deescalations += 1
-        # Demote the coarse grant to whatever intent the holder's
-        # remaining locks below still require (possibly nothing).
-        entry = self._table[granule]
-        demoted = self._required_intent(holder, granule)
+        # Demote the page grant to whatever intent the holder's remaining
+        # locks below still require (possibly nothing).
+        entry = self._table[page]
+        demoted = self._required_intent(holder, page)
         for probe in self.probes:
-            probe.lock("release", holder, granule, None)
+            probe.lock("release", holder, page, None)
         if demoted is None:
             del entry.granted[holder]
             held = self._held_by.get(holder)
             if held is not None:
-                held.discard(granule)
+                held.discard(page)
         else:
             entry.granted[holder] = demoted
             for probe in self.probes:
-                probe.lock("grant", holder, granule, demoted)
-        self._dispatch(entry, granule)
+                probe.lock("grant", holder, page, demoted)
+        self._dispatch(entry, page)
         failed = self._esc_failed.get(holder)
         if failed is not None:
-            failed.pop(granule, None)
+            failed.pop(page, None)
 
     def _regrant(self, holder: int, key, mode: LockMode) -> None:
         """Re-grant a lock covered until now by an escalated coarse lock.
@@ -411,24 +336,16 @@ class HierarchicalLockManager(LockManager):
             for probe in self.probes:
                 probe.lock("grant", holder, key, target)
 
-    def _required_intent(self, holder: int, granule) -> Optional[LockMode]:
-        """The intent the holder's surviving locks below ``granule`` need
-        on it (None when nothing is left below)."""
+    def _required_intent(self, holder: int,
+                         page: PageGranule) -> Optional[LockMode]:
+        """The intent the holder's surviving object locks on ``page``
+        need on it (None when nothing is left below)."""
         need: Optional[LockMode] = None
         table = self._table
         for key in self._held_by.get(holder, ()):
-            if key == granule or not descendant_of(key, granule):
-                continue
-            m = table[key].granted[holder].intent
-            need = m if need is None else need.sup[m.rank]
-        # Remembered covers on a child granule (an escalated page under a
-        # de-escalating partition keeps its coarse page lock).
-        cov = self._covered.get(holder)
-        if cov:
-            for g in cov:
-                if g != granule and descendant_of(g, granule):
-                    m = table[g].granted[holder].intent
-                    need = m if need is None else need.sup[m.rank]
+            if descendant_of(key, page):
+                m = table[key].granted[holder].intent
+                need = m if need is None else need.sup[m.rank]
         return need
 
     # -- release -----------------------------------------------------------------------

@@ -26,9 +26,6 @@ class _Bucket:
         # mirroring a disk bucket of fixed key capacity.
         self.entries: Dict[Hashable, Set[Any]] = {}
 
-    def __repr__(self) -> str:
-        return f"<_Bucket depth={self.local_depth} keys={len(self.entries)}>"
-
 
 def _key_hash(key: Hashable) -> int:
     """Stable integer hash for directory addressing.
@@ -177,7 +174,3 @@ class ExtendibleHashIndex:
     def _double_directory(self) -> None:
         self._directory = self._directory + list(self._directory)
         self._global_depth += 1
-
-    def __repr__(self) -> str:
-        return (f"<ExtendibleHashIndex depth={self._global_depth} "
-                f"entries={self._size}>")

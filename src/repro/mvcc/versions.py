@@ -77,10 +77,6 @@ class VersionEntry:
     def is_base(self) -> bool:
         return self.image is None
 
-    def __repr__(self) -> str:
-        kind = f"base@{self.physical}" if self.is_base else "tail"
-        return f"<VersionEntry ts={self.ts} {kind}>"
-
 
 @dataclass
 class MvccStats:

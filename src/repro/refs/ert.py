@@ -87,6 +87,3 @@ class ExternalReferenceTable:
         if parent.partition == self.partition_id:
             raise ValueError(
                 f"{parent} -> {child} is not an external reference")
-
-    def __repr__(self) -> str:
-        return f"<ERT p{self.partition_id} entries={len(self._index)}>"

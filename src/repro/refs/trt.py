@@ -23,7 +23,7 @@ When transactions do not follow strict 2PL, delete tuples must be kept
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Set
+from typing import Dict, Iterator, List, Set
 
 from ..index import ExtendibleHashIndex
 from ..storage.oid import Oid
@@ -48,10 +48,6 @@ class TrtEntry:
     tid: int
     action: str    # ACTION_INSERT or ACTION_DELETE
     seq: int = 0
-
-    def __repr__(self) -> str:
-        return (f"TrtEntry({self.child}<-{self.parent} {self.action} "
-                f"t{self.tid} #{self.seq})")
 
 
 class TrtStats:
@@ -192,6 +188,3 @@ class TemporaryReferenceTable:
 
     def __len__(self) -> int:
         return self._size
-
-    def __repr__(self) -> str:
-        return f"<TRT p{self.partition_id} tuples={self._size}>"

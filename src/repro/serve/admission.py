@@ -61,10 +61,6 @@ class AdmissionQueue:
     def __len__(self) -> int:
         return len(self._queue)
 
-    @property
-    def closed(self) -> bool:
-        return self._closed
-
     def put(self, request: Request) -> bool:
         """Enqueue, or refuse (returns False) when the queue is full."""
         if len(self._queue) >= self.depth:

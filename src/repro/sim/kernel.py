@@ -134,10 +134,6 @@ class TimerHandle:
         self._sim._timers_cancelled += 1
         return True
 
-    def __repr__(self) -> str:
-        state = "pending" if self.active else "done"
-        return f"<TimerHandle at={self.when!r} {state}>"
-
 
 class Delay:
     """Command: suspend the yielding process for ``dt`` time units."""
@@ -148,9 +144,6 @@ class Delay:
         if dt < 0:
             raise ValueError(f"negative delay: {dt!r}")
         self.dt = dt
-
-    def __repr__(self) -> str:
-        return f"Delay({self.dt!r})"
 
 
 class Wait:
@@ -166,9 +159,6 @@ class Wait:
     def __init__(self, event: "Event", timeout: Optional[float] = None):
         self.event = event
         self.timeout = timeout
-
-    def __repr__(self) -> str:
-        return f"Wait({self.event!r}, timeout={self.timeout!r})"
 
 
 class Hold:
@@ -187,9 +177,6 @@ class Hold:
             raise ValueError(f"negative hold: {dt!r}")
         self.resource = resource
         self.dt = dt
-
-    def __repr__(self) -> str:
-        return f"Hold({self.resource!r}, {self.dt!r})"
 
 
 def _noop() -> None:
@@ -484,10 +471,6 @@ class Process:
             waiter.timer = self.sim.call_later(
                 timeout, waiter.on_timeout, label=f"timeout:{self.name}")
 
-    def __repr__(self) -> str:
-        state = "alive" if self._alive else "done"
-        return f"<Process {self.name!r} {state}>"
-
 
 class Simulator:
     """The event loop: a clock plus a priority queue of callbacks.
@@ -548,10 +531,6 @@ class Simulator:
     def now(self) -> float:
         """Current simulated time (milliseconds by library convention)."""
         return self._now
-
-    @property
-    def policy(self) -> Optional[SchedulerPolicy]:
-        return self._policy
 
     def set_policy(self, policy: Optional[SchedulerPolicy]) -> None:
         """Install (or, with ``None``, remove) a scheduler policy; a
@@ -796,8 +775,3 @@ class Simulator:
         for proc in victims:
             proc.kill()
         return len(victims)
-
-    def __repr__(self) -> str:
-        queued = len(self._queue) + len(self._ready)
-        return (f"<Simulator t={self._now:.3f} queued={queued} "
-                f"live={len(self._live_processes)}>")

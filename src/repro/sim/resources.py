@@ -128,10 +128,6 @@ class Resource:
         self._in_use += 1
         self.total_acquisitions += 1
 
-    def __repr__(self) -> str:
-        return (f"<Resource {self.name!r} {self._in_use}/{self.capacity} "
-                f"queued={len(self._waiters)}>")
-
 
 class CpuMeter:
     """Accumulates fine-grained CPU costs and pays them in chunks.
@@ -178,6 +174,3 @@ class Mutex:
 
     def release(self) -> None:
         self._resource.release()
-
-    def __repr__(self) -> str:
-        return f"<Mutex {self._resource.name!r} locked={self.locked}>"

@@ -16,7 +16,7 @@ eviction and checkpoints are sharp).
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Any, Callable, Dict, Generator, Optional, Set, Tuple
+from typing import Any, Callable, Dict, Generator, Optional, Tuple
 
 from ..config import RetryPolicy, SystemConfig
 from ..sim import Delay, Event, Resource, Simulator, Wait
@@ -54,11 +54,6 @@ class BufferStats:
         #: they waited on that read instead of paying their own.
         self.coalesced_reads = 0
 
-    @property
-    def hit_ratio(self) -> float:
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0
-
     def snapshot(self) -> Dict[str, int]:
         """Current counter values, for windowed (per-run) deltas."""
         return {name: getattr(self, name) for name in self.__slots__}
@@ -70,10 +65,6 @@ class BufferStats:
             return self.snapshot()
         return {name: getattr(self, name) - base[name]
                 for name in self.__slots__}
-
-    def __repr__(self) -> str:
-        return (f"<BufferStats hits={self.hits} misses={self.misses} "
-                f"hit_ratio={self.hit_ratio:.2%}>")
 
 
 class BufferPool:
@@ -233,10 +224,3 @@ class BufferPool:
 
     def is_dirty(self, key: PageKey) -> bool:
         return self._frames.get(key, False)
-
-    def __len__(self) -> int:
-        return len(self._frames)
-
-    def __repr__(self) -> str:
-        return (f"<BufferPool {len(self._frames)}/{self.capacity_pages} "
-                f"{self.stats!r}>")

@@ -9,7 +9,7 @@ force relocation into *fresh* pages instead of refilling fragmented ones).
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, Optional
+from typing import Dict, Optional
 
 
 class FreeSpaceMap:
@@ -45,9 +45,6 @@ class FreeSpaceMap:
             if best is None or page_no < best:
                 best = page_no
         return best
-
-    def pages(self) -> Iterator[int]:
-        return iter(sorted(self._free))
 
     def total_free(self) -> int:
         return sum(self._free.values())

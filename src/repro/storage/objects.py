@@ -198,8 +198,3 @@ class ObjectImage:
         if not isinstance(other, ObjectImage):
             return NotImplemented
         return self._refs == other._refs and self.payload == other.payload
-
-    def __repr__(self) -> str:
-        filled = sum(1 for r in self._refs if r is not None)
-        return (f"<ObjectImage refs={filled}/{len(self._refs)} "
-                f"payload={len(self.payload)}B>")

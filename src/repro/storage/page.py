@@ -420,7 +420,3 @@ class Page:
         if offset == _FREE:
             raise NoSuchObjectError(f"slot {slot} is free")
         return offset, length
-
-    def __repr__(self) -> str:
-        return (f"<Page {self.live_slot_count} live slots, "
-                f"{self.free_space}B free, lsn={self.page_lsn}>")

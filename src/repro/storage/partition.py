@@ -282,6 +282,3 @@ class Partition:
         if oid.partition != self.partition_id:
             raise NoSuchObjectError(
                 f"{oid} does not belong to partition {self.partition_id}")
-
-    def __repr__(self) -> str:
-        return f"<Partition {self.partition_id} pages={len(self._pages)}>"

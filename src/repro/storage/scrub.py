@@ -96,7 +96,3 @@ class Scrubber:
                     self._check(*order[self._cursor])
                     self._cursor += 1
             yield Delay(self.interval_ms)
-
-    def __repr__(self) -> str:
-        return (f"<Scrubber scanned={self.stats.pages_scanned} "
-                f"corrupt={self.stats.corrupt_pages_found}>")

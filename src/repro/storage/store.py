@@ -301,6 +301,3 @@ class ObjectStore:
             store._partitions[pid] = Partition.restore(
                 part_state, corrupt_sink=corrupt_sink)
         return store
-
-    def __repr__(self) -> str:
-        return f"<ObjectStore partitions={self.partition_ids()}>"

@@ -110,7 +110,3 @@ class TransactionManager:
     def wait_for_quiesce(self) -> Generator[Any, Any, None]:
         """Block until every currently-active transaction has completed."""
         yield from self.wait_for(self.active_tids())
-
-    def __repr__(self) -> str:
-        return (f"<TransactionManager active={len(self._active)} "
-                f"committed={self.committed} aborted={self.aborted}>")

@@ -431,7 +431,3 @@ class Transaction:
         if self.status is not TxnStatus.ACTIVE:
             raise TransactionStateError(
                 f"txn {self.tid} is {self.status.value}")
-
-    def __repr__(self) -> str:
-        kind = "sys" if self.system else "usr"
-        return f"<Txn {self.tid} {kind} {self.status.value}>"

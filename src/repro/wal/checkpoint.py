@@ -43,10 +43,6 @@ class SnapshotStore:
     def has(self, snapshot_id: int) -> bool:
         return snapshot_id in self._snapshots
 
-    def ids(self):
-        """Snapshot ids, oldest first."""
-        return sorted(self._snapshots)
-
     def items(self):
         """``(snapshot_id, payload)`` pairs, oldest first."""
         return [(sid, self._snapshots[sid]) for sid in sorted(self._snapshots)]

@@ -271,7 +271,3 @@ class LogManager:
 
     def unsubscribe(self, subscriber: Subscriber) -> None:
         self._subscribers.remove(subscriber)
-
-    def __repr__(self) -> str:
-        return (f"<LogManager lsn={self.last_lsn} "
-                f"flushed={self._flushed_lsn}>")

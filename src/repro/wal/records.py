@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass, field, fields
-from itertools import groupby
+from itertools import count, groupby
 from operator import itemgetter
 from typing import Any, ClassVar, Dict, Optional, Tuple
 
@@ -189,13 +189,14 @@ class Maybe:
         return self.item.take(data, offset) if present else (None, offset)
 
 
-def _compile(members, reads):
-    """``put(values)`` and ``take(data, at)`` for ``members`` back to back,
-    compiled to the straight-line code a hand-written codec would be: one
-    precompiled struct call per run of :class:`Fixed` members, one call of
-    each other member's ``put``/``take`` (a byte string's length prefix is
-    packed inline).  ``reads[i]`` is the source that reads member ``i``
-    off ``values``."""
+def _compile(layout):
+    """``put(values)`` and ``take(data, at)`` for ``layout.members`` back to
+    back, compiled to the straight-line code a hand-written codec would be:
+    one precompiled struct call per run of :class:`Fixed` members, one call
+    of each other member's ``put``/``take`` (a byte string's length prefix
+    is packed inline).  ``layout.reads[i]`` is the source that reads member
+    ``i`` off ``values``; the code is compiled as ``layout.filename``."""
+    members, reads = layout.members, layout.reads
     env: Dict[str, Any] = {}
     puts, takes = [], []
     for fixed, run in groupby(range(len(members)),
@@ -229,10 +230,16 @@ def _compile(members, reads):
                 takes.append(f"v{i} = F{i}(v{i})")
         takes.append(f"at += {packer.size}")
     values = "".join(f"v{i}, " for i in range(len(members)))
-    exec(f"def put(values):\n    return {' + '.join(puts)}\n"
-         "def take(data, at):\n    " + "\n    ".join(takes)
-         + f"\n    return ({values}), at\n", env)
+    source = (f"def put(values):\n    return {' + '.join(puts)}\n"
+              "def take(data, at):\n    " + "\n    ".join(takes)
+              + f"\n    return ({values}), at\n")
+    exec(compile(source, layout.filename, "exec"), env)
     return env["put"], env["take"]
+
+
+#: Numbers the layouts in the order they are built: all at import, so each
+#: layout's number is the same in every run.
+_layouts = count(1)
 
 
 class Layout:
@@ -243,15 +250,18 @@ class Layout:
         self.members = members
         #: Source reading member ``i`` off ``put``'s argument ``values``.
         self.reads = [f"values[{i}]" for i in range(len(members))]
+        #: The file name of the compiled code: one per layout, so a
+        #: profile keeps each layout's ``put``/``take`` apart.
+        self.filename = f"<layout {next(_layouts)}>"
 
     # The first call compiles both; the compiled functions, set on the
     # instance, shadow these two methods from then on.
     def put(self, values) -> bytes:
-        self.put, self.take = _compile(self.members, self.reads)
+        self.put, self.take = _compile(self)
         return self.put(values)
 
     def take(self, data: bytes, at: int) -> Tuple[Any, int]:
-        self.put, self.take = _compile(self.members, self.reads)
+        self.put, self.take = _compile(self)
         return self.take(data, at)
 
 

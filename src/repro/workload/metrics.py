@@ -276,8 +276,3 @@ class ExperimentMetrics:
             "window_ms": round(self.window_ms, 1),
             "cpu_utilization": round(self.cpu_utilization, 3),
         }
-
-    def __repr__(self) -> str:
-        return (f"<Metrics {self.algorithm} mpl={self.mpl} "
-                f"tps={self.throughput_tps:.1f} "
-                f"art={self.avg_response_ms:.0f}ms>")

@@ -84,6 +84,12 @@ def test_verify_corrupt_log_exits_nonzero(capsys):
     assert "VERDICT: CORRUPT" in capsys.readouterr().out
 
 
+def test_explore_clean_run_exits_zero(capsys):
+    # Without --mutation the exit status is the report's own verdict.
+    assert main(["explore", "--seeds", "2", "--depth", "1"]) == 0
+    assert "oracle violations    0" in capsys.readouterr().out
+
+
 def test_chaos_single_corruption_point(capsys):
     code = main(["chaos", "--crash-at", "1500", "--corruption",
                  "torn_log_tail"] + SMALL_SCALE)

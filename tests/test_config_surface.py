@@ -30,7 +30,6 @@ FIELDS = {
         "disk_resident", "buffer_pool_pages", "disk_read_ms",
         "disk_write_ms", "ert_bucket_capacity", "deadlock_detection",
         "strict_transactions", "lock_manager", "lock_escalate_after",
-        "lock_partition_escalate_after", "lock_deescalate_on_conflict",
         "io_retry", "verify_page_reads"},
     "WorkloadConfig": {
         "num_partitions", "objects_per_partition", "mpl", "ops_per_trans",
@@ -79,7 +78,7 @@ def test_the_set_of_options_is_pinned():
     assert actual == FIELDS
     settable = sum(len(names) for name, names in FIELDS.items()
                    if name != "RetryPolicy")
-    assert settable == 85
+    assert settable == 83
 
 
 #: How ``src/repro/`` names a configuration object it reads a field of

@@ -30,9 +30,9 @@ SMALL = WorkloadConfig(num_partitions=2, objects_per_partition=170,
                        mpl=3, seed=13)
 
 
-def small_db(workload=SMALL, algorithm=None):
+def small_db(workload=SMALL, algorithm=None, system=None):
     """Workload database with MPL threads (and optionally a reorg) running."""
-    db, layout = Database.with_workload(workload)
+    db, layout = Database.with_workload(workload, system)
     driver = WorkloadDriver(db.engine, layout,
                             ExperimentConfig(workload=workload))
     metrics = ExperimentMetrics("x", workload.mpl)
@@ -163,6 +163,23 @@ def test_transient_io_faults_are_retried():
     assert faults == injector.stats.io_faults_injected
     # Every injected fault was absorbed by a backoff-retry, none escaped.
     assert retries == faults
+    assert db.verify_integrity().ok
+
+
+def test_page_io_faults_are_retried_by_the_buffer_pool():
+    # Disk-resident: page reads and write-backs go through the buffer
+    # pool's fault hook as well as log flushes through the log's.
+    db, _, _ = small_db(system=SystemConfig(disk_resident=True,
+                                            buffer_pool_pages=8))
+    injector = FaultInjector(FaultPlan(seed=7, io_error_rate=0.1),
+                             db.engine).attach()
+    db.sim.run(until=4000.0)
+    db.sim.kill_all()
+    buffer, log = db.engine.buffer.stats, db.engine.log
+    assert buffer.io_faults > 0
+    assert buffer.io_faults + log.io_faults == \
+        injector.stats.io_faults_injected
+    assert buffer.io_retries == buffer.io_faults
     assert db.verify_integrity().ok
 
 

@@ -4,10 +4,6 @@ The suite's ``graph_signature`` canonicalization is itself code under
 test; these tests verify the stronger property directly — the labeled
 object graph before and after a reorganization is isomorphic under the
 migration mapping — using networkx as an independent oracle.
-
-The graph helpers live in :mod:`repro.explore.oracles` (the explorer's
-transparency machinery); importing them here keeps the test and the
-oracle from drifting apart.
 """
 
 import networkx as nx
@@ -20,11 +16,54 @@ from repro import (
     ReorgConfig,
     WorkloadConfig,
 )
-from repro.explore.oracles import (
-    graph_matches_under_mapping,
-    object_graph,
-    relabeled,
-)
+
+
+def object_graph(db):
+    """The database as a labeled multigraph (payload = node label).
+
+    ``db`` is anything with a ``.store`` (Database, StorageEngine) or an
+    object store itself.
+    """
+    store = getattr(db, "store", db)
+    graph = nx.MultiDiGraph()
+    for oid in store.all_live_oids():
+        image = store.read_object(oid)
+        graph.add_node(oid, payload=bytes(image.payload))
+        for slot, child in image.refs():
+            graph.add_edge(oid, child, slot=slot)
+    return graph
+
+
+def relabeled(graph, mapping):
+    """The graph with every node translated through ``mapping``."""
+    return nx.relabel_nodes(graph, lambda n: mapping.get(n, n), copy=True)
+
+
+def graph_matches_under_mapping(before, after, mapping) -> list:
+    """Exact equality of ``after`` against ``before`` relabeled through
+    the migration mapping — stronger than isomorphism search.  Returns
+    the list of discrepancies (empty = match)."""
+    expected = relabeled(before, mapping)
+    problems = []
+    missing = set(expected.nodes) - set(after.nodes)
+    extra = set(after.nodes) - set(expected.nodes)
+    if missing:
+        problems.append(f"objects missing after reorg: {sorted(missing)[:5]}")
+    if extra:
+        problems.append(f"unexpected objects after reorg: {sorted(extra)[:5]}")
+    for node in set(expected.nodes) & set(after.nodes):
+        if expected.nodes[node]["payload"] != after.nodes[node]["payload"]:
+            problems.append(f"payload of {node} changed")
+    expected_edges = sorted((u, v, d["slot"])
+                            for u, v, d in expected.edges(data=True))
+    actual_edges = sorted((u, v, d["slot"])
+                          for u, v, d in after.edges(data=True))
+    if expected_edges != actual_edges:
+        gone = set(expected_edges) - set(actual_edges)
+        born = set(actual_edges) - set(expected_edges)
+        problems.append(f"edges changed: -{sorted(gone)[:4]} "
+                        f"+{sorted(born)[:4]}")
+    return problems
 
 
 @pytest.fixture

@@ -1,7 +1,7 @@
 """Unit tests for the hierarchical lock manager (repro.hlock).
 
-Pure simulator-level tests: intention planting, coverage, escalation
-(page and partition), refusal over conflicting co-holders,
+Pure simulator-level tests: intention planting, coverage, page
+escalation, refusal over conflicting co-holders,
 de-escalation on conflict, release ordering, the hierarchy-consistency
 introspection the explorer's oracle uses, and deadlock cycles that pass
 through ancestor granules.
@@ -152,20 +152,6 @@ def test_escalation_refused_over_a_conflicting_co_holder():
     assert oid(0, 0) in locks._table and oid(0, 1) in locks._table
 
 
-def test_partition_escalation_collapses_everything_below():
-    sim = Simulator()
-    locks = manager(sim, partition_escalate_after=4)
-    for page in (0, 1):
-        for slot in range(2):
-            assert locks.try_acquire(1, oid(page, slot), LockMode.S)
-    assert locks.stats.escalations == 1
-    assert locks._table[P1].granted[1] is LockMode.S
-    # Fine locks, page intents and all: only the partition lock remains.
-    assert [k for k in locks._table if k != P1] == []
-    assert locks.holds(1, oid(0, 0), LockMode.S)
-    assert locks.holds(1, oid(1, 5), LockMode.S)  # covered
-
-
 def test_escalation_disabled_by_default():
     sim = Simulator()
     locks = manager(sim)
@@ -223,29 +209,20 @@ def test_deescalation_preserves_fine_conflicts():
     assert log == [("granted", 100.0)]
 
 
-def test_deescalation_can_be_disabled():
-    sim = Simulator()
-    locks = manager(sim, escalate_after=2, deescalate_on_conflict=False)
-    assert locks.try_acquire(1, oid(0, 0), LockMode.S)
-    assert locks.try_acquire(1, oid(0, 1), LockMode.S)
-    assert not locks.try_acquire(2, oid(0, 5), LockMode.X)
-    assert locks.stats.deescalations == 0
-    assert locks._table[PAGE0].granted[1] is LockMode.S
-
-
 # -- deadlock through ancestor granules ---------------------------------------
 
 
 def test_deadlock_cycle_through_a_page_granule_is_detected():
     sim = Simulator()
     locks = manager(sim, timeout_ms=10_000.0, detection="waits-for",
-                    escalate_after=2, deescalate_on_conflict=False)
+                    escalate_after=2)
     log = []
 
-    # t2 escalates page 1 (two S locks), then goes for t1's object on
-    # page 0.  t1 holds an object on page 0 and goes for page 1: its IX
-    # intent waits on t2's escalated S page lock — a wait edge through a
-    # *granule* — and t2's request closes the cycle.
+    # t2 locks page 1 in S (by granule key: not an escalation, so never
+    # de-escalated), then goes for t1's object on page 0.  t1 holds an
+    # object on page 0 and goes for page 1: its IX intent waits on t2's
+    # S page lock — a wait edge through a *granule* — and t2's request
+    # closes the cycle.
     def t1():
         yield from locks.acquire(1, oid(0, 0), LockMode.X)
         log.append(("t1-holds", sim.now))
@@ -258,9 +235,8 @@ def test_deadlock_cycle_through_a_page_granule_is_detected():
             locks.release_all(1)
 
     def t2():
-        yield from locks.acquire(2, oid(1, 1), LockMode.S)
-        yield from locks.acquire(2, oid(1, 2), LockMode.S)
-        log.append(("t2-escalated", locks.stats.escalations))
+        yield from locks.acquire(2, PAGE1, LockMode.S)
+        log.append(("t2-holds-page", locks.holds(2, PAGE1, LockMode.S)))
         yield Delay(20)
         try:
             yield from locks.acquire(2, oid(0, 0), LockMode.S)
@@ -274,7 +250,7 @@ def test_deadlock_cycle_through_a_page_granule_is_detected():
     sim.spawn(t1(), name="t1")
     sim.spawn(t2(), name="t2")
     sim.run()
-    assert ("t2-escalated", 1) in log
+    assert ("t2-holds-page", True) in log
     # Exactly one victim — the requester that closed the cycle.
     assert ("t2-deadlock", 20.0) in log
     assert ("t1-deadlock", 20.0) not in log
@@ -282,10 +258,8 @@ def test_deadlock_cycle_through_a_page_granule_is_detected():
 
 def test_granule_wait_times_out_like_any_other():
     sim = Simulator()
-    locks = manager(sim, timeout_ms=50.0, escalate_after=2,
-                    deescalate_on_conflict=False)
-    assert locks.try_acquire(1, oid(0, 0), LockMode.S)
-    assert locks.try_acquire(1, oid(0, 1), LockMode.S)  # escalates
+    locks = manager(sim, timeout_ms=50.0, escalate_after=2)
+    assert locks.try_acquire(1, PAGE0, LockMode.S)  # by key: stays
     log = []
 
     def blocked():

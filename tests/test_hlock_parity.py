@@ -202,8 +202,7 @@ class LegacyHierarchicalLockManager(HierarchicalLockManager):
     def _acquire_granule(self, tid, granule, mode):
         if LockManager.try_acquire(self, tid, granule, mode):
             return True
-        if self.deescalate_on_conflict and \
-                self._deescalate_blockers(tid, granule, mode):
+        if self._deescalate_blockers(tid, granule, mode):
             return LockManager.try_acquire(self, tid, granule, mode)
         return False
 
@@ -241,13 +240,6 @@ class LegacyHierarchicalLockManager(HierarchicalLockManager):
                 if page_map is not None and \
                         len(page_map) >= self.escalate_after:
                     self._escalate(tid, page, page_map)
-        if self.partition_escalate_after > 0:
-            fine = self._fine.get(tid)
-            if fine:
-                total = sum(len(oids) for g, oids in fine.items()
-                            if g.partition == part.partition)
-                if total >= self.partition_escalate_after:
-                    self._escalate_partition(tid, part)
 
     def _escalate(self, tid, page, page_map):
         failed = self._esc_failed.get(tid)
@@ -279,61 +271,9 @@ class LegacyHierarchicalLockManager(HierarchicalLockManager):
         if failed is not None:
             failed.pop(page, None)
 
-    def _escalate_partition(self, tid, part):
-        fine = self._fine.get(tid) or {}
-        pages = [g for g in fine if g.partition == part.partition]
-        merged = {}
-        for g in pages:
-            merged.update(fine[g])
-        cov = self._covered.get(tid, {})
-        cov_pages = [g for g in cov if type(g) is PageGranule
-                     and g.partition == part.partition]
-        for g in cov_pages:
-            for oid, m in cov[g].items():
-                old = merged.get(oid)
-                merged[oid] = m if old is None else _SUP[old][m]
-        if not merged:
-            return
-        failed = self._esc_failed.get(tid)
-        if failed is not None and failed.get(part, -1) >= len(merged):
-            return
-        held = self._table[part].granted.get(tid)
-        if held is None:
-            return
-        raw = X if any(m is X for m in merged.values()) else S
-        target = _SUP[held][raw]
-        if target is held:
-            return
-        if not self._escalation_safe(tid, part, target):
-            self.stats.escalation_failures += 1
-            self._esc_failed.setdefault(tid, {})[part] = len(merged)
-            return
-        self._promote(tid, part, target)
-        self.stats.escalations += 1
-        bucket = self._covered.setdefault(tid, {}).setdefault(part, {})
-        for oid, m in merged.items():
-            old = bucket.get(oid)
-            bucket[oid] = m if old is None else _SUP[old][m]
-        objs = self._objects_held.get(tid)
-        for g in pages:
-            for oid in list(fine[g]):
-                LockManager.release(self, tid, oid)
-                if objs is not None:
-                    objs.discard(oid)
-            del fine[g]
-        for g in cov_pages:
-            del cov[g]
-            LockManager.release(self, tid, g)
-        for key in [k for k in self._held_by.get(tid, ())
-                    if type(k) is PageGranule
-                    and k.partition == part.partition]:
-            LockManager.release(self, tid, key)
-        if failed is not None:
-            failed.pop(part, None)
-
     def _deescalate_blockers(self, requester, granule, mode):
         entry = self._table.get(granule)
-        if entry is None:
+        if entry is None or type(granule) is not PageGranule:
             return False
         compatible = _COMPATIBLE[mode]
         did = False
@@ -349,20 +289,14 @@ class LegacyHierarchicalLockManager(HierarchicalLockManager):
 
     def _deescalate(self, holder, granule):
         fines = self._covered[holder].pop(granule)
-        is_page = type(granule) is PageGranule
         fine = self._fine.get(holder)
         if fine is None:
             fine = self._fine[holder] = {}
         for oid, m in fines.items():
-            if not is_page:
-                self._regrant(holder, self._page_g(oid.partition, oid.page),
-                              _INTENT[m])
             self._regrant(holder, oid, m)
-            page = granule if is_page else self._page_g(oid.partition,
-                                                        oid.page)
-            page_map = fine.get(page)
+            page_map = fine.get(granule)
             if page_map is None:
-                page_map = fine[page] = {}
+                page_map = fine[granule] = {}
             old = page_map.get(oid)
             page_map[oid] = m if old is None else _SUP[old][m]
         self.stats.deescalations += 1
@@ -408,12 +342,6 @@ class LegacyHierarchicalLockManager(HierarchicalLockManager):
                 continue
             m = _INTENT[table[key].granted[holder]]
             need = m if need is None else _SUP[need][m]
-        cov = self._covered.get(holder)
-        if cov:
-            for g in cov:
-                if g != granule and descendant_of(g, granule):
-                    m = _INTENT[table[g].granted[holder]]
-                    need = m if need is None else _SUP[need][m]
         return need
 
     def holds(self, tid, key, mode=None):
@@ -487,8 +415,6 @@ _kills = st.lists(st.tuples(st.sampled_from(TIDS),
                   max_size=2)
 _config = st.fixed_dictionaries({
     "escalate_after": st.sampled_from([0, 2, 3]),
-    "partition_escalate_after": st.sampled_from([0, 4]),
-    "deescalate_on_conflict": st.booleans(),
     "detection": st.sampled_from(["timeout", "waits-for"]),
 })
 
@@ -593,8 +519,7 @@ def test_parity_streams_reach_the_interesting_paths():
             ("release_all",)],
         4: [("delay", 2.0), ("acquire", 5, X, 5.0), ("finish",)],
     }
-    config = dict(escalate_after=2, partition_escalate_after=0,
-                  deescalate_on_conflict=True, detection="timeout")
+    config = dict(escalate_after=2, detection="timeout")
     new = _run(HierarchicalLockManager, config, scripts, [])
     assert new == _run(LegacyHierarchicalLockManager, config, scripts, [])
     stats = new[-1][-1]
@@ -617,8 +542,7 @@ def test_a_wait_on_the_partition_can_weaken_the_page_holding():
             ("finish",)],
         4: [],
     }
-    config = dict(escalate_after=2, partition_escalate_after=0,
-                  deescalate_on_conflict=True, detection="timeout")
+    config = dict(escalate_after=2, detection="timeout")
     new = _run(HierarchicalLockManager, config, scripts, [])
     assert new == _run(LegacyHierarchicalLockManager, config, scripts, [])
     assert new[-1][-1]["deescalations"] == 1

@@ -28,7 +28,7 @@ from repro.wal import (
     TpcPrepareRecord,
     decode_record,
 )
-from repro.wal.records import MergeInstallRecord, TailDeltaRecord
+from repro.wal.records import U64, Layout, MergeInstallRecord, TailDeltaRecord
 
 oids = st.builds(Oid,
                  st.integers(min_value=0, max_value=100),
@@ -204,6 +204,25 @@ def test_importing_compiles_no_layout():
                           text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["0", "18"]
+
+
+def test_each_layout_compiles_under_a_file_name_of_its_own():
+    # A profile keys a function by (file, line, name): with one file name
+    # every layout's put would be counted as one function.
+    begin, commit = BeginRecord.shape, CommitRecord.shape
+    begin.put(BeginRecord(1, 0))
+    commit.put(CommitRecord(1, 0))
+    names = {begin.put.__code__.co_filename, commit.put.__code__.co_filename}
+    assert len(names) == 2
+    assert "<string>" not in names
+
+
+def test_a_layout_decoded_before_it_is_encoded_compiles_on_take():
+    encoder, decoder = Layout(U64, U64), Layout(U64, U64)
+    data = encoder.put((1, 2))
+    assert "take" not in vars(decoder)
+    assert decoder.take(data, 0) == ((1, 2), 16)
+    assert decoder.put((1, 2)) == data
 
 
 @pytest.mark.parametrize("kind", sorted(RECORDS, key=lambda cls: cls.__name__),
