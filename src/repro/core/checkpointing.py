@@ -46,6 +46,7 @@ from typing import Dict, List, Optional, Set, Tuple, Union
 
 from ..errors import ReorganizationError
 from ..refs import LogAnalyzer, TemporaryReferenceTable
+from ..refs.log_analyzer import ANALYZED_KINDS
 from ..storage.oid import Oid
 from ..wal import ReorgProgressRecord, TransactionTable
 from ..wal.records import (KIND_REF_UPDATE, KIND_REORG_PROGRESS, OID, U8,
@@ -254,8 +255,9 @@ def rebuild_trt(engine, partition_id: int,
 
     There is no record rule here — which records make tuples, which
     transactions are the reorganizer's own, what a CLR or a transaction
-    END does are the live analyzer's decisions, taken again.  The
-    engine's ERTs and its analyzer's counters are not touched.
+    END does are the live analyzer's decisions, taken again; only the
+    kinds it analyzes are decoded for it.  The engine's ERTs and its
+    analyzer's counters are not touched.
 
     The result is a *superset* of the TRT the dead incarnation held: the
     tuples it had consumed (``pop_entry``) reappear.  That is safe.  A
@@ -271,8 +273,10 @@ def rebuild_trt(engine, partition_id: int,
     analyzer = LogAnalyzer(lambda _pid: _NoErt,
                            strict_2pl=engine.config.strict_transactions)
     analyzer.activate_trt(trt)
-    for record in engine.log.records(from_lsn=from_lsn + 1):
-        analyzer.process(record)
+    log = engine.log
+    for lsn, kind, _ in log.headers(from_lsn=from_lsn + 1):
+        if kind in ANALYZED_KINDS:
+            analyzer.process(log.read(lsn))
     return trt
 
 
@@ -291,12 +295,13 @@ def committed_migrations_from_log(engine, partition_id: int,
     other order (or checking addresses against the current store) gets
     aliased addresses wrong.
     """
-    moved = TransactionTable.scan(engine.log).reorganizer_committed(
-        partition_id)
+    log = engine.log
+    moved = TransactionTable.scan(log).reorganizer_committed(partition_id)
     pairs: Dict[Oid, Oid] = {}
-    for record in engine.log.records(from_lsn=from_lsn + 1):
-        if record.kind != KIND_REF_UPDATE or record.tid not in moved:
+    for lsn, kind, tid in log.headers(from_lsn=from_lsn + 1):
+        if kind != KIND_REF_UPDATE or tid not in moved:
             continue
+        record = log.read(lsn)
         old, new = record.old_child, record.new_child
         if old is None or new is None or old == new:
             continue

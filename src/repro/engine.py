@@ -330,14 +330,21 @@ class StorageEngine:
         return image
 
     def discard(self) -> None:
-        """Give up the store and the reference tables — the engine is done.
+        """Give up everything the engine owns — the engine is done.
 
         An engine is cyclic garbage (its transaction manager and analyzer
-        point back at it) and benches run with the collector off, so one
-        that is merely dropped keeps every page alive; its pages and ERT
-        buckets are in no cycle and go the moment nothing names them.
+        point back at it, and a crashed simulator's suspended processes
+        name it) and benches run with the collector off, so one that is
+        merely dropped keeps its whole database alive.  Discarding lets
+        go of the store, the ERTs, the log and its records, the snapshot
+        store, the lock and transaction tables and the analyzer; none of
+        them is in a cycle of its own, so each goes the moment nothing
+        else names it.  What is shared is let go of, not emptied: a crash
+        image keeps the snapshot store it was taken with.  Nothing may
+        use the engine afterwards.
         """
-        self.store = None
+        self.store = self.log = self.snapshots = None
+        self.locks = self.txns = self.analyzer = None
         self._erts.clear()
 
     @classmethod

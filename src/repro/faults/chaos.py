@@ -51,7 +51,8 @@ from ..storage.errors import CorruptionError
 from ..storage.oid import Oid
 from ..verify import (Judged, OracleVerdict, corrupt_snapshot_pages,
                       deep_verify, graph_signature)
-from ..wal import ObjDeleteRecord, TransactionTable
+from ..wal import TransactionTable
+from ..wal.records import KIND_OBJ_DELETE
 from ..workload import WorkloadDriver
 from ..workload.metrics import ExperimentMetrics
 from .injector import FaultInjector
@@ -108,12 +109,11 @@ def count_remigrations(engine, partition_id: int, from_lsn: int,
     addresses the pre-crash run had produced).  A correct resume leaves
     those addresses alone and only migrates the still-pending objects.
     """
-    moved = TransactionTable.scan(engine.log).reorganizer_committed(
-        partition_id)
-    return sum(1 for record in engine.log.records(from_lsn=from_lsn + 1)
-               if isinstance(record, ObjDeleteRecord)
-               and record.tid in moved
-               and record.oid in already_migrated_new)
+    log = engine.log
+    moved = TransactionTable.scan(log).reorganizer_committed(partition_id)
+    return sum(1 for lsn, kind, tid in log.headers(from_lsn=from_lsn + 1)
+               if kind == KIND_OBJ_DELETE and tid in moved
+               and log.read(lsn).oid in already_migrated_new)
 
 
 @dataclass
@@ -301,18 +301,56 @@ def probe_run_window(algorithm: str = "ira",
     mid-reorganization."""
     workload = workload or DEFAULT_WORKLOAD
     reorg_config = reorg_config or DEFAULT_REORG
-    db, reorg, reorg_proc, _ = _launch(algorithm, workload, reorg_config)
-    # The closed-loop load never drains, so advance in 1 s simulated
-    # slices and stop at the first one that sees the reorganizer done.
-    deadline = db.sim.now + 10 * 60 * 1000.0
-    while not reorg_proc.done.fired and db.sim.now < deadline:
-        db.sim.run(until=min(db.sim.now + 1000.0, deadline))
-    if not reorg_proc.done.fired:
-        raise RuntimeError("probe run did not finish within 10 simulated "
-                           "minutes; shrink the workload")
-    stats = reorg_proc.result
+    db, _, reorg_proc, _ = _launch(algorithm, workload, reorg_config)
+    try:
+        # The closed-loop load never drains, so advance in 1 s simulated
+        # slices and stop at the first one that sees the reorganizer done.
+        deadline = db.sim.now + 10 * 60 * 1000.0
+        while not reorg_proc.done.fired and db.sim.now < deadline:
+            db.sim.run(until=min(db.sim.now + 1000.0, deadline))
+        if not reorg_proc.done.fired:
+            raise RuntimeError("probe run did not finish within 10 "
+                               "simulated minutes; shrink the workload")
+        stats = reorg_proc.result
+        return stats.started_ms, stats.finished_ms
+    finally:
+        _release(db)
+
+
+def _release(db: Database) -> None:
+    """Kill what still runs on ``db`` and give up its engine: benches run
+    with the collector off, and a database left as cyclic garbage keeps
+    every page, log record and snapshot it built."""
     db.sim.kill_all()
-    return stats.started_ms, stats.finished_ms
+    db.engine.discard()
+
+
+def _run_to_crash(result: ChaosPointResult, algorithm: str,
+                  workload: WorkloadConfig, reorg_config: ReorgConfig,
+                  seed: int, corruption: Optional[str],
+                  twin_timing: Optional[str]):
+    """Launch the point's database and run it into its crash.
+
+    Judges ``crashed`` and reads what the point needs of the launched
+    run into ``result``; returns the crash image and the injected
+    corruptions, or ``None`` when the crash never fired.  The launched
+    database is released before this returns, so recovery never builds
+    the next one beside it.
+    """
+    db, reorg, _, injector = _launch(
+        algorithm, workload, reorg_config,
+        corruption=corruption, corruption_timing=twin_timing,
+        crash_at_ms=result.crash_at_ms, seed=seed)
+    try:
+        db.sim.run(until=result.crash_at_ms + 1.0)
+    finally:
+        _release(db)
+    if not result.judge("crashed", injector.crashed,
+                        "crash trigger never fired"):
+        return None
+    result.migrated_before_crash = reorg.stats.objects_migrated
+    result.corruptions_injected = injector.stats.corruptions_injected
+    return injector.crash_image, injector.stats.corruptions
 
 
 def run_chaos_point(crash_at_ms: float, algorithm: str = "ira",
@@ -334,28 +372,21 @@ def run_chaos_point(crash_at_ms: float, algorithm: str = "ira",
     workload = workload or DEFAULT_WORKLOAD
     reorg_config = reorg_config or DEFAULT_REORG
     result = ChaosPointResult(crash_at_ms=crash_at_ms, corruption=corruption)
-
-    db, reorg, reorg_proc, injector = _launch(
-        algorithm, workload, reorg_config,
-        corruption=corruption, corruption_timing=_twin_timing,
-        crash_at_ms=crash_at_ms, seed=seed)
-    db.sim.run(until=crash_at_ms + 1.0)
-    if not result.judge("crashed", injector.crashed,
-                        "crash trigger never fired"):
+    crashed = _run_to_crash(result, algorithm, workload, reorg_config, seed,
+                            corruption, _twin_timing)
+    if crashed is None:
         return result
-    result.migrated_before_crash = reorg.stats.objects_migrated
-    result.corruptions_injected = injector.stats.corruptions_injected
-    injected_pages = {(pid, page_no)
-                      for _kind, pid, page_no in injector.stats.corruptions
+    image, corruptions = crashed
+    injected_pages = {(pid, page_no) for _kind, pid, page_no in corruptions
                       if page_no >= 0}
     injected_tail = any(kind == "torn_log_tail"
-                        for kind, _, _ in injector.stats.corruptions)
+                        for kind, _, _ in corruptions)
     if corruption is not None:
         result.judge("corruption_injected", result.corruptions_injected > 0,
                      f"corruption point injected nothing ({corruption})")
 
     try:
-        recovered = Database.recover(injector.crash_image)
+        recovered = Database.recover(image)
     except CorruptionError as exc:
         result.loud_failure = f"{type(exc).__name__}: {exc}"
         # A loud refusal accounts for an injected corruption; on a clean
@@ -366,8 +397,26 @@ def run_chaos_point(crash_at_ms: float, algorithm: str = "ira",
                      f"recovery failed loudly without injected corruption: "
                      f"{result.loud_failure}")
         return result
-    engine = recovered.engine
     result.judge("recovered", True)
+    try:
+        _judge_recovered(result, recovered, algorithm, workload,
+                         reorg_config, seed, injected_pages, injected_tail,
+                         _recovery_only)
+    finally:
+        _release(recovered)
+    return result
+
+
+def _judge_recovered(result: ChaosPointResult, recovered: Database,
+                     algorithm: str, workload: WorkloadConfig,
+                     reorg_config: ReorgConfig, seed: int,
+                     injected_pages: Set[Tuple[int, int]],
+                     injected_tail: bool, recovery_only: bool) -> None:
+    """The gates after a successful restart: corruption accounting,
+    integrity, then (unless ``recovery_only``) the twin comparison, the
+    resume and the resumed run's gates, each judged on ``result``."""
+    engine = recovered.engine
+    corruption = result.corruption
 
     stats = engine.recovery_stats
     result.pages_repaired = stats.pages_repaired
@@ -409,7 +458,7 @@ def run_chaos_point(crash_at_ms: float, algorithm: str = "ira",
     report = engine.verify_integrity()
     if not result.judge("integrity_after_recovery", report.ok,
                         f"integrity after recovery: {report.problems()[:3]}"):
-        return result
+        return
 
     store = WalReorgStateStore(engine, REORG_PARTITION)
     # One log scan per point: tombstone, state and resume all derive
@@ -426,15 +475,15 @@ def run_chaos_point(crash_at_ms: float, algorithm: str = "ira",
         if engine.store.exists(old) and engine.store.exists(new):
             mixed_pair = (old, new)
     reference_signature = graph_signature(engine, collapse=mixed_pair)
-    result.recovered_signature = reference_signature
-    if _recovery_only:
-        return result
+    if recovery_only:
+        result.recovered_signature = reference_signature
+        return
     if corruption is not None:
         # The healed state must be indistinguishable from a recovery
         # that never saw the corruption.  The twin replays the same
         # deterministic timeline (same crash, same checkpointer
         # cadence) with nothing injected.
-        twin = run_chaos_point(crash_at_ms, algorithm=algorithm,
+        twin = run_chaos_point(result.crash_at_ms, algorithm=algorithm,
                                workload=workload,
                                reorg_config=reorg_config, seed=seed,
                                _twin_timing=corruption,
@@ -496,7 +545,6 @@ def run_chaos_point(crash_at_ms: float, algorithm: str = "ira",
                     + vreport.logical_problems)
         result.judge("deep_verify", not residual,
                      f"deep verify after resume: {residual[:3]}")
-    return result
 
 
 def chaos_sweep(points: int = 50, algorithm: str = "ira",

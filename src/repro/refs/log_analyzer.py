@@ -41,7 +41,7 @@ from .ert import ExternalReferenceTable
 from .trt import TemporaryReferenceTable
 
 #: Record kinds that carry reference information the analyzer acts on.
-_ANALYZED_KINDS = frozenset({
+ANALYZED_KINDS = frozenset({
     KIND_BEGIN, KIND_END, KIND_REF_UPDATE,
     KIND_OBJ_CREATE, KIND_OBJ_DELETE, KIND_CLR,
 })
@@ -87,7 +87,7 @@ class LogAnalyzer:
         """
         self.records_processed += 1
         kind = record.kind
-        if kind not in _ANALYZED_KINDS:
+        if kind not in ANALYZED_KINDS:
             # Payload updates, commits and aborts — the bulk of the
             # stream — carry no reference information.
             return

@@ -377,7 +377,11 @@ class Process:
             self._finish(value=stop.value)
             return
         except ProcessKilled as exc:
-            self._finish(exc=exc, report=False)
+            # Without its traceback: nothing reads where a kill landed,
+            # and the traceback's frames — holding whatever the dead
+            # generator named — would sit in a cycle with ``done``,
+            # which a run with the collector off never frees.
+            self._finish(exc=exc.with_traceback(None), report=False)
             return
         except BaseException as exc:  # noqa: BLE001 - reported via done event
             self._finish(exc=exc)

@@ -1,12 +1,14 @@
 """ARIES analysis as a public value: the log's transaction table.
 
-One decode of the log answers every question about its *transaction
+One pass over the log answers every question about its *transaction
 structure* — who committed, who ended, who is in doubt, which
 reorganizer a tid belongs to, where the last usable checkpoint is — so
 restart recovery, engine assembly, §4.4 resume, the chaos and
 transparency checks, fleet takeover, 2PC in-doubt settlement and the
 MVCC rebuild all read this table instead of each re-deriving its slice
-with a private scan.  A table is a value: whoever scanned owns it and
+with a private scan.  The pass reads record headers
+(:meth:`~repro.wal.log.LogManager.headers`) and decodes only the records
+whose bodies it needs.  A table is a value: whoever scanned owns it and
 hands it on; the log manager caches nothing.
 """
 
@@ -30,12 +32,20 @@ from .records import (
 
 
 class TransactionTable:
-    """What one pass over a log says about its transactions."""
+    """What one pass over a log says about its transactions.
 
-    def __init__(self) -> None:
-        #: tid -> the partition whose reorganizer began it (its BEGIN
-        #: names one); user and plain system transactions are absent.
-        self.owner: Dict[int, int] = {}
+    The pass decodes no record whose header (kind, tid) says all the
+    table needs: it decodes the CHECKPOINT records (only when asked which
+    are usable), TPC_PREPARE and TPC_DECISION records as it meets them,
+    and the BEGIN records — which name a reorganizer's partition — the
+    first time :attr:`owner` is read, which restart recovery never does.
+    """
+
+    def __init__(self, log: LogManager) -> None:
+        self._log = log
+        #: LSNs of the BEGIN records :attr:`owner` has yet to read.
+        self._begins: List[int] = []
+        self._owner: Dict[int, int] = {}
         #: COMMIT logged — or, for a 2PC coordinator's local branch, a
         #: commit ``TPC_DECISION``: the decision *is* the commit point
         #: (presumed abort), even if the crash beat the COMMIT record.
@@ -59,16 +69,17 @@ class TransactionTable:
         ``snapshots`` decides which checkpoints are usable; callers that
         only ask about commit state or ownership leave it out.
         """
-        table = cls()
-        for record in log.records():
-            tid, kind = record.tid, record.kind
+        table = cls(log)
+        read = log.read
+        for lsn, kind, tid in log.headers():
             if tid == 0:
                 # CHECKPOINT / REORG_PROGRESS / TPC_END / MVCC records:
                 # written by no transaction.
-                if kind == KIND_CHECKPOINT and snapshots is not None \
-                        and snapshots.has(record.snapshot_id):
-                    table.checkpoints.append(record)
-                    table.last_lsn = record.active_txn_table()
+                if kind == KIND_CHECKPOINT and snapshots is not None:
+                    record = read(lsn)
+                    if snapshots.has(record.snapshot_id):
+                        table.checkpoints.append(record)
+                        table.last_lsn = record.active_txn_table()
                 continue
             if tid > table.max_tid:
                 table.max_tid = tid
@@ -76,19 +87,30 @@ class TransactionTable:
                 table.ended.add(tid)
                 table.last_lsn.pop(tid, None)
                 continue
-            table.last_lsn[tid] = record.lsn
+            table.last_lsn[tid] = lsn
             if kind == KIND_BEGIN:
-                if record.is_system and record.owner_partition is not None:
-                    table.owner[tid] = record.owner_partition
+                table._begins.append(lsn)
             elif kind == KIND_COMMIT:
                 table.committed.add(tid)
             elif kind == KIND_ABORT:
                 table.aborted.add(tid)
             elif kind == KIND_TPC_PREPARE:
-                table.prepared[tid] = record
-            elif kind == KIND_TPC_DECISION and record.commit:
+                table.prepared[tid] = read(lsn)
+            elif kind == KIND_TPC_DECISION and read(lsn).commit:
                 table.committed.add(tid)
         return table
+
+    @property
+    def owner(self) -> Dict[int, int]:
+        """tid -> the partition whose reorganizer began it (its BEGIN
+        names one); user and plain system transactions are absent."""
+        if self._begins:
+            for lsn in self._begins:
+                begin = self._log.read(lsn)
+                if begin.is_system and begin.owner_partition is not None:
+                    self._owner[begin.tid] = begin.owner_partition
+            self._begins = []
+        return self._owner
 
     @property
     def checkpoint(self) -> Optional[CheckpointRecord]:

@@ -33,7 +33,7 @@ from typing import Any, Callable, Generator, Iterator, List, Optional, Tuple
 from ..config import RetryPolicy, SystemConfig
 from ..sim import Delay, Resource, Simulator
 from ..storage.errors import LogCorruptionError, TransientIOError
-from .records import KIND_BYTE, LogRecord, decode_record
+from .records import KIND_TID, LogRecord, decode_record
 
 Subscriber = Callable[[LogRecord], None]
 
@@ -145,18 +145,29 @@ class LogManager:
         for index in range(from_lsn - 1, upto):
             yield decode_record(self._encoded[index], lsn=index + 1)
 
-    def newest_of_kind(self, kind: int) -> Iterator[int]:
-        """LSNs of the ``kind`` records, newest first, decoding none.
+    def headers(self, from_lsn: int = 1, upto_lsn: Optional[int] = None
+                ) -> Iterator[Tuple[int, int, int]]:
+        """``(lsn, kind, tid)`` of the records :meth:`records` would
+        decode, read off the header every encoding opens with; decodes
+        nothing.
 
-        Every encoding keeps its kind at :data:`~.records.KIND_BYTE` of
-        the header all records share, and every record was checked as it
-        entered the log — ``append`` encoded it, ``from_durable`` decoded
-        it — so that byte alone picks the records to read.
+        Every record was checked as it entered the log — ``append``
+        encoded it, :meth:`from_durable` decoded it — so its header alone
+        picks the records worth decoding (:meth:`read`).
         """
-        encoded = self._encoded
-        for index in range(len(encoded) - 1, -1, -1):
-            if encoded[index][KIND_BYTE] == kind:
-                yield index + 1
+        upto = upto_lsn if upto_lsn is not None else len(self._encoded)
+        return self._headers(range(from_lsn - 1, upto))
+
+    def newest_of_kind(self, kind: int) -> Iterator[int]:
+        """LSNs of the ``kind`` records, newest first, decoding none."""
+        return (lsn for lsn, each, _ in self._headers(
+            range(len(self._encoded) - 1, -1, -1)) if each == kind)
+
+    def _headers(self, indices: range) -> Iterator[Tuple[int, int, int]]:
+        encoded, unpack = self._encoded, KIND_TID.unpack_from
+        for index in indices:
+            kind, tid = unpack(encoded[index])
+            yield index + 1, kind, tid
 
     # -- durability -----------------------------------------------------------
 

@@ -293,6 +293,10 @@ class Shape(Layout):
 HEADER = (("kind", U8), ("tid", U64), ("prev_lsn", U64))
 #: Byte offset of the kind: the header's first field.
 KIND_BYTE = 0
+#: The header's first two fields, kind and tid, read off an encoding
+#: without decoding it.
+KIND_TID = struct.Struct(
+    "<" + "".join(shape.code for _, shape in HEADER[:2]))
 
 _BY_KIND: Dict[int, type] = {}
 

@@ -8,10 +8,12 @@ structural guard keeps a second reader from growing back.
 
 import inspect
 import re
+from collections import Counter
 from pathlib import Path
 
 import repro
-from repro import StorageEngine
+import repro.wal.log as log_module
+from repro import CompactionPlan, StorageEngine
 from repro.core import rebuild_trt
 from repro.dist import DistCluster
 from repro.sim import Resource, Simulator
@@ -27,7 +29,8 @@ from repro.wal import (
     TpcPrepareRecord,
     TransactionTable,
 )
-from repro.wal.records import PHYSICAL_KINDS
+from repro.wal.records import (PHYSICAL_KINDS, MergeInstallRecord,
+                               TailDeltaRecord, decode_record)
 from tests.test_core_checkpointing import crash_mid_reorg
 
 
@@ -142,6 +145,107 @@ def test_table_matches_naive_scan_on_an_in_doubt_dist_image(
     table = check_image(cluster.nodes[crashed[0]].crash_image)
     assert len(table.in_doubt()) == 1, "prepared, undecided branch"
     assert not set(table.in_doubt()) & set(table.losers())
+
+
+# -- the header scan against a full decode --------------------------------------
+
+def full_decode_scan(log, snapshots=None):
+    """The table's pass as it was before it read headers: every record
+    decoded, every field taken off the record."""
+    table = {"owner": {}, "committed": set(), "ended": set(),
+             "aborted": set(), "prepared": {}, "last_lsn": {},
+             "checkpoints": [], "max_tid": 0}
+    for record in log.records():
+        tid = record.tid
+        if tid == 0:
+            if isinstance(record, CheckpointRecord) and \
+                    snapshots is not None and \
+                    snapshots.has(record.snapshot_id):
+                table["checkpoints"].append(record)
+                table["last_lsn"] = record.active_txn_table()
+            continue
+        table["max_tid"] = max(table["max_tid"], tid)
+        if isinstance(record, EndRecord):
+            table["ended"].add(tid)
+            table["last_lsn"].pop(tid, None)
+            continue
+        table["last_lsn"][tid] = record.lsn
+        if isinstance(record, BeginRecord):
+            if record.is_system and record.owner_partition is not None:
+                table["owner"][tid] = record.owner_partition
+        elif isinstance(record, CommitRecord):
+            table["committed"].add(tid)
+        elif isinstance(record, AbortRecord):
+            table["aborted"].add(tid)
+        elif isinstance(record, TpcPrepareRecord):
+            table["prepared"][tid] = record
+        elif isinstance(record, TpcDecisionRecord) and record.commit:
+            table["committed"].add(tid)
+    return table
+
+
+def assert_header_scan_matches(log, snapshots):
+    for given in (None, snapshots):
+        table = TransactionTable.scan(log, given)
+        assert {name: getattr(table, name)
+                for name in full_decode_scan(log)} == \
+            full_decode_scan(log, given)
+
+
+def test_header_scan_matches_a_full_decode_on_a_closed_loop_ira_log():
+    image, _, _ = crash_mid_reorg("ira", crash_at_ms=5000.0)
+    engine = StorageEngine.recover(image)
+    assert TransactionTable.scan(engine.log).owner, "no reorganizer seen"
+    assert_header_scan_matches(engine.log, engine.snapshots)
+
+
+def test_header_scan_matches_a_full_decode_on_a_2pc_node_log(
+        small_dist_config):
+    cluster = DistCluster(small_dist_config()).build()
+    cluster.reorganize_all()
+    assert cluster.run_until_reorgs_done()
+    for node in cluster.nodes:
+        log = node.engine.log
+        kinds = {kind for _, kind, _ in log.headers()}
+        assert {TpcPrepareRecord.kind, TpcDecisionRecord.kind} <= kinds
+        assert_header_scan_matches(log, node.engine.snapshots)
+
+
+def test_header_scan_matches_a_full_decode_on_an_mvcc_log():
+    from repro.mvcc import MergeReorganizer
+    from tests.test_mvcc_recovery import _build, _run_walks
+
+    db, layout, _ = _build()
+    _run_walks(db, layout)
+    db.run(MergeReorganizer(db.engine, 1, plan=CompactionPlan()).run(),
+           name="merge")
+    db.checkpoint()
+    kinds = {kind for _, kind, _ in db.engine.log.headers()}
+    assert {TailDeltaRecord.kind, MergeInstallRecord.kind} <= kinds
+    assert_header_scan_matches(db.engine.log, db.engine.snapshots)
+
+
+def test_recover_decodes_a_durable_record_at_most_twice(monkeypatch):
+    """Validation and redo decode a record; the analysis reads headers.
+    Undo reads a loser's records once more.  (Before the header scan the
+    analysis decoded every record too: three decodes, four for a loser.)
+    A single-node log: no 2PC records, which the analysis decodes."""
+    image, _, _ = crash_mid_reorg("ira", crash_at_ms=5000.0)
+    decodes = Counter()
+
+    def counted(data, lsn=0):
+        decodes[lsn] += 1
+        return decode_record(data, lsn)
+    monkeypatch.setattr(log_module, "decode_record", counted)
+    engine = StorageEngine.recover(image)
+    monkeypatch.undo()
+
+    stats = engine.recovery_stats
+    durable = stats.checkpoint_lsn + stats.records_analyzed
+    losers = set(stats.loser_txns)
+    assert losers, "the crash must leave losers for undo to read"
+    for lsn, _, tid in engine.log.headers(upto_lsn=durable):
+        assert 1 <= decodes[lsn] <= (3 if tid in losers else 2), lsn
 
 
 # -- the structural guard -----------------------------------------------------

@@ -184,11 +184,16 @@ def test_golden_bytes(name):
 
 
 def test_every_encoding_keeps_its_kind_at_the_declared_byte():
-    """``LogManager.newest_of_kind`` reads this byte without decoding."""
-    from repro.wal.records import HEADER, KIND_BYTE
-    assert HEADER[0][0] == "kind" and KIND_BYTE == 0
+    """``decode_record`` picks the kind off ``KIND_BYTE``; the log's
+    header reader (``LogManager.headers``) reads kind and tid through
+    ``KIND_TID`` without decoding."""
+    from repro.wal.records import HEADER, KIND_BYTE, KIND_TID
+    assert [name for name, _ in HEADER[:2]] == ["kind", "tid"]
+    assert KIND_BYTE == 0
     for record, hexed in GOLDEN.values():
-        assert bytes.fromhex(hexed)[KIND_BYTE] == record.kind
+        encoded = bytes.fromhex(hexed)
+        assert encoded[KIND_BYTE] == record.kind
+        assert KIND_TID.unpack_from(encoded) == (record.kind, record.tid)
 
 
 def test_importing_compiles_no_layout():
