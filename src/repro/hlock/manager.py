@@ -73,9 +73,10 @@ class HierarchicalLockManager(LockManager):
         self._paths: Dict[Tuple[int, int], Path] = {}
         #: tid -> page granule -> {oid: mode} of live fine object locks.
         self._fine: Dict[int, Dict[PageGranule, Dict[Oid, LockMode]]] = {}
-        #: tid -> granule -> {oid: mode} touched under a coarse lock
-        #: (an escalated page's are re-granted verbatim on de-escalation).
-        self._covered: Dict[int, Dict[object, Dict[Oid, LockMode]]] = {}
+        #: tid -> escalated page -> {oid: mode} of the fine locks the
+        #: escalation folded in and every object touched under it since,
+        #: re-granted verbatim on de-escalation.
+        self._covered: Dict[int, Dict[PageGranule, Dict[Oid, LockMode]]] = {}
         #: tid -> page -> fine-lock count at the last failed escalation
         #: attempt (retry only once the transaction grows past it).
         self._esc_failed: Dict[int, Dict[PageGranule, int]] = {}
@@ -163,14 +164,14 @@ class HierarchicalLockManager(LockManager):
         stats = self.stats
         if covering is not None:
             stats.requests += 1
+            # Only an escalated page remembers what it covers (its bucket
+            # exists from the escalation on): a coarse lock asked for by
+            # key is never de-escalated, only waited for.
             cov = self._covered.get(tid)
-            if cov is None:
-                cov = self._covered[tid] = {}
-            bucket = cov.get(covering)
-            if bucket is None:
-                bucket = cov[covering] = {}
-            old = bucket.get(key)
-            bucket[key] = mode if old is None else old.sup[mode.rank]
+            bucket = None if cov is None else cov.get(covering)
+            if bucket is not None:
+                old = bucket.get(key)
+                bucket[key] = mode if old is None else old.sup[mode.rank]
             return
         intent = mode.intent
         for granule in self._ancestors(tid, key, intent, path):
@@ -374,6 +375,11 @@ class HierarchicalLockManager(LockManager):
                     if key in oids:
                         del oids[key]
                         return
+            for granule in self._path(key):
+                entry = self._table.get(granule)
+                held = None if entry is None else entry.granted.get(tid)
+                if held is not None and held.covers_below:
+                    return  # covered by a coarse lock asked for by key
         super().release(tid, key)
 
     def release_all(self, tid: int) -> Set[object]:

@@ -209,6 +209,37 @@ def test_deescalation_preserves_fine_conflicts():
     assert log == [("granted", 100.0)]
 
 
+def test_a_page_lock_asked_for_by_key_is_never_deescalated():
+    """Touching an object under a page lock the transaction asked for by
+    key does not make that lock an escalation: a conflicting request
+    waits, and the page lock stays what was asked for."""
+    sim = Simulator()
+    locks = manager(sim)   # escalate_after=0: nothing ever escalates
+    assert locks.try_acquire(1, PAGE0, LockMode.S)
+    assert locks.try_acquire(1, oid(0, 0), LockMode.S)   # covered
+    assert not locks.try_acquire(2, oid(0, 5), LockMode.X)
+    assert locks.stats.deescalations == 0
+    assert locks._table[PAGE0].granted[1] is LockMode.S
+    # Releasing a covered object leaves the page lock in place.
+    locks.release(1, oid(0, 0))
+    assert locks.holds(1, oid(0, 0), LockMode.S)
+    log = []
+
+    def writer():
+        yield from locks.acquire(2, oid(0, 5), LockMode.X)
+        log.append(("granted", sim.now))
+        locks.release_all(2)
+
+    def reader_release():
+        yield Delay(100)
+        locks.release_all(1)
+
+    sim.spawn(writer())
+    sim.spawn(reader_release())
+    sim.run()
+    assert log == [("granted", 100.0)]
+
+
 # -- deadlock through ancestor granules ---------------------------------------
 
 

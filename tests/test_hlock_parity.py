@@ -218,9 +218,12 @@ class LegacyHierarchicalLockManager(HierarchicalLockManager):
         return None
 
     def _note_covered(self, tid, granule, oid, mode):
-        bucket = self._covered.setdefault(tid, {}).setdefault(granule, {})
-        old = bucket.get(oid)
-        bucket[oid] = mode if old is None else _SUP[old][mode]
+        # Only an escalated page remembers the objects it covers; a
+        # coarse lock asked for by key is never de-escalated.
+        bucket = self._covered.get(tid, {}).get(granule)
+        if bucket is not None:
+            old = bucket.get(oid)
+            bucket[oid] = mode if old is None else _SUP[old][mode]
 
     def _note_fine(self, tid, page, oid, mode):
         fine = self._fine.get(tid)
