@@ -8,7 +8,9 @@ from repro.storage.oid import MAX_PAGE, MAX_PARTITION, MAX_SLOT
 
 def test_pack_unpack_roundtrip():
     oid = Oid(3, 17, 42)
-    assert Oid.unpack(oid.pack()) == oid
+    unpacked = Oid.unpack(oid.pack())
+    assert unpacked == oid and type(unpacked) is Oid
+    assert (unpacked.partition, unpacked.page, unpacked.slot) == (3, 17, 42)
 
 
 def test_pack_unpack_extremes():
@@ -20,7 +22,7 @@ def test_pack_unpack_extremes():
 
 
 def test_null_ref_is_not_a_valid_oid():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="NULL_REF"):
         Oid.unpack(NULL_REF)
 
 
@@ -48,9 +50,9 @@ def test_validate_rejects_out_of_range():
 
 
 def test_unpack_out_of_range_rejected():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="out of range"):
         Oid.unpack(1 << 64)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="out of range"):
         Oid.unpack(-1)
 
 
