@@ -18,7 +18,7 @@ be plain functions or simulation generators.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Generator, Optional
+from typing import Any, Callable, Dict, Generator
 
 from ..config import RetryPolicy
 from ..errors import NodeUnreachableError

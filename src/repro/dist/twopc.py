@@ -46,7 +46,7 @@ undo on abort.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, Generator, List, Optional, Set, Tuple
 
 from ..concurrency import LockMode, LockTimeoutError
