@@ -25,9 +25,11 @@ appended before the update is applied, per WAL).
 
 from __future__ import annotations
 
+import io
 import random
 import struct
 import zlib
+from itertools import islice
 from typing import Any, Callable, Generator, Iterator, List, Optional, Tuple
 
 from ..config import RetryPolicy, SystemConfig
@@ -109,7 +111,6 @@ class LogManager:
         #: torn/corrupt record that had to be truncated.
         self.tail_truncated = False
         self.tail_problem: Optional[str] = None
-        self.tail_truncated_bytes = 0
 
     # -- append / read -------------------------------------------------------
 
@@ -221,9 +222,17 @@ class LogManager:
     # -- crash surface ----------------------------------------------------------
 
     def durable_bytes(self) -> bytes:
-        """The framed byte stream that survives a crash (flushed prefix)."""
-        return b"".join(frame_record(payload)
-                        for payload in self._encoded[:self._flushed_lsn])
+        """The framed byte stream that survives a crash (flushed prefix).
+
+        Frames are written straight into one buffer, whose ``getvalue``
+        hands it back uncopied: the stream is never held twice.
+        """
+        out = io.BytesIO()
+        write, pack, crc32 = out.write, FRAME_HEADER.pack, zlib.crc32
+        for payload in islice(self._encoded, self._flushed_lsn):
+            write(pack(len(payload), crc32(payload)))
+            write(payload)
+        return out.getvalue()
 
     def torn_tail_fragment(self, rng: random.Random) -> bytes:
         """Bytes of the log write that was in flight at the crash.
@@ -271,8 +280,6 @@ class LogManager:
         log._flushed_lsn = len(kept)
         log.tail_problem = problem
         log.tail_truncated = problem is not None
-        log.tail_truncated_bytes = len(durable) - sum(
-            len(frame_record(payload)) for payload in kept)
         return log
 
     # -- subscribers -------------------------------------------------------------
