@@ -25,6 +25,10 @@ from .policies import DSTCClusterer, objects_per_page
 from .tracing import AffinityGraph
 
 
+def _unprepared(oid: Oid):
+    raise RuntimeError("AffinityClusteringPlan used before prepare()")
+
+
 class AffinityClusteringPlan(ClusteringPlan):
     """Workload-driven re-clustering: place by traced heat + affinity.
 
@@ -37,7 +41,7 @@ class AffinityClusteringPlan(ClusteringPlan):
 
     def __init__(self, graph: AffinityGraph,
                  target_partition: Optional[int] = None):
-        super().__init__(cluster_key=self._placement_key,
+        super().__init__(cluster_key=_unprepared,
                          target_partition=target_partition)
         self.graph = graph
         self.placement = None
@@ -47,11 +51,7 @@ class AffinityClusteringPlan(ClusteringPlan):
         self.placement = DSTCClusterer().build(
             list(engine.store.live_oids(partition_id)), self.graph,
             objects_per_page(engine, partition_id))
-
-    def _placement_key(self, oid: Oid):
-        if self.placement is None:
-            raise RuntimeError("AffinityClusteringPlan used before prepare()")
-        return self.placement.cluster_key(oid)
+        self._key = self.placement.cluster_key
 
 
 class RandomPlacementPlan(RelocationPlan):

@@ -89,9 +89,7 @@ class Database:
             layout = build_database(loader, loaded_workload)
             held = Database._load_image = _LoadImage(
                 (loaded_workload, loaded_system), loader.crash(), layout)
-            # Gone before the first engine is assembled, or a bench
-            # running with the collector off holds two stores.
-            loader.discard()
+            del loader      # freed before the first engine is assembled
         image = CrashImage(held.crash.durable_log,
                            held.crash.snapshots.copy(), system)
         layout = held.layout.copy()

@@ -165,12 +165,22 @@ class StorageEngine:
         checkpoint: dict = {}
         if table.checkpoint is not None:
             checkpoint = self.snapshots.load(table.checkpoint.snapshot_id)
-        self._erts: Dict[int, ExternalReferenceTable] = {
+        erts = self._erts = {
             pid: ExternalReferenceTable.restore(
                 pid, state, bucket_capacity=cfg.ert_bucket_capacity)
             for pid, state in checkpoint.get("erts", {}).items()}
+
+        def ert_for(partition_id: int) -> ExternalReferenceTable:
+            ert = erts.get(partition_id)
+            if ert is None:
+                ert = erts[partition_id] = ExternalReferenceTable(
+                    partition_id, bucket_capacity=cfg.ert_bucket_capacity)
+            return ert
+        #: ``partition_id`` -> its ERT, created empty on first use: a
+        #: function of the ERT dict, so the analyzer holding it is acyclic.
+        self.ert_for = ert_for
         self.analyzer = LogAnalyzer(
-            self.ert_for, strict_2pl=cfg.strict_transactions)
+            ert_for, strict_2pl=cfg.strict_transactions)
         # Subscribe before running recovery: the undo pass appends CLRs,
         # and aborts that reintroduce deleted references must update the
         # ERTs.  Redo replays the (already-appended) durable records via
@@ -224,7 +234,7 @@ class StorageEngine:
         #: remote-parent ERT entry would read as spurious.
         self.remote_ert_expected = None
         if self.buffer is not None and cfg.verify_page_reads:
-            self.buffer.verify_hook = self._verify_page_read
+            self.buffer.verify_hook = self.store.verify_page
 
     def subscribe(self, probe: Probe) -> Probe:
         """Add ``probe`` to the subscribers; returns it.
@@ -239,29 +249,11 @@ class StorageEngine:
         self.probes = self.locks.probes = tuple(
             p for p in self.probes if p is not probe)
 
-    def _verify_page_read(self, key) -> None:
-        """Checksum-verify a page as the buffer pool reads it in."""
-        partition_id, page_no = key
-        if not self.store.has_partition(partition_id):
-            return
-        partition = self.store.partition(partition_id)
-        if page_no in partition._pages:
-            partition.page(page_no).verify()
-
     # -- partitions & reference tables ------------------------------------------
 
     def create_partition(self, partition_id: int,
                          max_pages: Optional[int] = None):
         return self.store.create_partition(partition_id, max_pages=max_pages)
-
-    def ert_for(self, partition_id: int) -> ExternalReferenceTable:
-        ert = self._erts.get(partition_id)
-        if ert is None:
-            ert = ExternalReferenceTable(
-                partition_id,
-                bucket_capacity=self.config.ert_bucket_capacity)
-            self._erts[partition_id] = ert
-        return ert
 
     def fix_page(self, oid: Oid, dirty: bool = False):
         """Pin an object's page in the buffer pool (no-op when the
@@ -324,28 +316,13 @@ class StorageEngine:
 
     def crash(self) -> CrashImage:
         """Simulate a system failure: kill every process, keep only the
-        durable state."""
+        durable state.  The transaction table is volatile state too: it
+        loses the killed processes' transactions, each of which names
+        this engine."""
         image = self.crash_image()
         self.sim.kill_all()
+        self.txns.lose_active()
         return image
-
-    def discard(self) -> None:
-        """Give up everything the engine owns — the engine is done.
-
-        An engine is cyclic garbage (its transaction manager and analyzer
-        point back at it, and a crashed simulator's suspended processes
-        name it) and benches run with the collector off, so one that is
-        merely dropped keeps its whole database alive.  Discarding lets
-        go of the store, the ERTs, the log and its records, the snapshot
-        store, the lock and transaction tables and the analyzer; none of
-        them is in a cycle of its own, so each goes the moment nothing
-        else names it.  What is shared is let go of, not emptied: a crash
-        image keeps the snapshot store it was taken with.  Nothing may
-        use the engine afterwards.
-        """
-        self.store = self.log = self.snapshots = None
-        self.locks = self.txns = self.analyzer = None
-        self._erts.clear()
 
     @classmethod
     def recover(cls, image: CrashImage,

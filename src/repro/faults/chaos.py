@@ -314,15 +314,7 @@ def probe_run_window(algorithm: str = "ira",
         stats = reorg_proc.result
         return stats.started_ms, stats.finished_ms
     finally:
-        _release(db)
-
-
-def _release(db: Database) -> None:
-    """Kill what still runs on ``db`` and give up its engine: benches run
-    with the collector off, and a database left as cyclic garbage keeps
-    every page, log record and snapshot it built."""
-    db.sim.kill_all()
-    db.engine.discard()
+        db.crash()      # not a bare kill: it drops the load's open txns
 
 
 def _run_to_crash(result: ChaosPointResult, algorithm: str,
@@ -344,7 +336,7 @@ def _run_to_crash(result: ChaosPointResult, algorithm: str,
     try:
         db.sim.run(until=result.crash_at_ms + 1.0)
     finally:
-        _release(db)
+        db.sim.kill_all()
     if not result.judge("crashed", injector.crashed,
                         "crash trigger never fired"):
         return None
@@ -403,7 +395,7 @@ def run_chaos_point(crash_at_ms: float, algorithm: str = "ira",
                          reorg_config, seed, injected_pages, injected_tail,
                          _recovery_only)
     finally:
-        _release(recovered)
+        recovered.sim.kill_all()
     return result
 
 

@@ -17,6 +17,7 @@ later, at the same simulated instant.
 from __future__ import annotations
 
 import random
+import weakref
 from typing import Tuple
 
 from ..engine import Probe
@@ -64,7 +65,8 @@ class FaultInjector(Probe):
 
     def __init__(self, plan: FaultPlan, engine):
         self.plan = plan
-        self.engine = engine
+        # Weak: an attached injector is the engine's (``injector``, hooks).
+        self._engine = weakref.ref(engine)
         self.stats = InjectorStats()
         self.crashed = False
         self.crash_image = None
@@ -77,6 +79,10 @@ class FaultInjector(Probe):
         self._rng_corrupt = random.Random(f"faults/corrupt/{plan.seed}")
         self._checkpoints_seen = 0
         self._prev_store_snapshot = None
+
+    @property
+    def engine(self):
+        return self._engine()
 
     # -- wiring ---------------------------------------------------------------
 

@@ -37,6 +37,7 @@ across the database's lifetime.
 
 from __future__ import annotations
 
+import weakref
 from bisect import bisect_right
 from dataclasses import dataclass
 from operator import attrgetter
@@ -103,7 +104,8 @@ class MvccTier:
     """
 
     def __init__(self, engine, config: Optional[MvccConfig] = None):
-        self.engine = engine
+        # Weak: the engine owns its tier (``engine.mvcc``).
+        self._engine = weakref.ref(engine)
         self.cfg = config or MvccConfig()
         self.stats = MvccStats()
         #: Logical OIDs under version control (fixed at attach; merge
@@ -124,6 +126,10 @@ class MvccTier:
         self._commits_since_gc = 0
         #: The watermark the last GC pass ran at (see :meth:`gc_pass`).
         self._gc_watermark: Optional[int] = None
+
+    @property
+    def engine(self):
+        return self._engine()
 
     # -- construction -----------------------------------------------------------
 

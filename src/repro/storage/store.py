@@ -80,6 +80,13 @@ class ObjectStore:
     def partition_ids(self) -> List[int]:
         return sorted(self._partitions)
 
+    def verify_page(self, key) -> None:
+        """The buffer pool's read hook: checksum-verify page
+        ``(partition_id, page_no)`` if this store holds it."""
+        partition = self._partitions.get(key[0])
+        if partition is not None and key[1] in partition._pages:
+            partition.page(key[1]).verify()
+
     # -- whole-object operations --------------------------------------------------
 
     def allocate_object(self, partition_id: int, image: ObjectImage,

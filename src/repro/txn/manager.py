@@ -13,6 +13,7 @@ needs:
 
 from __future__ import annotations
 
+import weakref
 from typing import Any, Dict, Generator, Iterable, Set
 
 from ..sim import Event, Wait
@@ -27,7 +28,8 @@ from .transaction import Transaction
 
 class TransactionManager:
     def __init__(self, engine):
-        self.engine = engine
+        # Weak: the engine owns its manager.  A transaction is strong.
+        self._engine = weakref.ref(engine)
         self._next_tid = 1
         self._active: Dict[int, Transaction] = {}
         self._done_events: Dict[int, Event] = {}
@@ -50,18 +52,19 @@ class TransactionManager:
         knows about its own patches), while every other active TRT still
         records them.
         """
+        engine = self._engine()
         tid = self._next_tid
         self._next_tid += 1
-        txn = Transaction(self.engine, tid, system=system,
+        txn = Transaction(engine, tid, system=system,
                           reorg_partition=reorg_partition)
         self._active[tid] = txn
-        self._done_events[tid] = self.engine.sim.event(name=f"txn-done:{tid}")
+        self._done_events[tid] = engine.sim.event(name=f"txn-done:{tid}")
         flags = FLAG_SYSTEM_TXN if system else 0
-        self.engine.log.append(BeginRecord(
+        engine.log.append(BeginRecord(
             tid, 0, flags=flags,
             reorg_partition=(NO_REORG_PARTITION if reorg_partition is None
                              else reorg_partition)))
-        txn.last_lsn = self.engine.log.last_lsn
+        txn.last_lsn = engine.log.last_lsn
         self.started += 1
         for probe in txn._probes:
             probe.txn_begin(txn)
@@ -69,9 +72,10 @@ class TransactionManager:
 
     def finish(self, txn: Transaction) -> None:
         """Called by commit/abort: release locks, log END, wake waiters."""
-        self.engine.log.append(EndRecord(txn.tid, txn.last_lsn))
-        self.engine.locks.release_all(txn.tid)
-        self.engine.locks.transaction_finished(txn.tid)
+        engine = txn.engine
+        engine.log.append(EndRecord(txn.tid, txn.last_lsn))
+        engine.locks.release_all(txn.tid)
+        engine.locks.transaction_finished(txn.tid)
         self._active.pop(txn.tid, None)
         done = self._done_events.pop(txn.tid, None)
         if done is not None:
@@ -84,6 +88,10 @@ class TransactionManager:
             self.abort_reasons[reason] = self.abort_reasons.get(reason, 0) + 1
         for probe in txn._probes:
             probe.txn_end(txn)
+
+    def lose_active(self) -> None:
+        """A crash: the volatile table forgets its transactions."""
+        self._active.clear()
 
     # -- queries / waits ----------------------------------------------------------
 

@@ -255,13 +255,16 @@ class Layout:
         self.filename = f"<layout {next(_layouts)}>"
 
     # The first call compiles both; the compiled functions, set on the
-    # instance, shadow these two methods from then on.
+    # instance, shadow these two methods from then on (``ListOf`` may
+    # have bound one before, so each compiles only if nothing has yet).
     def put(self, values) -> bytes:
-        self.put, self.take = _compile(self)
+        if "put" not in vars(self):
+            self.put, self.take = _compile(self)
         return self.put(values)
 
     def take(self, data: bytes, at: int) -> Tuple[Any, int]:
-        self.put, self.take = _compile(self)
+        if "take" not in vars(self):
+            self.put, self.take = _compile(self)
         return self.take(data, at)
 
 

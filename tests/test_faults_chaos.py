@@ -112,7 +112,8 @@ def test_corruption_smoke_sweep():
 LEFT_BEHIND_BOUND_KIB = 512
 
 
-@pytest.mark.parametrize("corruption", [None, "torn_page"])
+@pytest.mark.parametrize("corruption",
+                         [None, "torn_page", "bit_flip", "torn_log_tail"])
 def test_a_chaos_point_leaves_no_database_behind(corruption):
     """With the collector off, as benches run, a point frees every
     database it built: only its verdicts and counts outlive it."""

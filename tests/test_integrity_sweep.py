@@ -199,12 +199,14 @@ def test_dist_engine_consults_the_remote_resolver():
 # -- MvccTier.verify -------------------------------------------------------------
 
 def _mvcc_tier():
-    db = _small_db()
-    return db.engine.store, MvccTier.attach(db.engine, MvccConfig())
+    """The engine, its store and an attached tier.  The tier names its
+    engine weakly, so a caller keeps the engine alive."""
+    engine = _small_db().engine
+    return engine, engine.store, MvccTier.attach(engine, MvccConfig())
 
 
 def test_tier_verify_reports_freed_base_sentinels():
-    store, tier = _mvcc_tier()
+    _engine, store, tier = _mvcc_tier()
     one_entry, grown = sorted(tier.logical_ids)[4:6]
     # A one-entry chain whose base is gone, and a grown chain whose
     # oldest entry names a freed base below a tail.
@@ -217,7 +219,7 @@ def test_tier_verify_reports_freed_base_sentinels():
 
 
 def test_tier_verify_reports_lineage_mismatch_disorder_and_no_chain():
-    store, tier = _mvcc_tier()
+    _engine, store, tier = _mvcc_tier()
     a, b, c, d = sorted(tier.logical_ids)[20:24]
     tier._lineage[a] = b
     image = store.read_object(c)

@@ -32,6 +32,7 @@ from hypothesis import strategies as st
 from repro.config import MvccConfig, SystemConfig, WorkloadConfig
 from repro.core import CompactionPlan
 from repro.database import Database
+from repro.engine import StorageEngine
 from repro.errors import WriteConflictError
 from repro.explore import SnapshotHistory
 from repro.mvcc import (MergeReorganizer, MvccTier, SnapshotTransaction,
@@ -242,7 +243,8 @@ def test_read_refs_walk_equals_the_copying_walk(monkeypatch, system):
 @given(st.lists(st.integers(0, 40), min_size=1, max_size=8, unique=True),
        st.integers(0, 45))
 def test_version_for_matches_the_bisect_oracle(stamps, ts):
-    tier = MvccTier(engine=None)
+    # ``version_for`` reads no engine: a bare one only seeds the tier.
+    tier = MvccTier(engine=StorageEngine())
     loid = Oid(1, 0, 0)
     tier._chains[loid] = [VersionEntry(stamp, None, loid)
                           for stamp in sorted(stamps)]
@@ -265,7 +267,9 @@ def _shadow(tier, recorded):
     shadow.stats = copy.copy(tier.stats)
     shadow_recorded = SnapshotHistory()
     shadow_recorded.gc_log = list(recorded.gc_log)
-    shadow.engine = SimpleNamespace(probes=(shadow_recorded,))
+    # The only engine ``full_gc_pass`` reads is its probes.
+    stand_in = SimpleNamespace(probes=(shadow_recorded,))
+    shadow._engine = lambda: stand_in
     return shadow, shadow_recorded
 
 

@@ -28,7 +28,15 @@ from repro.wal import (
     TpcPrepareRecord,
     decode_record,
 )
-from repro.wal.records import U64, Layout, MergeInstallRecord, TailDeltaRecord
+from repro.wal import records
+from repro.wal.records import (
+    NULLABLE_OID,
+    U64,
+    Layout,
+    ListOf,
+    MergeInstallRecord,
+    TailDeltaRecord,
+)
 
 oids = st.builds(Oid,
                  st.integers(min_value=0, max_value=100),
@@ -228,6 +236,22 @@ def test_a_layout_decoded_before_it_is_encoded_compiles_on_take():
     assert "take" not in vars(decoder)
     assert decoder.take(data, 0) == ((1, 2), 16)
     assert decoder.put((1, 2)) == data
+
+
+def test_a_nested_layout_compiles_once_for_a_whole_list(monkeypatch):
+    # ``ListOf`` binds its item's ``put``/``take`` once per call, before
+    # the item layout has compiled; each item must not compile it again.
+    compiles, compile_ = [], records._compile
+
+    def counting(layout):
+        compiles.append(layout)
+        return compile_(layout)
+    monkeypatch.setattr(records, "_compile", counting)
+    pairs = ListOf(Layout(NULLABLE_OID, NULLABLE_OID))
+    value = tuple((Oid(1, n, 0), None) for n in range(300))
+    data = pairs.put(value)
+    assert pairs.take(data, 0) == (value, len(data))
+    assert len(compiles) == 1
 
 
 @pytest.mark.parametrize("kind", sorted(RECORDS, key=lambda cls: cls.__name__),
